@@ -1,7 +1,7 @@
 # Developer entry points.  The offline-friendly install path is documented
 # in README.md ("Install").
 
-.PHONY: install lint analyze test test-simsan bench bench-full profile telemetry-check telemetry-scale sanitize sweep-check engine-bench app-bench reproduce examples clean
+.PHONY: install lint analyze test test-simsan bench bench-full profile telemetry-check telemetry-scale sanitize sweep-check app-bench reproduce examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -57,10 +57,10 @@ telemetry-check:
 	PYTHONPATH=src python -m repro.telemetry.check --out BENCH_telemetry_snapshot.json
 
 # Monitoring-at-scale probe (docs/telemetry.md "Scaling the observer"):
-# sweeps the sampling policies at 24/200/1,000 nodes on the array engine,
-# asserting zero scaling-action divergence, >= 5x cheaper simulated
-# collection under `adaptive` at 1,000 nodes, and O(series touched)
-# sharded exports.  Uploaded as a CI artifact.
+# sweeps the sampling policies at 24/200/1,000 nodes, asserting zero
+# scaling-action divergence, >= 5x cheaper simulated collection under
+# `adaptive` at 1,000 nodes, and O(series touched) sharded exports.
+# Uploaded as a CI artifact.
 telemetry-scale:
 	PYTHONPATH=src python -m repro.telemetry.scale_check --out BENCH_telemetry_scale.json
 
@@ -77,18 +77,10 @@ sanitize:
 sweep-check:
 	PYTHONPATH=src python -m repro.parallel.check --out BENCH_sweep_parallel.json --jobs 2
 
-# Engine-backend end-to-end probe (docs/engine.md): asserts every policy
-# is byte-identical on the array vs object engine at paper scale, then
-# measures steps/sec on both backends at 24/200/1,000 nodes (>= 5x at
-# 1,000 nodes is the acceptance gate).  Uploaded as a CI artifact.
-engine-bench:
-	PYTHONPATH=src python -m repro.engine_core.check --out BENCH_engine_scale.json
-
-# Application-graph end-to-end probe (docs/app_graphs.md): asserts the
-# three-tier app is byte-identical on the array vs object engine at the
-# paper's 19-worker scale, and that capping the db tier degrades the
-# frontend's ingress SLO monotonically (back-pressure direction).
-# Uploaded as a CI artifact.
+# Application-graph end-to-end probe (docs/app_graphs.md): asserts that
+# capping the db tier of the three-tier app degrades the frontend's
+# ingress SLO monotonically (back-pressure direction) at the paper's
+# 19-worker scale.  Uploaded as a CI artifact.
 app-bench:
 	PYTHONPATH=src python -m repro.experiments.app_check --out BENCH_app_graph.json
 

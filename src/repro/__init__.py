@@ -40,7 +40,6 @@ from repro.core import (
     VerticalScale,
     resolve_policy,
 )
-from repro.engine_core import ClusterState, register_backend, registered_backends, resolve_backend
 from repro.errors import ReproError
 from repro.experiments.runner import Simulation, run_experiment  # lint: disable=API002(back-compat re-export of the deprecated shim)
 from repro.experiments.spec import RunSpec, SweepSpec
@@ -97,12 +96,8 @@ __all__ = [
     "run_experiment",
     "RunSpec",
     "SweepSpec",
-    # engine backends
-    "ClusterState",
+    # the scheduling grant bundle
     "ResourceGrants",
-    "resolve_backend",
-    "register_backend",
-    "registered_backends",
     # parallel sweeps
     "SweepExecutor",
     "SweepResult",

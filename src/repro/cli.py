@@ -43,7 +43,6 @@ from repro.experiments.section3 import (
     memory_scaling_table,
     network_scaling_curve,
 )
-from repro.engine_core.backend import registered_backends
 from repro.experiments.spec import SEED_MODES, RunSpec
 from repro.platform.routing import DEFAULT_ROUTING, registered_routings
 from repro.telemetry.sampling import registered_sampling_policies
@@ -106,17 +105,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     event_logs = {}
     wants_metrics = bool(args.metrics_out or args.openmetrics_out)
     wants_sampling = args.sampling != "full"
-    # A non-default engine backend rides the serial in-process path: the
-    # sweep executor's shard cache is keyed on results, which backends never
-    # change, so fanning out non-default engines would only launder cache
-    # entries produced by a different code path.  Sampling policies are the
-    # same kind of observation-only knob and need the live controller.
-    # Non-default routing rides it for the same reason (a front-LB knob the
-    # sweep codec treats as identity, so it must be wired in-process).
+    # Sampling policies are observation-only knobs that need the live
+    # controller, so they ride the serial in-process path.  Non-default
+    # routing rides it too (a front-LB knob the sweep codec treats as
+    # identity, so it must be wired in-process).
     needs_simulation = (
         args.costs or args.events > 0 or args.trace_out or wants_metrics
-        or args.engine != "object" or wants_sampling
-        or args.routing != DEFAULT_ROUTING
+        or wants_sampling or args.routing != DEFAULT_ROUTING
     )
     multiple = len(args.algorithms) > 1
     if needs_simulation:
@@ -150,7 +145,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 app=spec.app,
                 routing=args.routing,
                 tracer=tracer,
-                backend=args.engine,
                 **({"telemetry": registry, "slo": slo} if registry is not None else {}),
                 **({"sampling": args.sampling} if wants_sampling else {}),
             )
@@ -558,14 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'shared' replays the identical arrival sequence under every "
         "algorithm (the paper's method, default); 'per_shard' derives an "
         "independent stream per (workload, algorithm) shard",
-    )
-    run.add_argument(
-        "--engine",
-        choices=registered_backends(),
-        default="object",
-        help="engine backend: 'object' is the scalar reference engine, "
-        "'array' keeps container state in a struct-of-arrays store "
-        "(bit-identical results, faster at scale; see docs/engine.md)",
     )
     run.add_argument(
         "--sampling",

@@ -49,18 +49,9 @@ class Cluster:
         capacity = ResourceVector(config.node_cpu, config.node_memory, config.node_network)
         for i in range(config.worker_nodes):
             cluster.add_node(
-                cluster.make_node(f"node-{i:02d}", capacity, disk_capacity=config.node_disk)
+                Node(f"node-{i:02d}", capacity, cluster.overheads, disk_capacity=config.node_disk)
             )
         return cluster
-
-    def make_node(self, name: str, capacity: ResourceVector, *, disk_capacity: float) -> Node:
-        """Construct a node for this cluster (factory hook).
-
-        Backend subclasses (:class:`repro.engine_core.ArrayCluster`) override
-        this to mint store-backed node views; everything else about fleet
-        construction is shared.
-        """
-        return Node(name, capacity, self.overheads, disk_capacity=disk_capacity)
 
     def add_node(self, node: Node) -> None:
         """Register a machine (also used by the dynamic-fleet ablation)."""
@@ -151,15 +142,6 @@ class Cluster:
         for node in self.sorted_nodes():
             node.step(clock.now, clock.dt)
             self._finished.extend(node.drain_finished())
-
-    def metrics_totals(self) -> tuple[float, float, float, float, float, int, int] | None:
-        """Batched timeline aggregates, or ``None`` to use the scalar pass.
-
-        The base cluster has no batched representation, so the metrics
-        actor runs its single-object pass; array-backed clusters return the
-        same aggregates from store kernels (bit-identical floats).
-        """
-        return None
 
     def drain_finished(self) -> list[Request]:
         """Hand over and clear all requests that finished this step.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 
 from repro.cluster.grants import ResourceGrants
 from repro.config import OverheadModel
@@ -203,9 +202,7 @@ class Container:
         The unified scheduling entry point: the node awards CPU, disk, and
         network through one frozen :class:`ResourceGrants` value; only the
         phases whose grants are present are advanced, so each scheduler
-        pass stays independent.  Replaces the ``advance_compute`` /
-        ``advance_disk`` / ``advance_network`` trio (kept below as
-        deprecated shims).
+        pass stays independent.
         """
         if grants.cpu is not None:
             self._advance_compute(grants.cpu, dt, grants.contention)
@@ -340,40 +337,6 @@ class Container:
         # Networking syscalls burn CPU proportional to bytes pushed; the
         # monitor sees it as CPU usage (it is, to `docker stats`).
         self.cpu_usage += self.net_usage * self.overheads.net_cpu_per_mbit
-
-    # ------------------------------------------------------------------
-    # Deprecated per-resource entry points (use ``advance``)
-    # ------------------------------------------------------------------
-    def advance_compute(self, granted_cores: float, dt: float, contention_factor: float) -> None:
-        """Deprecated: call :meth:`advance` with ``ResourceGrants(cpu=...)``."""
-        warnings.warn(
-            "Container.advance_compute() is deprecated; call "
-            "Container.advance(ResourceGrants(cpu=..., contention=...), dt) "
-            "(see docs/engine.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.advance(ResourceGrants(cpu=granted_cores, contention=contention_factor), dt)
-
-    def advance_disk(self, granted_mb_per_s: float, dt: float) -> None:
-        """Deprecated: call :meth:`advance` with ``ResourceGrants(disk=...)``."""
-        warnings.warn(
-            "Container.advance_disk() is deprecated; call "
-            "Container.advance(ResourceGrants(disk=...), dt) (see docs/engine.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.advance(ResourceGrants(disk=granted_mb_per_s), dt)
-
-    def advance_network(self, granted_mbps: float, dt: float) -> None:
-        """Deprecated: call :meth:`advance` with ``ResourceGrants(net=...)``."""
-        warnings.warn(
-            "Container.advance_network() is deprecated; call "
-            "Container.advance(ResourceGrants(net=...), dt) (see docs/engine.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.advance(ResourceGrants(net=granted_mbps), dt)
 
     # ------------------------------------------------------------------
     # Lifecycle

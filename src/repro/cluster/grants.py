@@ -1,16 +1,13 @@
 """Frozen per-step resource grants handed to :meth:`Container.advance`.
 
 The node's schedulers (fair-share CPU, disk device, NIC) each award one
-resource per step.  Historically they called three separate container
-methods (``advance_compute`` / ``advance_disk`` / ``advance_network``);
-the unified API bundles the award into one immutable value object so a
-scheduler — object-backed or array-backed — expresses "what this container
-was granted" in a single vocabulary.
+resource per step.  The award travels as one immutable value object, so
+every scheduler expresses "what this container was granted" in a single
+vocabulary.
 
 A field left at ``None`` means "this resource was not scheduled this
 call": :meth:`Container.advance` only touches the phases whose grants are
-present, which keeps the three scheduler passes independent exactly as the
-legacy methods were.
+present, which keeps the three scheduler passes independent.
 """
 
 from __future__ import annotations

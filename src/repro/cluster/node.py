@@ -16,7 +16,7 @@ decides them (that is the MONITOR's job, Section V-B/C).
 
 from __future__ import annotations
 
-from repro.cluster.container import Container
+from repro.cluster.container import Container, ContainerState
 from repro.cluster.disk import DiskDevice
 from repro.cluster.grants import ResourceGrants
 from repro.cluster.fairshare import weighted_fair_share
@@ -84,59 +84,6 @@ class Node:
         """True if the requested allocation fits in current availability."""
         return request.fits_within(self.available())
 
-    def make_container(
-        self,
-        service: str,
-        replica_index: int,
-        *,
-        cpu_request: float,
-        mem_limit: float,
-        net_rate: float,
-        created_at: float = 0.0,
-        boot_delay: float = 0.0,
-        max_concurrency: int = 16,
-        disk_quota: float = 50.0,
-        container_id: str | None = None,
-    ) -> Container:
-        """Construct a container for this node (factory hook).
-
-        The daemon routes ``docker run`` through this so array-backed nodes
-        can mint :class:`~repro.engine_core.views.ContainerView` instances
-        bound to their slot in the state store instead of plain containers.
-        """
-        return Container(
-            service=service,
-            replica_index=replica_index,
-            cpu_request=cpu_request,
-            mem_limit=mem_limit,
-            net_rate=net_rate,
-            created_at=created_at,
-            boot_delay=boot_delay,
-            max_concurrency=max_concurrency,
-            disk_quota=disk_quota,
-            overheads=self.overheads,
-            container_id=container_id,
-        )
-
-    def maybe_oom_kills(self) -> bool:
-        """Cheap pre-check: could this node host an OOM-killed container?
-
-        The base node cannot answer without scanning, so it always says
-        yes; array-backed nodes keep a counter and answer in O(1), letting
-        the daemon's per-step reap skip the scan on healthy nodes.
-        """
-        return True
-
-    def stats_buffer(self, horizon: float) -> object | None:
-        """Frame-based stats recorder, or ``None`` for per-container windows.
-
-        The node manager asks its node for this once at construction: the
-        base node has no batched representation (the NM keeps classic
-        :class:`~repro.dockersim.stats.StatsWindow` histories); array-backed
-        nodes return a :class:`repro.engine_core.kernels.NodeStatsBuffer`.
-        """
-        return None
-
     def add_container(self, container: Container, *, enforce_capacity: bool = True) -> None:
         """Host a container, wiring up its NIC shaping class."""
         if container.container_id in self.containers:
@@ -195,6 +142,20 @@ class Node:
     def step(self, now: float, dt: float) -> None:
         """Advance every hosted container by one step ending at ``now``."""
         self.last_oom_kills = []
+        quiet = self._quiet_serving()
+        if quiet is not None:
+            # The full step below would write exactly these constants (see
+            # DESIGN.md, "The quiet-node step"); skip the schedulers.
+            background = self.overheads.container_background_cpu
+            base_memory = self.overheads.container_base_memory
+            for container in quiet:
+                container.cpu_usage = background
+                container.mem_usage = base_memory
+                container.net_usage = 0.0
+                container.disk_usage = 0.0
+                container._net_cpu_headroom = 0.0
+            return
+
         for container in self.active_containers():
             container.tick_boot(dt)
 
@@ -210,6 +171,43 @@ class Node:
                 container.terminate(now, oom=True)
                 self.last_oom_kills.append(container)
             self._finished.extend(container.drain_finished())
+
+    def _quiet_serving(self) -> list[Container] | None:
+        """The serving containers if this node is quiet, else ``None``.
+
+        Quiet means nothing hosted can change this step beyond the idle
+        usage refresh: no in-flight request, no container booting, no
+        container whose base memory alone trips the OOM threshold, and
+        total background CPU demand within half the node's capacity over
+        at most 64 claimants (unless background CPU is zero), so fair
+        share grants every serving container exactly its background.
+        Container subclasses (the stress generators) make their own demand
+        without requests, so they always take the full step.
+        """
+        overheads = self.overheads
+        base_memory = overheads.container_base_memory
+        oom_factor = overheads.oom_factor
+        # Enum members and the class as locals: this scan runs once per
+        # node per step.
+        running, pending, plain = ContainerState.RUNNING, ContainerState.PENDING, Container
+        serving = []
+        for container in self.containers.values():
+            state = container.state
+            if state is running:
+                if (
+                    container.inflight
+                    or base_memory > oom_factor * container.mem_limit
+                    or type(container) is not plain
+                ):
+                    return None
+                serving.append(container)
+            elif state is pending:
+                return None
+        background = overheads.container_background_cpu
+        n = len(serving)
+        if n * background <= 0.5 * self.capacity.cpu and (background == 0.0 or n <= 64):
+            return serving
+        return None
 
     def _schedule_cpu(self, dt: float) -> None:
         """Weighted fair-share CPU with the co-location contention penalty."""

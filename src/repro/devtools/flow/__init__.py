@@ -25,10 +25,9 @@ subpackage reasons about the *whole program*:
   derivation), and emits ranked source→sink witness chains.
 * :mod:`~repro.devtools.flow.contracts` statically checks every
   implementation registered through ``register_policy`` /
-  ``register_sampling_policy`` / ``register_backend`` against its
-  protocol (CON001–003), and every ``register_workload`` /
-  ``register_app`` / ``register_routing`` call site against the
-  call-site contract (CON004).
+  ``register_sampling_policy`` against its protocol (CON001–003), and
+  every ``register_workload`` / ``register_app`` / ``register_routing``
+  call site against the call-site contract (CON004).
 * :mod:`~repro.devtools.flow.rules` turns those analyses into the
   HOT / PAR / DET1xx / CON rule families plus interprocedural UNIT002,
   and :mod:`~repro.devtools.flow.baseline` applies the

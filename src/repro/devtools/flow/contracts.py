@@ -1,8 +1,7 @@
 """Registry-contract checking for pluggable implementations.
 
-The three extension registries — :func:`repro.core.registry.register_policy`,
-:func:`repro.telemetry.sampling.register_sampling_policy`, and
-:func:`repro.engine_core.backend.register_backend` — are where
+The two extension registries — :func:`repro.core.registry.register_policy`
+and :func:`repro.telemetry.sampling.register_sampling_policy` — are where
 contributor code enters the engine.  A policy that forgets ``decide``, a
 sampling controller holding module-level mutable state, or an autoscaler
 drawing from the ambient RNG will pass import time and only fail (or
@@ -86,12 +85,6 @@ PROTOCOLS: tuple[ProtocolSpec, ...] = (
             "skip_node",
             "finish_sample",
         ),
-    ),
-    ProtocolSpec(
-        registry="backend",
-        register_call="register_backend",
-        base="repro.cluster.cluster.Cluster",
-        required=("on_step", "from_config"),
     ),
 )
 

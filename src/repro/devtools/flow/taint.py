@@ -1,7 +1,7 @@
 """DetFlow: interprocedural determinism-taint analysis.
 
 The repo's headline guarantee is that same-seed runs are byte-identical
-across backends, shard counts, and ``--jobs``.  The per-file rules
+across shard counts and ``--jobs``.  The per-file rules
 (DET001–003) catch nondeterminism *sources* statement-by-statement, and
 the end-to-end byte pins catch whatever actually fired — but neither can
 say *which source can reach which artifact*.  This pass can: it

@@ -17,7 +17,7 @@ overshoot get caught.
 
 from __future__ import annotations
 
-from repro.cluster.container import Container
+from repro.cluster.container import Container, ContainerState
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
 from repro.dockersim.stats import StatsSample
@@ -50,7 +50,7 @@ class DockerDaemon:
         container_id: str | None = None,
     ) -> Container:
         """Create and host a container; it serves traffic once booted."""
-        container = self.node.make_container(
+        container = Container(
             service,
             replica_index,
             cpu_request=cpu_request,
@@ -60,6 +60,7 @@ class DockerDaemon:
             boot_delay=boot_delay,
             max_concurrency=max_concurrency,
             disk_quota=disk_quota,
+            overheads=self.node.overheads,
             container_id=container_id,
         )
         self.node.add_container(container, enforce_capacity=enforce_capacity)
@@ -147,13 +148,10 @@ class DockerDaemon:
 
     def reap_oom_kills(self, now: float) -> list[Container]:
         """Clear kernel-killed containers off the node; return the corpses."""
-        if not self.node.maybe_oom_kills():
-            return []
-        reaped = []
-        for container in list(self.node.containers.values()):
-            if container.state.name == "OOM_KILLED":
-                self.node.remove_container(container.container_id, now)
-                reaped.append(container)
+        killed = ContainerState.OOM_KILLED
+        reaped = [c for c in self.node.containers.values() if c.state is killed]
+        for container in reaped:
+            self.node.remove_container(container.container_id, now)
         return reaped
 
     # ------------------------------------------------------------------

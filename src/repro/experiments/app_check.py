@@ -1,18 +1,12 @@
 """Self-contained application-graph validation (``make app-bench``).
 
-Checks the two halves of the application-graph contract end to end, at
-the paper's cluster shape (24 machines: 19 workers + 5 load balancers):
-
-1. **Backend parity** — the canonical three-tier app (frontend -> api ->
-   2x db) produces a **byte-identical** summary dict on the array backend
-   and the scalar object backend, per monitor policy.  Graph routing,
-   back-pressure holds, and ingress accounting all live in shared code,
-   so the array engine must remain a faster spelling of the same run.
-2. **Back-pressure direction** — capping the db tier's replicas turns it
-   into a bottleneck whose damage must surface *upstream*: the ingress
-   (frontend) end-to-end latency and failure rate must degrade
-   monotonically as the cap tightens.  This is the observable the whole
-   AppRequest lifecycle exists to produce.
+Checks the back-pressure direction of the canonical three-tier app
+(frontend -> api -> 2x db) end to end under the ``hybrid`` policy, at the
+paper's cluster shape (24 machines: 19 workers + 5 load balancers):
+capping the db tier's replicas turns it into a bottleneck whose damage
+must surface *upstream* — the ingress (frontend) end-to-end latency and
+failure rate must degrade monotonically as the cap tightens.  This is the
+observable the whole AppRequest lifecycle exists to produce.
 
 Writes a machine-readable report (default ``BENCH_app_graph.json`` —
 uploaded as a CI artifact next to the other BENCH files).  Exits non-zero
@@ -45,9 +39,6 @@ DURATION = 150.0
 #: Ingress load on the frontend tier (req/s, +/-30 % swell).
 INGRESS_RATE = 8.0
 
-#: Policies exercised for backend parity (the paper's headline pair).
-PARITY_POLICIES = ("kubernetes", "hybrid")
-
 #: db replica caps for the back-pressure staircase, loosest first.
 DB_CAPS = (16, 2, 1)
 
@@ -58,7 +49,7 @@ DB_CAPS = (16, 2, 1)
 SLA_TARGET_S = 8.0
 
 
-def _build(policy: str, backend: str, db_max_replicas: int) -> Simulation:
+def _build(db_max_replicas: int) -> Simulation:
     app = three_tier_app(db_max_replicas=db_max_replicas)
     return Simulation.build(
         config=SimulationConfig(cluster=ClusterConfig(worker_nodes=WORKER_NODES), seed=7),
@@ -69,16 +60,15 @@ def _build(policy: str, backend: str, db_max_replicas: int) -> Simulation:
                 pattern=LowBurstLoad(base=INGRESS_RATE, amplitude=0.3, period=120.0),
             )
         ],
-        policy=policy,
+        policy="hybrid",
         workload_label="app-check/three-tier",
         app=app,
-        backend=backend,
     )
 
 
-def _run_summary(policy: str, backend: str, db_max_replicas: int) -> tuple[RunSummary, float]:
+def _run_summary(db_max_replicas: int) -> tuple[RunSummary, float]:
     """One probe run; returns (summary, ingress SLO-violation percentage)."""
-    simulation = _build(policy, backend, db_max_replicas)
+    simulation = _build(db_max_replicas)
     simulation.run(DURATION)
     sla_report = evaluate_sla(simulation.collector, Sla(response_time_target=SLA_TARGET_S))
     violation_pct = 100.0 * (1.0 - sla_report.adherence)
@@ -103,22 +93,9 @@ def run_check(out: Path) -> int:
     """Execute every check, write the report, return a process exit code."""
     checks: dict[str, bool] = {}
 
-    # -- 1. object/array parity, per policy ----------------------------
-    parity: dict[str, dict] = {}
-    for policy in PARITY_POLICIES:
-        reference, _ = _run_summary(policy, "object", 16)
-        candidate, _ = _run_summary(policy, "array", 16)
-        identical = reference.to_dict() == candidate.to_dict()
-        checks[f"parity_{policy}"] = identical
-        parity[policy] = {
-            "identical": identical,
-            "summary": _app_row(reference),
-        }
-
-    # -- 2. back-pressure staircase (object backend, hybrid policy) ----
     staircase = []
     for cap in DB_CAPS:
-        summary, violation_pct = _run_summary("hybrid", "object", cap)
+        summary, violation_pct = _run_summary(cap)
         staircase.append(
             {
                 "db_max_replicas": cap,
@@ -135,13 +112,11 @@ def run_check(out: Path) -> int:
     checks["backpressure_measurable"] = measurable
 
     report = {
-        "schema": "repro.app-check/1",
+        "schema": "repro.app-check/2",
         "worker_nodes": WORKER_NODES,
         "duration": DURATION,
         "ingress_rate": INGRESS_RATE,
         "sla_target_s": SLA_TARGET_S,
-        "parity_policies": list(PARITY_POLICIES),
-        "parity": parity,
         "db_caps": list(DB_CAPS),
         "backpressure": staircase,
         "checks": checks,

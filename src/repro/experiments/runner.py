@@ -28,7 +28,6 @@ from repro.config import SimulationConfig
 from repro.core.policy import AutoscalingPolicy
 from repro.core.registry import resolve_policy
 from repro.dockersim.api import DockerClient
-from repro.engine_core.backend import DEFAULT_BACKEND, resolve_backend
 from repro.errors import ExperimentError
 from repro.instrument import when_enabled
 from repro.metrics.collector import MetricsCollector, TimelinePoint
@@ -98,30 +97,24 @@ class _MetricsActor:
         """
         if self._profiler is not None:
             self._profiler.increment("metrics.samples")
-        totals = self._cluster.metrics_totals()
-        if totals is not None:
-            # Array backend: the same aggregates from batched store kernels
-            # (order-exact reductions — bit-identical to the loop below).
-            cpu_usage, mem_usage, net_usage, cpu_allocated, mem_allocated, inflight, active_nodes = totals
-        else:
-            cpu_usage = mem_usage = net_usage = 0.0
-            cpu_allocated = mem_allocated = 0.0
-            inflight = 0
-            active_nodes = 0
-            for node in self._cluster.nodes.values():
-                node_active = False
-                for container in node.containers.values():
-                    if not container.is_active:
-                        continue
-                    node_active = True
-                    cpu_usage += container.cpu_usage
-                    mem_usage += container.mem_usage
-                    net_usage += container.net_usage
-                    cpu_allocated += container.cpu_request
-                    mem_allocated += container.mem_limit
-                    inflight += len(container.inflight)
-                if node_active:
-                    active_nodes += 1
+        cpu_usage = mem_usage = net_usage = 0.0
+        cpu_allocated = mem_allocated = 0.0
+        inflight = 0
+        active_nodes = 0
+        for node in self._cluster.nodes.values():
+            node_active = False
+            for container in node.containers.values():
+                if not container.is_active:
+                    continue
+                node_active = True
+                cpu_usage += container.cpu_usage
+                mem_usage += container.mem_usage
+                net_usage += container.net_usage
+                cpu_allocated += container.cpu_request
+                mem_allocated += container.mem_limit
+                inflight += len(container.inflight)
+            if node_active:
+                active_nodes += 1
         replicas = sum(s.replica_count for s in self._cluster.services.values())
         window_avg, window_completed, window_failed = self._collector.drain_window_stats()
         self._collector.sample_timeline(
@@ -198,7 +191,6 @@ class Simulation:
         telemetry: MetricRegistry = NULL_REGISTRY,
         slo: SloTracker | None = None,
         sanitizer: Sanitizer = NULL_SANITIZER,
-        backend: str = DEFAULT_BACKEND,
         sampling: SamplingController | SamplingSpec | str | None = None,
     ) -> "Simulation":
         """Assemble cluster, platform, and workload for one experiment.
@@ -222,19 +214,13 @@ class Simulation:
         (observation only — a sanitized run is bit-identical to a bare
         one).  Mutually exclusive with ``profiler``.
 
-        ``backend`` selects the engine core (see
-        :func:`repro.engine_core.resolve_backend`): ``"object"`` is the
-        scalar reference engine; ``"array"`` keeps container state in a
-        struct-of-arrays :class:`~repro.engine_core.store.ClusterState`
-        behind the identical object API, bit-identical at paper scale.
-
         ``sampling`` selects the telemetry sampling policy (see
         :func:`repro.telemetry.resolve_sampling`): a registered name
         (``"full"``, ``"adaptive"``, ``"threshold-aware"``), a
         :class:`~repro.telemetry.SamplingSpec`, or a controller instance.
         The default (``None``) is full-cadence sampling, byte-identical
-        to builds that never pass the keyword; like tracers and backends
-        it is an observation knob and never part of a RunSpec's identity.
+        to builds that never pass the keyword; like tracers it is an
+        observation knob and never part of a RunSpec's identity.
         Requires a recording registry when set.
 
         ``app`` switches the run to an application graph: the fleet is
@@ -275,7 +261,7 @@ class Simulation:
 
         engine = Engine(dt=config.dt, profiler=profiler, sanitizer=sanitizer)
         rng = RngStreams(config.seed)
-        cluster = resolve_backend(backend).from_config(config.cluster, config.overheads)
+        cluster = Cluster.from_config(config.cluster, config.overheads)
         if engine.sanitizer is not None:
             sanitizer.bind(cluster=cluster)
         client = DockerClient(cluster)

@@ -251,19 +251,16 @@ class RunSpec:
         slo: SloTracker | None = None,
         sanitizer: Sanitizer = NULL_SANITIZER,
         placement: "PlacementStrategy | None" = None,
-        backend: str = "object",
         sampling: "SamplingController | SamplingSpec | str | None" = None,
     ) -> "Simulation":
         """Assemble the :class:`~repro.experiments.runner.Simulation`.
 
         The keyword arguments are the run-time observation knobs; none of
         them participates in the spec's identity (see the class docstring).
-        ``backend`` rides along with them: engine backends are bit-identical
-        by contract (see :mod:`repro.engine_core`), so the choice never
-        changes a result and stays out of the canonical JSON.  ``sampling``
-        rides the same way: telemetry sampling policies are observation-only
-        (they change what the monitor *records*, never what the simulation
-        *does*), so the choice stays out of the canonical JSON too.
+        ``sampling`` rides along with them: telemetry sampling policies are
+        observation-only (they change what the monitor *records*, never what
+        the simulation *does*), so the choice stays out of the canonical
+        JSON too.
         """
         from repro.experiments.runner import Simulation
 
@@ -282,7 +279,6 @@ class RunSpec:
             telemetry=telemetry,
             slo=slo,
             sanitizer=sanitizer,
-            backend=backend,
             sampling=sampling,
         )
 
@@ -295,7 +291,6 @@ class RunSpec:
         slo: SloTracker | None = None,
         sanitizer: Sanitizer = NULL_SANITIZER,
         placement: "PlacementStrategy | None" = None,
-        backend: str = "object",
         sampling: "SamplingController | SamplingSpec | str | None" = None,
     ) -> RunSummary:
         """Build and run this spec for its full duration."""
@@ -306,7 +301,6 @@ class RunSpec:
             slo=slo,
             sanitizer=sanitizer,
             placement=placement,
-            backend=backend,
             sampling=sampling,
         )
         return simulation.run(self.duration)

@@ -25,8 +25,7 @@ ApplicationSpec` consumes resources along its call chain.  The
 Determinism: records are scanned in insertion order; children are
 stamped from per-edge named RNG streams (``graph/caller->callee``) and
 take ids from the run's single request-id sequence shared with the load
-generator, so one app run is a pure function of (spec, seed) on either
-engine backend.
+generator, so one app run is a pure function of (spec, seed).
 """
 
 from __future__ import annotations

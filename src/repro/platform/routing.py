@@ -1,7 +1,6 @@
 """The routing-policy registry: one place where routing names become policies.
 
-Mirrors :mod:`repro.core.registry` (policies) and
-:mod:`repro.engine_core.backend` (engines): the CLI's ``--routing`` flag,
+Mirrors :mod:`repro.core.registry` (policies): the CLI's ``--routing`` flag,
 per-edge ``CallEdge.routing`` names in an application graph, and the
 run-level :class:`~repro.experiments.spec.RunSpec` field all resolve names
 here, and :func:`register_routing` lets extension code alias or add

@@ -357,7 +357,7 @@ class _SamplingRegistry:
 
     The table lives on an instance (not a bare module dict) so the lookup
     paths that run inside sweep workers carry no module-level mutable
-    state; like the policy and backend registries, it is fully populated
+    state; like the policy registry, it is fully populated
     at import time and only read afterwards, so every worker resolves
     identically.
     """

@@ -51,13 +51,12 @@ from repro.workloads import CPU_BOUND, HighBurstLoad, ServiceLoad
 #: Sampling policies swept at every scale point (``full`` is the reference).
 POLICIES = ("full", "adaptive", "threshold-aware")
 
-#: Bench fleet shape: (worker nodes, fill services, replicas each).  The
-#: fleet mirrors ``repro.engine_core.check`` — one hot bursty service on
-#: a sea of quiet fill replicas — but sized at ~18 containers per node so
-#: the quiet majority is *observably* quiet: idle usage is fixed per
-#: container (``container_background_cpu`` cores, ``container_base_memory``
-#: MiB), and 18 of them put a node at cpu ~0.09 / memory ~0.33 — outside
-#: the default guard band on every axis.  A monitoring bench whose fill
+#: Bench fleet shape: (worker nodes, fill services, replicas each).  One
+#: hot bursty service on a sea of quiet fill replicas, sized at ~18
+#: containers per node so the quiet majority is *observably* quiet: idle
+#: usage is fixed per container (``container_background_cpu`` cores,
+#: ``container_base_memory`` MiB), and 18 of them put a node at cpu ~0.09 /
+#: memory ~0.33 — outside the default guard band on every axis.  A monitoring bench whose fill
 #: nodes are parked inside the band would (correctly) never decay.
 SCALES = (
     (24, 12, 36),
@@ -88,7 +87,7 @@ EXPORT_SLACK = 2.0
 
 
 class _RoundRobinPlacement(PlacementStrategy):
-    """O(1)-amortized deterministic spread (see ``repro.engine_core.check``)."""
+    """O(1)-amortized deterministic spread: first fit from a moving cursor."""
 
     def __init__(self) -> None:
         self._cursor = 0
@@ -148,7 +147,6 @@ def _scale_simulation(policy: str, nodes: int, fill_services: int, replicas: int
         workload_label="telemetry-scale",
         placement=_RoundRobinPlacement(),
         telemetry=MetricRegistry(),
-        backend="array",
         timeline_every=SAMPLE_EVERY,
         sampling=policy,
     )

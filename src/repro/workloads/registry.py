@@ -4,9 +4,8 @@ Before this module there were three overlapping ways to name a workload —
 the ``WORKLOAD_FACTORIES`` dict in :mod:`repro.experiments.configs` (used
 by the CLI and ``SweepSpec.from_grid``), the factory functions themselves,
 and the profile names in :func:`repro.workloads.profiles.get_profile`.
-They are collapsed here, mirroring :mod:`repro.core.registry` (policies),
-:mod:`repro.engine_core.backend` (engines), and
-:mod:`repro.platform.routing` (routing):
+They are collapsed here, mirroring :mod:`repro.core.registry` (policies)
+and :mod:`repro.platform.routing` (routing):
 
 * **workloads** — ``register_workload`` / ``resolve_workload`` /
   ``registered_workloads``: experiment factories keyed by CLI name

@@ -1,6 +1,6 @@
 """Application graphs: validation, degeneracy, back-pressure, registries.
 
-Four contracts from the ApplicationSpec/ServiceGraph redesign are pinned
+Three contracts from the ApplicationSpec/ServiceGraph redesign are pinned
 here:
 
 1. **Validation** — malformed graphs (cycles, unknown endpoints, bad
@@ -12,9 +12,6 @@ here:
 3. **Back-pressure** — capping a downstream tier's replicas degrades the
    *ingress* tier's end-to-end SLO; the damage surfaces where users feel
    it, monotonically in the cap.
-4. **Backend parity** — a three-tier graph run summarizes identically on
-   the object and array engines (routing and back-pressure live in
-   shared code).
 
 Plus the registry satellite: workload/app/profile/routing names resolve
 through one instance-held table each, with the old spellings preserved.
@@ -153,7 +150,7 @@ class TestGraphValidation:
 # ----------------------------------------------------------------------
 # Shared run plumbing
 # ----------------------------------------------------------------------
-def _app_simulation(db_max_replicas: int, *, backend: str = "object") -> Simulation:
+def _app_simulation(db_max_replicas: int) -> Simulation:
     return Simulation.build(
         config=SimulationConfig(cluster=ClusterConfig(worker_nodes=8), seed=7),
         loads=[
@@ -166,7 +163,6 @@ def _app_simulation(db_max_replicas: int, *, backend: str = "object") -> Simulat
         policy="hybrid",
         workload_label="app-graph-test",
         app=three_tier_app(db_max_replicas=db_max_replicas),
-        backend=backend,
     )
 
 
@@ -257,16 +253,6 @@ class TestBackPressure:
         # internal fan-out (no double-counting in reports).
         assert summary.user_requests == summary.app.ingress_requests
         assert summary.total_requests > summary.app.ingress_requests
-
-
-# ----------------------------------------------------------------------
-# 4. Three-tier object/array backend parity
-# ----------------------------------------------------------------------
-class TestThreeTierBackendParity:
-    def test_summaries_are_identical_across_engines(self):
-        reference = _app_simulation(2, backend="object").run(60.0)
-        candidate = _app_simulation(2, backend="array").run(60.0)
-        assert reference.to_dict() == candidate.to_dict()
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.container import Container, ContainerState
+from repro.cluster.grants import ResourceGrants
 from repro.config import OverheadModel
 from repro.errors import ContainerStateError
 from repro.workloads.requests import FailureReason, Request, RequestState
@@ -72,7 +73,7 @@ class TestCompute:
         container = make_container(overheads=overheads)
         request = make_request(cpu=1.0, net=0.0)
         container.accept(request, 0.0)
-        container.advance_compute(granted_cores=2.0, dt=0.5, contention_factor=1.0)
+        container.advance(ResourceGrants(cpu=2.0), 0.5)
         assert request.cpu_done == pytest.approx(1.0)
 
     def test_processor_sharing_equalizes(self, overheads):
@@ -80,7 +81,7 @@ class TestCompute:
         requests = [make_request(cpu=10.0) for _ in range(4)]
         for request in requests:
             container.accept(request, 0.0)
-        container.advance_compute(granted_cores=4.0, dt=1.0, contention_factor=1.0)
+        container.advance(ResourceGrants(cpu=4.0), 1.0)
         for request in requests:
             assert request.cpu_done == pytest.approx(1.0)
 
@@ -90,7 +91,7 @@ class TestCompute:
         requests = [make_request(cpu=0.1, net=0.0) for _ in range(8)]
         for request in requests:
             container.accept(request, 0.0)
-        container.advance_compute(granted_cores=4.0, dt=1.0, contention_factor=1.0)
+        container.advance(ResourceGrants(cpu=4.0), 1.0)
         assert all(r.cpu_remaining == 0 for r in requests)
 
     def test_contention_slows_progress(self, overheads):
@@ -99,8 +100,8 @@ class TestCompute:
         r1, r2 = make_request(cpu=10.0), make_request(cpu=10.0)
         fast.accept(r1, 0.0)
         slow.accept(r2, 0.0)
-        fast.advance_compute(2.0, 1.0, contention_factor=1.0)
-        slow.advance_compute(2.0, 1.0, contention_factor=1.17)
+        fast.advance(ResourceGrants(cpu=2.0), 1.0)
+        slow.advance(ResourceGrants(cpu=2.0, contention=1.17), 1.0)
         assert r2.cpu_done == pytest.approx(r1.cpu_done / 1.17)
 
     def test_swap_slows_progress(self, overheads):
@@ -108,30 +109,30 @@ class TestCompute:
         request = make_request(cpu=10.0, mem=100.0)
         container.accept(request, 0.0)
         assert container.is_swapping
-        container.advance_compute(2.0, 1.0, 1.0)
+        container.advance(ResourceGrants(cpu=2.0), 1.0)
         # swap_slowdown = 0.5 in the test overheads
         assert request.cpu_done == pytest.approx(1.0)
 
     def test_usage_reflects_grant_spent(self, overheads):
         container = make_container(overheads=overheads)
         container.accept(make_request(cpu=100.0), 0.0)
-        container.advance_compute(3.0, 1.0, 1.0)
+        container.advance(ResourceGrants(cpu=3.0), 1.0)
         assert container.cpu_usage == pytest.approx(3.0)
 
     def test_idle_container_reports_background_only(self):
         overheads = OverheadModel(container_background_cpu=0.05)
         container = make_container(overheads=overheads)
-        container.advance_compute(2.0, 1.0, 1.0)
+        container.advance(ResourceGrants(cpu=2.0), 1.0)
         assert container.cpu_usage == pytest.approx(0.05)
 
     def test_invalid_grant_rejected(self, overheads):
         container = make_container(overheads=overheads)
         with pytest.raises(ContainerStateError):
-            container.advance_compute(-1.0, 1.0, 1.0)
+            container.advance(ResourceGrants(cpu=-1.0), 1.0)
         with pytest.raises(ContainerStateError):
-            container.advance_compute(1.0, 0.0, 1.0)
+            container.advance(ResourceGrants(cpu=1.0), 0.0)
         with pytest.raises(ContainerStateError):
-            container.advance_compute(1.0, 1.0, 0.9)
+            container.advance(ResourceGrants(cpu=1.0, contention=0.9), 1.0)
 
 
 class TestConcurrencyWindow:
@@ -176,7 +177,7 @@ class TestNetwork:
         request = make_request(cpu=0.0, net=10.0)
         container.accept(request, 0.0)
         assert container.net_demand(1.0) == pytest.approx(10.0)
-        container.advance_network(10.0, 1.0)
+        container.advance(ResourceGrants(net=10.0), 1.0)
         assert request.net_remaining == 0.0
         assert container.net_usage == pytest.approx(10.0)
 
@@ -190,7 +191,7 @@ class TestNetwork:
         container = make_container(overheads=overheads)
         request = make_request(cpu=0.0, net=1000.0)
         container.accept(request, 0.0)
-        container.advance_compute(granted_cores=1.0, dt=1.0, contention_factor=1.0)
+        container.advance(ResourceGrants(cpu=1.0), 1.0)
         # headroom 1 core / 0.01 per Mbit = 100 Mbit/s max
         assert container.net_demand(1.0) == pytest.approx(100.0)
 
@@ -198,8 +199,8 @@ class TestNetwork:
         overheads = OverheadModel(net_cpu_per_mbit=0.01)
         container = make_container(overheads=overheads)
         container.accept(make_request(cpu=0.0, net=50.0), 0.0)
-        container.advance_compute(4.0, 1.0, 1.0)
-        container.advance_network(50.0, 1.0)
+        container.advance(ResourceGrants(cpu=4.0), 1.0)
+        container.advance(ResourceGrants(net=50.0), 1.0)
         assert container.cpu_usage >= 0.5  # 50 Mbit/s x 0.01
 
 
@@ -208,7 +209,7 @@ class TestSettlement:
         container = make_container(overheads=overheads)
         request = make_request(cpu=0.5, net=0.0)
         container.accept(request, 0.0)
-        container.advance_compute(4.0, 1.0, 1.0)
+        container.advance(ResourceGrants(cpu=4.0), 1.0)
         container.settle_requests(1.0)
         assert request.state is RequestState.SUCCEEDED
         assert container.total_completed == 1

@@ -50,7 +50,6 @@ def _fresh_simulation(
     telemetry: MetricRegistry = NULL_REGISTRY,
     slo: SloTracker | None = None,
     sanitizer: Sanitizer = NULL_SANITIZER,
-    backend: str = "object",
 ) -> Simulation:
     """Build a small but busy experiment entirely from ``seed``."""
     config = SimulationConfig(cluster=ClusterConfig(worker_nodes=4), seed=seed)
@@ -80,14 +79,11 @@ def _fresh_simulation(
         telemetry=telemetry,
         slo=slo,
         sanitizer=sanitizer,
-        backend=backend,
     )
 
 
-def _run_once(
-    seed: int, *, random_placement: bool = False, backend: str = "object"
-) -> tuple[dict, list, list]:
-    simulation = _fresh_simulation(seed, random_placement=random_placement, backend=backend)
+def _run_once(seed: int, *, random_placement: bool = False) -> tuple[dict, list, list]:
+    simulation = _fresh_simulation(seed, random_placement=random_placement)
     summary = simulation.run(90.0)
     events = list(simulation.collector.events.events())
     timeline = list(simulation.collector.timeline)
@@ -114,19 +110,6 @@ class TestEndToEndDeterminism:
         baseline = _run_once(seed=7)
         shifted = _run_once(seed=8)
         assert baseline != shifted
-
-    def test_array_backend_is_bit_identical_to_object(self):
-        """Engine backends extend the determinism contract sideways: the
-        config determines the run regardless of which engine steps it."""
-        reference = _run_once(seed=7)
-        candidate = _run_once(seed=7, backend="array")
-        assert candidate == reference
-
-    def test_array_backend_same_seed_is_bit_identical(self):
-        first = _run_once(seed=11, backend="array")
-        second = _run_once(seed=11, backend="array")
-        assert first == second
-        assert first[0]["total_requests"] > 100
 
     def test_experiment_factory_runs_identically(self):
         # Through the public factory + policy registry, as the CLI does.
@@ -348,27 +331,18 @@ class TestEndToEndDeterminism:
         byte of the simulation, and the registries the contract checker
         audits must enumerate identically before and after."""
         from repro.devtools.flow import analyze_paths
-        from repro.engine_core.backend import registered_backends
         from repro.telemetry.sampling import registered_sampling_policies
         from tests.test_devtools_flow import REPO_ROOT
 
         before = _run_once(seed=7)
-        names_before = (
-            registered_policies(),
-            registered_backends(),
-            registered_sampling_policies(),
-        )
+        names_before = (registered_policies(), registered_sampling_policies())
         analysis = analyze_paths(["src/repro"], root=REPO_ROOT)
         assert analysis.report.taint is not None
         assert analysis.report.taint.paths == ()
         assert analysis.report.contracts == ()
         after = _run_once(seed=7)
         assert after == before
-        assert (
-            registered_policies(),
-            registered_backends(),
-            registered_sampling_policies(),
-        ) == names_before
+        assert (registered_policies(), registered_sampling_policies()) == names_before
 
     def test_bitbrains_trace_is_a_pure_function_of_the_seed(self):
         trace_a = generate_bitbrains_trace(n_vms=8, duration=300.0, interval=30.0, seed=5)

@@ -536,12 +536,8 @@ class TestContracts:
         graph = build_call_graph(list(FIXTURE_SOURCES))
         return check_contracts(graph)
 
-    def test_protocol_catalogue_names_three_registries(self):
-        assert [spec.registry for spec in PROTOCOLS] == [
-            "policy",
-            "sampling",
-            "backend",
-        ]
+    def test_protocol_catalogue_names_two_registries(self):
+        assert [spec.registry for spec in PROTOCOLS] == ["policy", "sampling"]
 
     def test_con001_flags_unimplemented_abstract_method(self):
         findings = self._findings()
@@ -957,11 +953,10 @@ class TestRepositoryAnalyzesClean:
         analysis = self._analysis()
         assert analysis.report.contracts == (), analysis.report.contracts
         summary = contract_summary(analysis.graph)
-        # The nine shipped policies, both sampling controllers, and the
-        # array backend are all discovered.
+        # The nine shipped policies and both sampling controllers are all
+        # discovered.
         assert summary["policy"] >= 9
         assert summary["sampling"] >= 2
-        assert summary["backend"] >= 1
         # Call-site registries: the six CLI workloads, the three-tier app,
         # and the routing table (built-ins are enum members, not call
         # sites, so the routing census counts extensions only).

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.disk import DiskDevice
+from repro.cluster.grants import ResourceGrants
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
 from repro.core.disk import DiskHpa
@@ -79,7 +80,7 @@ class TestDiskPhase:
         request = make_request(disk=10.0)
         container.accept(request, 0.0)
         assert container.disk_demand(1.0) == pytest.approx(10.0)
-        container.advance_disk(10.0, 1.0)
+        container.advance(ResourceGrants(disk=10.0), 1.0)
         assert request.disk_remaining == 0.0
         assert container.disk_usage == pytest.approx(10.0)
 

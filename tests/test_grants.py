@@ -1,9 +1,7 @@
 """The ``Container.advance``/:class:`ResourceGrants` surface.
 
-PR contract: the three per-resource ``advance_*`` methods collapsed into
-one ``advance(grants, dt)`` entry point taking a frozen grant bundle; the
-old spellings survive as deprecation shims that forward *exactly* (same
-floats, same state transitions), mirroring the ``run_experiment`` shim.
+The node's schedulers hand each container one frozen grant bundle per
+phase through a single ``advance(grants, dt)`` entry point.
 """
 
 import dataclasses
@@ -11,7 +9,6 @@ import dataclasses
 import pytest
 
 from repro.cluster import ResourceGrants
-from repro.cluster.container import Container
 from repro.workloads.requests import Request
 
 from tests.conftest import make_container
@@ -73,53 +70,3 @@ class TestAdvanceDispatch:
         container.accept(request, 0.0)
         container.advance(ResourceGrants(net=10.0), dt=1.0)
         assert container.net_usage == 10.0
-
-
-class TestDeprecatedShims:
-    """Old spellings forward exactly and warn; one pin per resource."""
-
-    def _twins(self, overheads):
-        return (
-            make_container(overheads=overheads),
-            make_container(overheads=overheads),
-        )
-
-    def test_advance_compute_warns_and_matches(self, overheads):
-        new, old = self._twins(overheads)
-        for container in (new, old):
-            container.accept(make_request(cpu=2.0), 0.0)
-        new.advance(ResourceGrants(cpu=1.0, contention=1.0), 1.0)
-        with pytest.warns(DeprecationWarning, match="advance_compute"):
-            old.advance_compute(1.0, 1.0, 1.0)
-        assert old.cpu_usage == new.cpu_usage
-        assert old.inflight[0].cpu_remaining == new.inflight[0].cpu_remaining
-        assert old._net_cpu_headroom == new._net_cpu_headroom
-
-    def test_advance_disk_warns_and_matches(self, overheads):
-        new, old = self._twins(overheads)
-        for container in (new, old):
-            container.accept(make_request(cpu=0.0, disk=30.0), 0.0)
-        new.advance(ResourceGrants(disk=10.0), 1.0)
-        with pytest.warns(DeprecationWarning, match="advance_disk"):
-            old.advance_disk(10.0, 1.0)
-        assert old.disk_usage == new.disk_usage
-        assert old.inflight[0].disk_remaining == new.inflight[0].disk_remaining
-
-    def test_advance_network_warns_and_matches(self, overheads):
-        new, old = self._twins(overheads)
-        for container in (new, old):
-            container.accept(make_request(cpu=0.0, net=25.0), 0.0)
-        new.advance(ResourceGrants(net=10.0), 1.0)
-        with pytest.warns(DeprecationWarning, match="advance_network"):
-            old.advance_network(10.0, 1.0)
-        assert old.net_usage == new.net_usage
-        assert old.inflight[0].net_remaining == new.inflight[0].net_remaining
-
-    def test_shims_exist_on_subclass_instances(self, overheads):
-        """The shims live on Container, so stress subclasses inherit them."""
-        from repro.cluster.stress import CpuStressContainer
-
-        stress = CpuStressContainer("stress", 1.0, overheads=overheads)
-        with pytest.warns(DeprecationWarning):
-            stress.advance_compute(1.0, 1.0, 1.0)
-        assert isinstance(stress, Container)

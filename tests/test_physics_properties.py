@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.container import Container
+from repro.cluster.grants import ResourceGrants
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
 from repro.config import OverheadModel
@@ -57,7 +58,7 @@ class TestComputeConservation:
     def test_progress_bounded_by_grant(self, batch, granted):
         container, requests = container_with(batch)
         before = sum(r.cpu_done for r in requests)
-        container.advance_compute(granted, dt=1.0, contention_factor=1.0)
+        container.advance(ResourceGrants(cpu=granted), 1.0)
         after = sum(r.cpu_done for r in requests)
         assert after - before <= granted * 1.0 + 1e-6
 
@@ -68,7 +69,7 @@ class TestComputeConservation:
         container, requests = container_with(batch)
         demand = sum(r.cpu_remaining for r in requests)
         before = sum(r.cpu_done for r in requests)
-        container.advance_compute(granted, dt=1.0, contention_factor=1.0)
+        container.advance(ResourceGrants(cpu=granted), 1.0)
         consumed = sum(r.cpu_done for r in requests) - before
         if demand >= granted:
             assert consumed == pytest.approx(granted, rel=1e-6, abs=1e-6)
@@ -79,7 +80,7 @@ class TestComputeConservation:
     @settings(max_examples=40, deadline=None)
     def test_usage_never_exceeds_grant(self, batch):
         container, _ = container_with(batch)
-        container.advance_compute(2.5, dt=0.5, contention_factor=1.0)
+        container.advance(ResourceGrants(cpu=2.5), 0.5)
         assert container.cpu_usage <= 2.5 + 1e-6
 
 
@@ -92,7 +93,7 @@ class TestNetworkConservation:
             request.advance_cpu(request.cpu_remaining)  # skip to net phase
             request.advance_disk(request.disk_remaining)
         before = sum(r.net_done for r in requests)
-        container.advance_network(granted, dt=1.0)
+        container.advance(ResourceGrants(net=granted), 1.0)
         sent = sum(r.net_done for r in requests) - before
         assert sent <= granted * 1.0 + 1e-6
         assert container.net_usage == pytest.approx(sent, rel=1e-6, abs=1e-6)
@@ -106,7 +107,7 @@ class TestDiskConservation:
         for request in requests:
             request.advance_cpu(request.cpu_remaining)
         before = sum(r.disk_done for r in requests)
-        container.advance_disk(granted, dt=1.0)
+        container.advance(ResourceGrants(disk=granted), 1.0)
         served = sum(r.disk_done for r in requests) - before
         assert served <= granted + 1e-6
 

@@ -64,12 +64,12 @@ class TestRegistryContents:
     def test_all_three_registries_enumerate_sorted_and_stable(self):
         # Enumeration order is part of the determinism contract: CLI help,
         # error listings, and sweep shard keys all consume these tuples.
-        from repro.engine_core.backend import registered_backends
+        from repro.platform.routing import registered_routings
         from repro.telemetry.sampling import registered_sampling_policies
 
         for names in (
             registered_policies(),
-            registered_backends(),
+            registered_routings(),
             registered_sampling_policies(),
         ):
             assert isinstance(names, tuple)

@@ -26,7 +26,6 @@ PUBLIC_MODULES = (
     "repro.experiments",
     "repro.analysis",
     "repro.parallel",
-    "repro.engine_core",
 )
 
 
@@ -87,21 +86,6 @@ def test_top_level_covers_the_decision_surface():
         "DecisionTracer",
         "PhaseProfiler",
         "resolve_policy",
-    ):
-        assert name in repro.__all__, f"repro.__all__ missing {name!r}"
-        assert hasattr(repro, name)
-
-
-def test_top_level_covers_the_engine_surface():
-    """The engine-backend selection surface is one import away."""
-    import repro
-
-    for name in (
-        "ClusterState",
-        "ResourceGrants",
-        "resolve_backend",
-        "register_backend",
-        "registered_backends",
     ):
         assert name in repro.__all__, f"repro.__all__ missing {name!r}"
         assert hasattr(repro, name)

@@ -49,6 +49,15 @@ def test_no_generated_reports_tracked():
     assert offenders == [], f"generated reports are committed: {offenders}"
 
 
+def test_no_egg_info_tracked():
+    offenders = [
+        path
+        for path in _tracked_files()
+        if any(part.endswith(".egg-info") for part in path.split("/"))
+    ]
+    assert offenders == [], f"packaging metadata is committed: {offenders}"
+
+
 def test_gitignore_covers_bytecode():
     gitignore = (REPO_ROOT / ".gitignore").read_text(encoding="utf-8").splitlines()
     for required in ("__pycache__/", "*.pyc"):

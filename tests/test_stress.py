@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.grants import ResourceGrants
 from repro.cluster.stress import CpuStressContainer, NetStressContainer
 from repro.workloads.requests import Request
 
@@ -15,7 +16,7 @@ class TestCpuStress:
 
     def test_burns_whatever_granted(self, overheads):
         stress = CpuStressContainer("stress", cpu_request=1.0, overheads=overheads)
-        stress.advance_compute(2.5, 1.0, 1.0)
+        stress.advance(ResourceGrants(cpu=2.5), 1.0)
         assert stress.cpu_usage == 2.5
 
     def test_contends_with_microservice(self, node, overheads):
@@ -49,7 +50,7 @@ class TestNetStress:
 
     def test_tracks_granted_throughput(self, overheads):
         stress = NetStressContainer("net", net_rate=100.0, offered_mbps=500.0, overheads=overheads)
-        stress.advance_network(80.0, 1.0)
+        stress.advance(ResourceGrants(net=80.0), 1.0)
         assert stress.net_usage == 80.0
 
     def test_hogs_free_bandwidth_on_node(self, node, overheads):
