@@ -1,352 +1,75 @@
-"""Units for the array engine core: store, views, node fast paths, registry.
+"""The engine's two kernels at small fixed cases.
 
-The end-to-end bit-identity contract lives in ``test_backend_parity`` and
-``repro.engine_core.check``; these tests pin the pieces in isolation so a
-parity break localises to one mechanism.
+``Node.step`` short-circuits a quiet node, and ``NodeManager`` keeps
+``docker stats`` as one frame per step.  ``test_node`` and
+``test_node_manager`` check both against their reference paths over
+generated inputs; these cases pin the smallest shapes by name, so a break
+points at one mechanism.
 """
 
-import json
+import dataclasses
 
 import pytest
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.container import Container, ContainerState
+from repro.cluster.container import Container
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
-from repro.engine_core import (
-    ArrayCluster,
-    ClusterState,
-    ContainerView,
-    NodeView,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
-from repro.engine_core.backend import _REGISTRY
-from repro.errors import ClusterError, ContainerNotFound, ExperimentError
+from repro.dockersim.daemon import DockerDaemon
+from repro.errors import ContainerNotFound
 from repro.platform.node_manager import NodeManager
-from repro.workloads.requests import Request
 
 
-def make_request(cpu=0.5, mem=10.0, net=0.0, timeout=30.0) -> Request:
-    return Request(
-        service="svc",
-        arrival_time=0.0,
-        cpu_work=cpu,
-        mem_footprint=mem,
-        net_mbits=net,
-        timeout=timeout,
-    )
-
-
-def make_node_view(overheads, store=None, name="node-00", cpu=4.0) -> NodeView:
-    store = store or ClusterState()
-    return NodeView(name, ResourceVector(cpu, 8192.0, 1000.0), overheads, store=store)
-
-
-def make_view(node: NodeView, service="svc", *, cpu=0.5, mem=512.0, net=50.0, boot=0.0):
-    container = node.make_container(
-        service, 0, cpu_request=cpu, mem_limit=mem, net_rate=net, boot_delay=boot
-    )
-    node.add_container(container)
-    return container
-
-
-class TestClusterState:
-    def test_alloc_grows_past_initial_capacity(self):
-        store = ClusterState(capacity=2)
-        slots = [store.alloc() for _ in range(5)]
-        assert slots == [0, 1, 2, 3, 4]
-        assert store.n == 5
-
-    def test_put_get_round_trip(self):
-        store = ClusterState()
-        slot = store.alloc()
-        store.put("cpu_usage", slot, 0.75)
-        assert store.get("cpu_usage", slot) == 0.75
-
-    def test_get_returns_plain_float(self):
-        """np.float64 must never leak: summaries are JSON-encoded."""
-        store = ClusterState()
-        slot = store.alloc()
-        store.put("mem_usage", slot, 150.0)
-        value = store.get("mem_usage", slot)
-        assert type(value) is float
-        json.dumps(value)
-
-    def test_fill_and_take(self):
-        store = ClusterState()
-        slots = [store.alloc() for _ in range(4)]
-        packed = store.pack_slots(slots[1:3])
-        store.fill("net_usage", packed, 9.0)
-        assert store.take_list("net_usage", packed) == [9.0, 9.0]
-        assert store.get("net_usage", slots[0]) == 0.0
-
-
-class TestContainerView:
-    def test_fields_live_in_the_store(self, overheads):
-        node = make_node_view(overheads)
-        view = make_view(node, cpu=0.5, mem=512.0)
-        slot = view._slot
-        assert node._store.get("cpu_request", slot) == 0.5
-        view.cpu_usage = 0.25
-        assert node._store.get("cpu_usage", slot) == 0.25
-        assert type(view.mem_limit) is float
-
-    def test_views_behave_as_containers(self, overheads):
-        node = make_node_view(overheads)
-        view = make_view(node)
-        assert isinstance(view, Container)
-        request = make_request()
-        view.accept(request, 0.0)
-        assert view.inflight == [request]
-
-    def test_loaded_set_tracks_inflight(self, overheads):
-        node = make_node_view(overheads)
-        view = make_view(node)
-        assert not node._loaded
-        view.accept(make_request(cpu=0.2), 0.0)
-        assert view.container_id in node._loaded
-        node.step(1.0, 1.0)  # enough grant to finish and settle the request
-        assert not view.inflight
-        assert view.container_id not in node._loaded
-
-    def test_terminate_clears_loaded(self, overheads):
-        node = make_node_view(overheads)
-        view = make_view(node)
-        view.accept(make_request(cpu=50.0), 0.0)
-        view.terminate(1.0)
-        assert view.container_id not in node._loaded
-
-
-class TestNodeViewBookkeeping:
-    def test_rejects_plain_containers(self, overheads):
-        node = make_node_view(overheads)
-        plain = Container("svc", 0, cpu_request=0.5, mem_limit=512.0, net_rate=0.0)
-        with pytest.raises(ClusterError, match="make_container"):
-            node.add_container(plain)
-
-    def test_rejects_foreign_store(self, overheads):
-        node_a = make_node_view(overheads)
-        node_b = make_node_view(overheads, store=ClusterState(), name="node-01")
-        view = node_a.make_container("svc", 0, cpu_request=0.5, mem_limit=512.0, net_rate=0.0)
-        with pytest.raises(ClusterError, match="different cluster store"):
-            node_b.add_container(view)
-
-    def test_pending_counter_follows_boot(self, overheads):
-        node = make_node_view(overheads)
-        view = make_view(node, boot=2.0)
-        assert view.state is ContainerState.PENDING
-        assert node._n_pending == 1
-        node.step(1.0, 1.0)
-        node.step(2.0, 1.0)
-        assert view.state is ContainerState.RUNNING
-        assert node._n_pending == 0
-
-    def test_oom_counter_and_maybe_oom_kills(self, overheads):
-        node = make_node_view(overheads)
-        view = make_view(node, mem=120.0)  # base 100, factor 2.0 -> threshold 240
-        assert not node.maybe_oom_kills()
-        # A working set past the threshold OOM-kills during settle.
-        # Admission alone allocates a quarter of the footprint: 100 base +
-        # 175 resident > the 240 threshold, so the first settle kills it.
-        view.accept(make_request(cpu=50.0, mem=700.0, timeout=1000.0), 0.0)
-        node.step(1.0, 1.0)
-        assert view.state is ContainerState.OOM_KILLED
-        assert node.maybe_oom_kills()
-        node.remove_container(view.container_id, 2.0)
-        assert not node.maybe_oom_kills()
-
-    def test_detach_unregisters(self, overheads):
-        store = ClusterState()
-        node_a = make_node_view(overheads, store=store)
-        node_b = make_node_view(overheads, store=store, name="node-01")
-        view = make_view(node_a)
-        moved = node_a.detach_container(view.container_id)
-        assert moved is view and view._host is None
-        node_b.add_container(moved)
-        assert view._host is node_b
+class _Clock:
+    def __init__(self, now: float):
+        self.now = now
 
 
 class TestQuietStepEquivalence:
-    """The quiet-node kernel vs the scalar step, field by field."""
+    """The quiet-node step vs the full (scalar) step, field by field."""
 
     FIELDS = ("cpu_usage", "mem_usage", "net_usage", "disk_usage", "_net_cpu_headroom")
 
     def _twin_nodes(self, overheads, n_containers, *, cpu=4.0):
+        quiet = Node("node-00", ResourceVector(cpu, 8192.0, 1000.0), overheads)
         scalar = Node("node-00", ResourceVector(cpu, 8192.0, 1000.0), overheads)
-        view = make_node_view(overheads, cpu=cpu)
-        for i in range(n_containers):
-            for node in (scalar, view):
-                container = node.make_container(
-                    f"svc-{i}", 0, cpu_request=0.05, mem_limit=256.0, net_rate=1.0,
-                    container_id=f"svc-{i}.r0.c{i}",
+        for node in (quiet, scalar):
+            for i in range(n_containers):
+                container = Container(
+                    f"svc-{i}", 0, 0.05, 256.0, 1.0, overheads=overheads, container_id=f"svc-{i}.r0.c{i}"
                 )
                 node.add_container(container, enforce_capacity=False)
-        return scalar, view
+                # Stale usage from an earlier busy step must be overwritten.
+                container.cpu_usage = container.net_usage = container.disk_usage = 0.3
+                container._net_cpu_headroom = 0.7
+        scalar._quiet_serving = lambda: None  # force the full schedulers
+        return quiet, scalar
 
     @pytest.mark.parametrize("n_containers", [0, 1, 7])
     def test_idle_step_matches_scalar(self, overheads, n_containers):
-        scalar, view = self._twin_nodes(overheads, n_containers)
+        overheads = dataclasses.replace(overheads, container_background_cpu=0.01)
+        quiet, scalar = self._twin_nodes(overheads, n_containers)
+        assert len(quiet._quiet_serving()) == n_containers
+        quiet.step(1.0, 1.0)
         scalar.step(1.0, 1.0)
-        view.step(1.0, 1.0)
-        for cid in scalar.containers:
+        assert list(quiet.containers) == list(scalar.containers)
+        for cid, container in scalar.containers.items():
             for field in self.FIELDS:
-                assert getattr(view.containers[cid], field) == getattr(
-                    scalar.containers[cid], field
-                ), f"{cid}.{field}"
-        assert view.last_oom_kills == scalar.last_oom_kills == []
-
-    def test_loaded_node_takes_the_scalar_path(self, overheads):
-        scalar, view = self._twin_nodes(overheads, 3)
-        for node in (scalar, view):
-            node.containers["svc-0.r0.c0"].accept(make_request(cpu=1.0, net=5.0), 0.0)
-        scalar.step(1.0, 1.0)
-        view.step(1.0, 1.0)
-        for cid in scalar.containers:
-            for field in self.FIELDS:
-                assert getattr(view.containers[cid], field) == getattr(
-                    scalar.containers[cid], field
-                ), f"{cid}.{field}"
-
-    def test_oversubscribed_quiet_node_falls_back(self, overheads):
-        """Past the half-capacity margin the kernel must not fire; the
-        scalar fair share is no longer provably trivial."""
-        import dataclasses
-
-        overheads = dataclasses.replace(overheads, container_background_cpu=0.02)
-        scalar, view = self._twin_nodes(overheads, 90, cpu=1.0)
-        scalar.step(1.0, 1.0)
-        view.step(1.0, 1.0)
-        for cid in scalar.containers:
-            assert view.containers[cid].cpu_usage == scalar.containers[cid].cpu_usage
+                assert getattr(quiet.containers[cid], field).hex() == getattr(container, field).hex(), (
+                    f"{cid}.{field}"
+                )
+        assert quiet.last_oom_kills == scalar.last_oom_kills == []
+        assert quiet.drain_finished() == scalar.drain_finished() == []
 
 
 class TestNodeStatsBuffer:
-    def _manager_pair(self, overheads):
-        """A scalar NM and an array NM over twin single-container nodes."""
-        from repro.dockersim.daemon import DockerDaemon
-
-        scalar_node = Node("node-00", ResourceVector(4.0, 8192.0, 1000.0), overheads)
-        view_node = make_node_view(overheads)
-        managers = []
-        for node in (scalar_node, view_node):
-            container = node.make_container(
-                "svc", 0, cpu_request=0.5, mem_limit=512.0, net_rate=50.0,
-                container_id="svc.r0.c1",
-            )
-            node.add_container(container)
-            managers.append(NodeManager(DockerDaemon(node), window_horizon=30.0))
-        return managers
-
-    def test_mean_stats_matches_stats_window(self, overheads):
-        scalar_nm, array_nm = self._manager_pair(overheads)
-        assert array_nm._buffer is not None and scalar_nm._buffer is None
-
-        class _Clock:
-            now = 0.0
-
-        clock = _Clock()
-        for step in range(6):
-            clock.now = float(step)
-            for nm in (scalar_nm, array_nm):
-                nm.node.containers["svc.r0.c1"].cpu_usage = 0.1 * step
-                nm.node.containers["svc.r0.c1"].mem_usage = 100.0 + step
-                nm.on_step(clock)
-        assert array_nm.tracked_containers() == scalar_nm.tracked_containers()
-        for window in (2.0, 30.0):
-            assert array_nm.mean_stats("svc.r0.c1", window) == scalar_nm.mean_stats(
-                "svc.r0.c1", window
-            )
+    """The frame store behind ``NodeManager.mean_stats``."""
 
     def test_unknown_container_raises(self, overheads):
-        _, array_nm = self._manager_pair(overheads)
-
-        class _Clock:
-            now = 0.0
-
-        array_nm.on_step(_Clock())
+        node = Node("node-00", ResourceVector(4.0, 8192.0, 1000.0), overheads)
+        node.add_container(Container("svc", 0, 0.5, 512.0, 50.0, overheads=overheads, container_id="svc.r0.c1"))
+        manager = NodeManager(DockerDaemon(node), window_horizon=30.0)
+        manager.on_step(_Clock(0.0))
+        assert manager.tracked_containers() == ["svc.r0.c1"]
+        assert manager.mean_stats("svc.r0.c1", 30.0).cpu_request == 0.5
         with pytest.raises(ContainerNotFound):
-            array_nm.mean_stats("ghost.r0.c9", 30.0)
-
-    def test_departure_drops_history(self, overheads):
-        _, array_nm = self._manager_pair(overheads)
-
-        class _Clock:
-            now = 0.0
-
-        array_nm.on_step(_Clock())
-        assert array_nm.tracked_containers() == ["svc.r0.c1"]
-        array_nm.node.remove_container("svc.r0.c1", 1.0)
-        clock = _Clock()
-        clock.now = 1.0
-        array_nm.on_step(clock)
-        assert array_nm.tracked_containers() == []
-
-
-class TestArrayCluster:
-    def test_sorted_nodes_cache_invalidates(self, overheads):
-        cluster = ArrayCluster(overheads)
-        for name in ("node-01", "node-00"):
-            cluster.add_node(cluster.make_node(name, ResourceVector(4.0, 8192.0, 1000.0),
-                                               disk_capacity=150.0))
-        first = cluster.sorted_nodes()
-        assert [n.name for n in first] == ["node-00", "node-01"]
-        assert cluster.sorted_nodes() is first
-        cluster.remove_node("node-00", 0.0)
-        assert [n.name for n in cluster.sorted_nodes()] == ["node-01"]
-
-    def test_metrics_totals_matches_scalar_loop(self, overheads):
-        cluster = ArrayCluster(overheads)
-        cluster.add_node(cluster.make_node("node-00", ResourceVector(4.0, 8192.0, 1000.0),
-                                           disk_capacity=150.0))
-        node = cluster.node("node-00")
-        for i in range(3):
-            container = node.make_container(
-                f"svc-{i}", 0, cpu_request=0.5, mem_limit=512.0, net_rate=50.0,
-                container_id=f"svc-{i}.r0.c{i}",
-            )
-            node.add_container(container)
-            container.cpu_usage = 0.1 * (i + 1)
-            container.mem_usage = 100.0 + i
-        container.accept(make_request(cpu=5.0), 0.0)
-        cpu = mem = net = cpu_alloc = mem_alloc = 0.0
-        inflight = 0
-        for c in node.containers.values():
-            if c.is_active:
-                cpu += c.cpu_usage
-                mem += c.mem_usage
-                net += c.net_usage
-                cpu_alloc += c.cpu_request
-                mem_alloc += c.mem_limit
-                inflight += len(c.inflight)
-        assert cluster.metrics_totals() == (cpu, mem, net, cpu_alloc, mem_alloc, inflight, 1)
-
-
-class TestBackendRegistry:
-    def test_builtins_registered(self):
-        assert registered_backends() == ("array", "object")
-        assert resolve_backend("object") is Cluster
-        assert resolve_backend("array") is ArrayCluster
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ExperimentError, match="unknown engine backend"):
-            resolve_backend("quantum")
-
-    def test_register_and_replace_guard(self):
-        class _Custom(Cluster):
-            pass
-
-        register_backend("custom-test", _Custom)
-        try:
-            assert resolve_backend("custom-test") is _Custom
-            with pytest.raises(ExperimentError, match="already registered"):
-                register_backend("custom-test", _Custom)
-            register_backend("custom-test", Cluster, replace=True)
-            assert resolve_backend("custom-test") is Cluster
-        finally:
-            _REGISTRY._entries.pop("custom-test", None)
-
-    def test_non_cluster_rejected(self):
-        with pytest.raises(ExperimentError, match="Cluster subclass"):
-            register_backend("bogus", object)  # type: ignore[arg-type]
+            manager.mean_stats("ghost.r0.c9", 30.0)
