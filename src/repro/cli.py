@@ -17,7 +17,6 @@ Examples::
     hyscale-repro trace --vms 50 --duration 600
     hyscale-repro lint                           # determinism & invariant linter
     hyscale-repro analyze                        # FlowLint interprocedural analysis
-    hyscale-repro sanitize                       # SimSan runtime-invariant probe
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.experiments.configs import (
     ALGORITHMS,
     BURSTS,
     EXTENSION_ALGORITHMS,
-    WORKLOAD_FACTORIES,
     ExperimentSpec,
 )
 from repro.experiments.report import (
@@ -47,11 +45,15 @@ from repro.experiments.spec import SEED_MODES, RunSpec
 from repro.platform.routing import DEFAULT_ROUTING, registered_routings
 from repro.telemetry.sampling import registered_sampling_policies
 from repro.workloads.bitbrains import generate_bitbrains_trace
-from repro.workloads.registry import registered_apps, resolve_app, resolve_workload
+from repro.workloads.registry import (
+    registered_apps,
+    registered_workloads,
+    resolve_app,
+    resolve_workload,
+)
 
-#: Workload name -> (factory, takes_burst); a view over the canonical
-#: :mod:`repro.workloads.registry` (kept under its historic CLI name).
-WORKLOADS = WORKLOAD_FACTORIES
+#: Every workload name the CLI accepts, sorted.
+WORKLOADS = registered_workloads()
 
 #: Every runnable algorithm: the paper's four plus extensions.
 ALL_POLICY_NAMES = ALGORITHMS + EXTENSION_ALGORITHMS
@@ -68,7 +70,7 @@ def _build_spec(
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
-    print("workloads :", ", ".join(sorted(WORKLOADS)))
+    print("workloads :", ", ".join(WORKLOADS))
     print("apps      :", ", ".join(registered_apps()))
     print("bursts    :", ", ".join(BURSTS))
     print("algorithms:", ", ".join(ALGORITHMS), "(+ extensions:", ", ".join(EXTENSION_ALGORITHMS) + ")")
@@ -434,14 +436,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return analyze_main(argv)
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.sanitizer.check import run_check
-
-    return run_check(Path(args.out))
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.experiments.suite import render_reproduction, reproduce_evaluation
 
@@ -468,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list workloads, bursts, and algorithms").set_defaults(func=_cmd_list)
 
     run = sub.add_parser("run", help="run one evaluation workload under one or more algorithms")
-    run.add_argument("workload", nargs="?", choices=sorted(WORKLOADS), default=None)
+    run.add_argument("workload", nargs="?", choices=WORKLOADS, default=None)
     run.add_argument(
         "--app",
         choices=registered_apps(),
@@ -575,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top", help="run one workload with live telemetry and print a top-style dashboard"
     )
-    top.add_argument("workload", choices=sorted(WORKLOADS))
+    top.add_argument("workload", choices=WORKLOADS)
     top.add_argument("--burst", choices=BURSTS, default="low")
     top.add_argument("--algorithm", choices=ALL_POLICY_NAMES, default="hybrid")
     top.add_argument("--seed", type=int, default=0)
@@ -634,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="run one workload with per-phase wall-time attribution"
     )
-    profile.add_argument("--workload", choices=sorted(WORKLOADS), default="cpu")
+    profile.add_argument("--workload", choices=WORKLOADS, default="cpu")
     profile.add_argument("--burst", choices=BURSTS, default="low")
     profile.add_argument("--algorithm", choices=ALL_POLICY_NAMES, default="hybrid")
     profile.add_argument("--seed", type=int, default=0)
@@ -735,18 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="print the flow rule catalogue"
     )
     analyze.set_defaults(func=_cmd_analyze)
-
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="run the SimSan runtime-invariant probe (see docs/dev-tooling.md)",
-    )
-    sanitize.add_argument(
-        "--out",
-        metavar="PATH",
-        default="BENCH_sanitizer_report.json",
-        help="machine-readable report path (default: %(default)s)",
-    )
-    sanitize.set_defaults(func=_cmd_sanitize)
 
     trace = sub.add_parser("trace", help="print the synthetic Bitbrains aggregate (Figure 9)")
     trace.add_argument("--vms", type=int, default=100)

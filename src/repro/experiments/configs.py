@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from repro.cluster.microservice import MicroserviceSpec
 from repro.config import ClusterConfig, SimulationConfig
@@ -35,12 +34,7 @@ from repro.metrics.summary import RunSummary
 from repro.workloads.bitbrains import bitbrains_service_loads, generate_bitbrains_trace
 from repro.workloads.generator import ServiceLoad
 from repro.workloads.graph import ApplicationSpec, three_tier_app
-from repro.workloads.registry import (
-    register_app,
-    register_workload,
-    registered_workloads,
-    resolve_workload,
-)
+from repro.workloads.registry import register_app, register_workload
 from repro.workloads.patterns import HighBurstLoad, LoadPattern, LowBurstLoad
 from repro.workloads.profiles import (
     CPU_BOUND,
@@ -58,7 +52,6 @@ __all__ = [
     "ALGORITHMS",
     "EXTENSION_ALGORITHMS",
     "BURSTS",
-    "WORKLOAD_FACTORIES",
     "ExperimentSpec",
     "Scale",
     "full_scale",
@@ -423,8 +416,7 @@ def three_tier(
 # ----------------------------------------------------------------------
 # The canonical spelling of the evaluation matrix is the instance-held
 # registry in :mod:`repro.workloads.registry` (mirroring the policy
-# registry).  These calls are the single source of truth; the module-level
-# mapping below is a read-only view kept for backward compatibility.
+# registry).  These calls are the single source of truth.
 register_workload("cpu", cpu_bound)
 register_workload("memory", memory_bound)
 register_workload("mixed", mixed)
@@ -432,11 +424,3 @@ register_workload("network", network_bound)
 register_workload("disk", disk_bound)
 register_workload("bitbrains", bitbrains, takes_burst=False)
 register_app("three-tier", three_tier)
-
-#: Workload name -> (factory, takes_burst).  Deprecated spelling: a view
-#: over :func:`repro.workloads.registry.registered_workloads` kept so old
-#: call sites keep working byte-for-byte.  New code should use
-#: :func:`repro.workloads.registry.resolve_workload`.
-WORKLOAD_FACTORIES: dict[str, tuple[Callable[..., ExperimentSpec], bool]] = {
-    name: resolve_workload(name) for name in registered_workloads()
-}

@@ -12,9 +12,7 @@ on:
   ledger/view consistency, tick-aliasing write-set tracking, monotonic
   time and event-queue ordering;
 * :class:`SanViolation` + the ``repro.san/1`` JSONL codec and the
-  human ``render_san_report`` renderer;
-* :mod:`repro.sanitizer.check` — the self-test behind ``make sanitize``
-  and ``hyscale-repro sanitize``.
+  human ``render_san_report`` renderer.
 
 Run the whole test suite under the sanitizer with
 ``pytest --simsan`` (the dedicated CI lane), or pass

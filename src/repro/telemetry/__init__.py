@@ -21,11 +21,9 @@ post-hoc summaries in :mod:`repro.metrics` and the decision traces in
   :func:`resolve_sampling` — adaptive sampling policies (``full``,
   ``adaptive``, ``threshold-aware``) with an
   :class:`ObservationCostModel`-charged :class:`MonitorBudget`.
-* :class:`ShardedMetricRegistry` / :func:`merge_shard_snapshots` —
-  per-shard series retention with byte-identical mergeable snapshots.
 
 See ``docs/telemetry.md`` for the instrument catalogue and conventions,
-including the "Scaling the observer" section for sampling and sharding.
+including the "Scaling the observer" section for sampling.
 """
 
 from repro.telemetry.cost import DEFAULT_COST_MODEL, MonitorBudget, ObservationCostModel
@@ -55,11 +53,6 @@ from repro.telemetry.sampling import (
     register_sampling_policy,
     registered_sampling_policies,
     resolve_sampling,
-)
-from repro.telemetry.sharding import (
-    ShardedMetricRegistry,
-    merge_shard_snapshots,
-    shard_index,
 )
 from repro.telemetry.slo import (
     DEFAULT_BURN_WINDOWS,
@@ -112,7 +105,4 @@ __all__ = [
     "register_sampling_policy",
     "make_sampling",
     "resolve_sampling",
-    "ShardedMetricRegistry",
-    "merge_shard_snapshots",
-    "shard_index",
 ]

@@ -9,10 +9,10 @@ snapshots instead), and floats format canonically — so the exposition text
 is a pure function of the registry contents and two same-seed runs produce
 *byte-identical* documents.
 
-The parse side is a self-contained validator used by ``make
-telemetry-check`` and the test suite: it checks metadata ordering, sample
-name/label grammar, histogram bucket monotonicity, and ``le="+Inf"`` ==
-``_count`` consistency, without depending on any external client library.
+The parse side is a self-contained validator used by the test suite: it
+checks metadata ordering, sample name/label grammar, histogram bucket
+monotonicity, and ``le="+Inf"`` == ``_count`` consistency, without
+depending on any external client library.
 """
 
 from __future__ import annotations

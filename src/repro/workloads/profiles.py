@@ -144,16 +144,3 @@ DISK_BOUND = MicroserviceProfile(
 PROFILES: dict[str, MicroserviceProfile] = {
     p.name: p for p in (CPU_BOUND, MEMORY_BOUND, NETWORK_BOUND, MIXED, DISK_BOUND)
 }
-
-
-def get_profile(name: str) -> MicroserviceProfile:
-    """Look up a profile by name.
-
-    Thin shim over :func:`repro.workloads.registry.resolve_profile` (the
-    one name->profile source, which also sees profiles registered via
-    :func:`~repro.workloads.registry.register_profile`); imported lazily
-    because the registry module imports this one for the canonical table.
-    """
-    from repro.workloads.registry import resolve_profile
-
-    return resolve_profile(name)

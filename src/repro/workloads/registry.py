@@ -1,11 +1,8 @@
 """The workload registry: one place where workload names become experiments.
 
-Before this module there were three overlapping ways to name a workload —
-the ``WORKLOAD_FACTORIES`` dict in :mod:`repro.experiments.configs` (used
-by the CLI and ``SweepSpec.from_grid``), the factory functions themselves,
-and the profile names in :func:`repro.workloads.profiles.get_profile`.
-They are collapsed here, mirroring :mod:`repro.core.registry` (policies)
-and :mod:`repro.platform.routing` (routing):
+Workload, profile, and application names resolve here and nowhere else,
+mirroring :mod:`repro.core.registry` (policies) and
+:mod:`repro.platform.routing` (routing):
 
 * **workloads** — ``register_workload`` / ``resolve_workload`` /
   ``registered_workloads``: experiment factories keyed by CLI name
@@ -18,9 +15,6 @@ and :mod:`repro.platform.routing` (routing):
 * **apps** — ``register_app`` / ``resolve_app`` / ``registered_apps``:
   multi-tier :class:`~repro.workloads.graph.ApplicationSpec` experiment
   factories for ``cli run --app``.
-
-The old spellings (``WORKLOAD_FACTORIES``, ``get_profile``) remain as thin
-shims over this registry, byte-identical in behaviour.
 
 Built-in *workload* and *app* factories live in
 :mod:`repro.experiments.configs`, which imports :mod:`repro.workloads` —

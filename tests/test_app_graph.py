@@ -14,7 +14,7 @@ here:
    it, monotonically in the cap.
 
 Plus the registry satellite: workload/app/profile/routing names resolve
-through one instance-held table each, with the old spellings preserved.
+through one instance-held table each.
 """
 
 import pytest
@@ -23,7 +23,7 @@ from repro.cli import build_parser
 from repro.config import ClusterConfig, SimulationConfig
 from repro.cluster import MicroserviceSpec
 from repro.errors import ExperimentError, WorkloadError
-from repro.experiments.configs import WORKLOAD_FACTORIES, three_tier
+from repro.experiments.configs import three_tier
 from repro.experiments.runner import Simulation
 from repro.experiments.spec import RunSpec
 from repro.metrics.sla import Sla, evaluate_sla
@@ -150,9 +150,9 @@ class TestGraphValidation:
 # ----------------------------------------------------------------------
 # Shared run plumbing
 # ----------------------------------------------------------------------
-def _app_simulation(db_max_replicas: int) -> Simulation:
+def _app_simulation(db_max_replicas: int, worker_nodes: int = 8) -> Simulation:
     return Simulation.build(
-        config=SimulationConfig(cluster=ClusterConfig(worker_nodes=8), seed=7),
+        config=SimulationConfig(cluster=ClusterConfig(worker_nodes=worker_nodes), seed=7),
         loads=[
             ServiceLoad(
                 service="frontend",
@@ -228,20 +228,29 @@ class TestSingleServiceDegeneracy:
 class TestBackPressure:
     DURATION = 120.0
     SLA = Sla(response_time_target=8.0)
+    #: (workers, sim seconds, db caps loosest first, minimum rise in
+    #: violation points from the first cap to the last).  The second row
+    #: is the paper's testbed: 19 workers (24 machines minus 5 LBs).
+    STAIRCASES = (
+        (8, DURATION, (16, 1), 10.0),
+        (19, 150.0, (16, 2, 1), 0.0),
+    )
 
-    def _violation_pct(self, db_max_replicas: int) -> float:
-        simulation = _app_simulation(db_max_replicas)
-        simulation.run(self.DURATION)
+    def _violation_pct(self, db_max_replicas: int, worker_nodes: int, duration: float) -> float:
+        simulation = _app_simulation(db_max_replicas, worker_nodes)
+        simulation.run(duration)
         report = evaluate_sla(simulation.collector, self.SLA)
         return 100.0 * (1.0 - report.adherence)
 
     def test_capping_db_raises_ingress_slo_violations(self):
-        healthy = self._violation_pct(16)
-        capped = self._violation_pct(1)
         # The bottleneck is two hops downstream of the only tier users
-        # talk to; its saturation must surface there, and badly.
-        assert capped > healthy
-        assert capped - healthy > 10.0
+        # talk to; its saturation must surface there, monotonically in the
+        # cap.  The violation rate, not completed-only latency, is the
+        # observable: once timeouts dominate, the survivors are the fast ones.
+        for worker_nodes, duration, caps, margin in self.STAIRCASES:
+            staircase = [self._violation_pct(cap, worker_nodes, duration) for cap in caps]
+            assert all(later >= earlier for earlier, later in zip(staircase, staircase[1:])), staircase
+            assert staircase[-1] - staircase[0] > margin, staircase
 
     def test_internal_traffic_exists_and_is_separated(self):
         simulation = _app_simulation(16)
@@ -272,11 +281,6 @@ class TestWorkloadRegistry:
             resolve_app("nope")
         with pytest.raises(WorkloadError, match="unknown profile"):
             resolve_profile("nope")
-
-    def test_old_spelling_is_a_view_over_the_registry(self):
-        assert set(WORKLOAD_FACTORIES) == set(registered_workloads())
-        for name, entry in WORKLOAD_FACTORIES.items():
-            assert entry == resolve_workload(name)
 
     def test_double_registration_needs_replace(self):
         factory, takes_burst = resolve_workload("cpu")

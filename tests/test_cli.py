@@ -371,19 +371,6 @@ class TestTelemetryCommands:
         assert "staleness bound" in captured.err
         assert "avg resp" in captured.out  # the normal comparison table still renders
 
-    def test_sanitize_parser_defaults(self):
-        args = build_parser().parse_args(["sanitize"])
-        assert args.out == "BENCH_sanitizer_report.json"
-
-    def test_sanitize_writes_report_and_passes(self, capsys, tmp_path):
-        out = tmp_path / "san_report.json"
-        assert main(["sanitize", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["schema"] == "repro.san-check/1"
-        assert report["ok"] is True
-        assert report["violations"] == 0
-        assert "PASS" in capsys.readouterr().out
-
 
 class TestLintAndAnalyzeCommands:
     """Exit-code contract (0 clean / 1 violations / 2 usage error),

@@ -26,10 +26,12 @@ from repro.telemetry import (
     NULL_REGISTRY,
     MetricRegistry,
     SloTracker,
+    parse_openmetrics,
     render_openmetrics,
     snapshot_to_jsonl,
 )
-from repro.workloads import CPU_BOUND, HighBurstLoad, ServiceLoad
+from repro.telemetry.snapshot import parse_snapshot_line
+from repro.workloads import CPU_BOUND, MIXED, HighBurstLoad, ServiceLoad
 from repro.workloads.bitbrains import generate_bitbrains_trace
 from repro.workloads.generator import ClientLoadGenerator
 
@@ -184,6 +186,48 @@ class TestEndToEndDeterminism:
         assert first_om == second_om
         assert first_snap == second_snap
 
+    def test_telemetry_exports_parse_and_agree_with_the_summary(self):
+        """Both exports pass the strict in-tree parsers, and the headline
+        instruments agree with each other and with the run summary — on an
+        overloaded fleet, so the failure path is counted too."""
+        config = SimulationConfig(cluster=ClusterConfig(worker_nodes=4), seed=0)
+        specs = [
+            MicroserviceSpec(name="frontend", max_replicas=6),
+            MicroserviceSpec(name="backend", max_replicas=6),
+        ]
+        loads = [
+            ServiceLoad("frontend", MIXED, HighBurstLoad(base=6.0, peak=30.0)),
+            ServiceLoad("backend", CPU_BOUND, HighBurstLoad(base=4.0, peak=18.0)),
+        ]
+        registry = MetricRegistry()
+        slo = SloTracker(Sla(response_time_target=5.0, availability_target=0.95))
+        simulation = Simulation.build(
+            config=config,
+            specs=specs,
+            loads=loads,
+            policy="hybrid",
+            workload_label="telemetry-export",
+            telemetry=registry,
+            slo=slo,
+        )
+        summary = simulation.run(120.0)
+        parse_openmetrics(render_openmetrics(registry))
+        now = simulation.engine.clock.now
+        for line in snapshot_to_jsonl(registry, now=now, alerts=slo.alerts()).splitlines():
+            parse_snapshot_line(line)
+
+        def total(name: str) -> float:
+            return sum(child.value for _, child in registry.get(name).children())
+
+        assert registry.get("sim_steps").labels().value > 0
+        completed = total("requests_completed")
+        failed = total("requests_failed")
+        assert failed > 0, "expected the overload to fail requests"
+        assert total("requests_offered") >= completed + failed
+        histograms = registry.get("request_response_seconds").children()
+        assert sum(histogram.count for _, histogram in histograms) == completed
+        assert summary.total_requests == completed + failed
+
     def test_telemetry_does_not_perturb_the_run(self):
         """Instrumentation is observation only: a run with a recording
         registry produces bit-identical results to a NULL_REGISTRY run."""
@@ -200,7 +244,7 @@ class TestEndToEndDeterminism:
         assert bare == instrumented
 
     def test_full_sampling_is_byte_identical_for_every_policy_at_fleet_scale(self):
-        """``sampling="full"`` with an unsharded recording registry must be
+        """``sampling="full"`` with a recording registry must be
         byte-identical to a default build that never passed the keyword —
         summaries, scaling events, and both export formats — for every
         registered scaling policy at 24 nodes."""

@@ -10,11 +10,13 @@ instead of a hung pool.
 
 import dataclasses
 import json
+import os
+import time
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.spec import RunSpec, SweepSpec
+from repro.experiments.spec import SweepSpec
 from repro.parallel import CODE_VERSION, ShardCache, ShardError, SweepExecutor, SweepResult
 from repro.parallel.worker import run_shard_payload
 
@@ -73,21 +75,35 @@ class TestParallelIdentity:
         assert [spec.key for spec, _ in serial_result.shards()] == list(grid.keys)
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="a 4-job speedup needs 4 CPUs")
+def test_parallel_speedup_on_four_cpus():
+    # 240 s shards, so pool start-up and IPC do not swamp the signal.
+    sweep = SweepSpec.from_grid(**{**GRID_KWARGS, "duration": 240.0})
+    started = time.perf_counter()
+    sweep.run(parallel=1)
+    serial_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    sweep.run(parallel=4)
+    parallel_seconds = time.perf_counter() - started
+    assert serial_seconds / parallel_seconds >= 2.0, (serial_seconds, parallel_seconds)
+
+
 # ----------------------------------------------------------------------
 # Shard cache
 # ----------------------------------------------------------------------
 class TestShardCache:
     def test_cold_run_misses_then_warm_run_hits(self, grid, serial_result, tmp_path):
-        cold = grid.run(parallel=1, cache_dir=tmp_path)
+        cold = grid.run(parallel=1, cache_dir=tmp_path, telemetry=True)
         assert cold.cache_hits == 0
-        warm = grid.run(parallel=1, cache_dir=tmp_path)
+        warm = grid.run(parallel=1, cache_dir=tmp_path, telemetry=True)
         assert warm.cache_hits == len(grid)
         assert all(warm.cached)
-        # Telemetry fields differ (cold ran without collection), but the
-        # summaries — the result — are identical to an uncached run.
+        # Only the cached-provenance flags differ: the summaries and the
+        # telemetry are those of an uncached run.
         assert [s.to_dict() for s in warm.summaries] == [
             s.to_dict() for s in serial_result.summaries
         ]
+        assert warm.telemetry_lines() == cold.telemetry_lines() == serial_result.telemetry_lines()
 
     def test_partial_cache_resumes_only_missing_shards(self, grid, tmp_path):
         cache = ShardCache(tmp_path)

@@ -11,8 +11,8 @@ from repro.workloads.profiles import (
     NETWORK_BOUND,
     PROFILES,
     MicroserviceProfile,
-    get_profile,
 )
+from repro.workloads.registry import resolve_profile
 
 
 class TestCanonicalProfiles:
@@ -26,10 +26,10 @@ class TestCanonicalProfiles:
             "disk_bound",
         }
 
-    def test_get_profile(self):
-        assert get_profile("cpu_bound") is CPU_BOUND
+    def test_resolve_profile(self):
+        assert resolve_profile("cpu_bound") is CPU_BOUND
         with pytest.raises(WorkloadError):
-            get_profile("gpu_bound")
+            resolve_profile("gpu_bound")
 
     def test_cpu_bound_is_cpu_dominant(self):
         assert CPU_BOUND.cpu_per_request > MEMORY_BOUND.cpu_per_request

@@ -412,9 +412,13 @@ class TestEngineIntegration:
         assert sanitizer.truncated is False
 
     def test_sanitizer_does_not_perturb_the_run(self):
-        bare = build_sim().run(60.0)
-        sanitized = build_sim(sanitizer=SimSanitizer()).run(60.0)
-        assert sanitized == bare
+        bare = build_sim()
+        sanitized = build_sim(sanitizer=SimSanitizer())
+        for sim in (bare, sanitized):
+            sim.engine.call_at(90.0, lambda: None, label="after-the-run")
+        assert sanitized.run(60.0) == bare.run(60.0)
+        # The event queue is left in the same state too.
+        assert sanitized.engine.events.next_due() == bare.engine.events.next_due() == 90.0
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ Covers the observation-cost model and its budget ledger, the sampling
 policy registry, the decay/hotness/staleness semantics of the adaptive
 controllers, and the contract the defaults must keep: ``full`` sampling
 is byte-identical to a build that never heard of sampling, and sampling
-never perturbs the simulated run.  The nine-policy pin at 24 nodes lives
-in ``tests/test_determinism_end_to_end.py``.
+never perturbs the simulated run — up to 200 nodes, where ``adaptive``
+must also collect at least 5x cheaper than ``full``.  The nine-policy pin
+at 24 nodes lives in ``tests/test_determinism_end_to_end.py``.
 """
 
 from types import SimpleNamespace
@@ -13,6 +14,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cluster import MicroserviceSpec
+from repro.cluster.node import Node
+from repro.cluster.placement import PlacementStrategy
+from repro.cluster.resources import ResourceVector
 from repro.config import ClusterConfig, SimulationConfig
 from repro.core.hyscale_mem import HyScaleCpuMem
 from repro.errors import ExperimentError, TelemetryError
@@ -433,3 +437,102 @@ class TestEndToEndContracts:
         assert simulation.telemetry.sampling.budget.captures > 0
         # ...but no monitoring_* series leak into the default export.
         assert "monitoring_" not in render_openmetrics(registry)
+
+
+# ----------------------------------------------------------------------
+# Scaling the observer: one hot service on a sea of quiet fill replicas
+# ----------------------------------------------------------------------
+class _RoundRobinPlacement(PlacementStrategy):
+    """O(1)-amortized deterministic spread: first fit from a moving cursor."""
+
+    def __init__(self) -> None:
+        self._cursor = 0
+
+    def choose(
+        self,
+        nodes: list[Node],
+        request: ResourceVector,
+        *,
+        exclude_service: str | None = None,
+    ) -> Node | None:
+        count = len(nodes)
+        for probe in range(count):
+            node = nodes[(self._cursor + probe) % count]
+            if node.can_fit(request):
+                self._cursor = (self._cursor + probe + 1) % count
+                return node
+        return None
+
+    def rank(self, candidates: list[Node], request: ResourceVector) -> Node:
+        return candidates[0]
+
+
+def _fleet_simulation(policy: str, nodes: int, fill_services: int, replicas: int) -> Simulation:
+    """~18 idle fill containers per node put every fill node at cpu ~0.09 /
+    memory ~0.33, outside the default guard band on every axis, so the
+    quiet majority is observably quiet and the decaying policies back off."""
+    specs = [
+        MicroserviceSpec(
+            name="hot", cpu_request=0.5, mem_limit=512.0, net_rate=50.0, max_replicas=16
+        )
+    ]
+    specs += [
+        MicroserviceSpec(
+            name=f"fill-{i:03d}",
+            cpu_request=0.05,
+            mem_limit=128.0,
+            net_rate=1.0,
+            min_replicas=replicas,
+            max_replicas=replicas,
+        )
+        for i in range(fill_services)
+    ]
+    loads = [
+        ServiceLoad(
+            service="hot",
+            profile=CPU_BOUND,
+            pattern=HighBurstLoad(base=4.0, peak=14.0, period=40.0, duty=0.4),
+        )
+    ]
+    return Simulation.build(
+        config=SimulationConfig(cluster=ClusterConfig(worker_nodes=nodes), seed=7),
+        specs=specs,
+        loads=loads,
+        policy="hybrid",
+        workload_label="observer-at-scale",
+        placement=_RoundRobinPlacement(),
+        telemetry=MetricRegistry(),
+        timeline_every=2.0,
+        sampling=policy,
+    )
+
+
+class TestObserverAtScale:
+    """Sampling policies never change the run, and ``adaptive`` collects
+    the fleet at least 5x cheaper than ``full`` once it is big enough
+    for the quiet majority to matter (docs/telemetry.md)."""
+
+    WARMUP = 30.0  # boots finish, churn windows lapse, quiet nodes decay
+    WINDOW = 60.0
+
+    def _run(self, policy: str, shape: tuple[int, int, int]) -> tuple[dict, list, float]:
+        simulation = _fleet_simulation(policy, *shape)
+        simulation.run(self.WARMUP)
+        budget = simulation.telemetry.sampling.budget
+        warm_cost = budget.collection_cost_seconds
+        summary = simulation.run(self.WINDOW)
+        events = list(simulation.collector.events.events())
+        return summary.to_dict(), events, budget.collection_cost_seconds - warm_cost
+
+    @pytest.mark.parametrize(
+        "shape", [(24, 12, 36), (200, 20, 180)], ids=["24-nodes", "200-nodes"]
+    )
+    def test_policies_agree_and_adaptive_collects_cheaper(self, shape):
+        summary, events, full_cost = self._run("full", shape)
+        costs = {}
+        for policy in ("adaptive", "threshold-aware"):
+            sampled_summary, sampled_events, costs[policy] = self._run(policy, shape)
+            assert sampled_summary == summary, policy
+            assert sampled_events == events, policy
+        if shape[0] >= 200:
+            assert full_cost / costs["adaptive"] >= 5.0, (full_cost, costs)
