@@ -22,18 +22,17 @@ from repro.core.hyscale_mem import HyScaleCpuMem
 from repro.core.kubernetes import KubernetesHpa
 from repro.experiments.configs import cpu_bound, memory_bound
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import Simulation
 
 
 def run_with_policy(spec, policy):
-    return run_experiment(
+    return Simulation.build(
         config=spec.config,
         specs=list(spec.specs),
         loads=list(spec.loads),
         policy=policy,
-        duration=spec.duration,
         workload_label=spec.label,
-    )
+    ).run(spec.duration)
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +70,13 @@ def cadence_ablation():
     fast_spec = cpu_bound("high")
     slow_spec = cpu_bound("high")
     fast = run_with_policy(fast_spec, HyScaleCpu())
-    slow = run_experiment(
+    slow = Simulation.build(
         config=slow_spec.config.with_overrides(monitor_period=30.0),
         specs=list(slow_spec.specs),
         loads=list(slow_spec.loads),
         policy=HyScaleCpu(),
-        duration=slow_spec.duration,
         workload_label=slow_spec.label,
-    )
+    ).run(slow_spec.duration)
     return fast, slow
 
 
@@ -113,14 +111,13 @@ def hybrid_ablation():
     from dataclasses import replace
 
     vertical_specs = [replace(s, max_replicas=s.min_replicas) for s in spec.specs]
-    vertical_only = run_experiment(
+    vertical_only = Simulation.build(
         config=spec.config,
         specs=vertical_specs,
         loads=list(spec.loads),
         policy=HyScaleCpu(),
-        duration=spec.duration,
         workload_label=spec.label,
-    )
+    ).run(spec.duration)
     return hybrid, horizontal_only, vertical_only
 
 

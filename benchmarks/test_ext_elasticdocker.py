@@ -22,22 +22,21 @@ Having implemented the comparator (:mod:`repro.core.elasticdocker`), we can
 import pytest
 
 from repro.analysis.speedup import response_speedup
-from repro.experiments.configs import cpu_bound, make_policy
+from repro.experiments.configs import cpu_bound
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import Simulation
 
 
 def run_with_period(algorithm, period, burst="low"):
     spec = cpu_bound(burst)
     config = spec.config.with_overrides(monitor_period=period)
-    return run_experiment(
+    return Simulation.build(
         config=config,
         specs=list(spec.specs),
         loads=list(spec.loads),
-        policy=make_policy(algorithm, config),
-        duration=spec.duration,
+        policy=algorithm,
         workload_label=f"{spec.label}@{period:.0f}s",
-    )
+    ).run(spec.duration)
 
 
 @pytest.fixture(scope="module")

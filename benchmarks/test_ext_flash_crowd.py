@@ -13,9 +13,8 @@ import pytest
 from repro import SimulationConfig
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
-from repro.experiments.configs import make_policy
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import Simulation
 from repro.workloads import CPU_BOUND, FlashCrowdLoad, ServiceLoad
 
 ALGORITHMS = ("kubernetes", "hybrid", "hybridmem", "predictive", "elasticdocker")
@@ -40,14 +39,13 @@ def crowd_spec():
 def runs():
     config, specs, loads = crowd_spec()
     return {
-        name: run_experiment(
+        name: Simulation.build(
             config=config,
             specs=specs,
             loads=loads,
-            policy=make_policy(name, config),
-            duration=360.0,
+            policy=name,
             workload_label="flash-crowd",
-        )
+        ).run(360.0)
         for name in ALGORITHMS
     }
 

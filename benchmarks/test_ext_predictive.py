@@ -19,9 +19,9 @@ from repro import SimulationConfig
 from repro.analysis.speedup import response_speedup
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
-from repro.experiments.configs import cpu_bound, make_policy
+from repro.experiments.configs import cpu_bound
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import Simulation
 from repro.workloads import CPU_BOUND, HighBurstLoad, ServiceLoad
 
 
@@ -53,14 +53,13 @@ def stateful_runs():
     config, specs, loads = stateful_spec()
     out = {}
     for name in ("hybridmem", "predictive", "kubernetes"):
-        out[name] = run_experiment(
+        out[name] = Simulation.build(
             config=config,
             specs=specs,
             loads=loads,
-            policy=make_policy(name, config),
-            duration=240.0,
+            policy=name,
             workload_label="stateful-spikes",
-        )
+        ).run(240.0)
     return out
 
 

@@ -17,8 +17,8 @@ import pytest
 from benchmarks.conftest import print_figure
 from repro.analysis.speedup import response_speedup
 from repro.cluster import MicroserviceSpec
-from repro.experiments.configs import Scale, _base_config, make_policy
-from repro.experiments.runner import run_experiment
+from repro.experiments.configs import Scale, _base_config
+from repro.experiments.runner import Simulation
 from repro.workloads import CPU_BOUND, HighBurstLoad, ServiceLoad
 
 
@@ -57,14 +57,13 @@ def build(stateful: bool):
 
 def run_variant(stateful: bool, algorithm: str):
     config, specs, loads, duration = build(stateful)
-    return run_experiment(
+    return Simulation.build(
         config=config,
         specs=specs,
         loads=loads,
-        policy=make_policy(algorithm, config),
-        duration=duration,
+        policy=algorithm,
         workload_label=f"stateful={stateful}",
-    )
+    ).run(duration)
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ Run with::
     python examples/custom_policy.py
 """
 
-from repro import SimulationConfig, run_experiment
+from repro import Simulation, SimulationConfig
 from repro.analysis import compare_runs
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
@@ -79,14 +79,13 @@ def main() -> None:
     summaries = {}
     for policy in (TrendScaler(), HyScaleCpu(), make_policy("kubernetes", config)):
         print(f"running under {policy.name} ...")
-        summaries[policy.name] = run_experiment(
+        summaries[policy.name] = Simulation.build(
             config=config,
             specs=specs,
             loads=loads,
             policy=policy,
-            duration=300.0,
             workload_label="custom-policy",
-        )
+        ).run(300.0)
 
     print()
     print(compare_runs("custom-policy", summaries).to_table())

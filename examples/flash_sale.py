@@ -13,11 +13,10 @@ Run with::
     python examples/flash_sale.py
 """
 
-from repro import SimulationConfig, run_experiment
+from repro import Simulation, SimulationConfig
 from repro.analysis import compare_runs
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
-from repro.experiments.configs import make_policy
 from repro.workloads import CPU_BOUND, HighBurstLoad, ServiceLoad
 
 SERVICES = ("storefront", "checkout", "inventory", "recommendations")
@@ -63,14 +62,13 @@ def main() -> None:
     summaries = {}
     for algorithm in ("kubernetes", "hybrid", "hybridmem", "network"):
         print(f"running flash sale under {algorithm} ...")
-        summaries[algorithm] = run_experiment(
+        summaries[algorithm] = Simulation.build(
             config=config,
             specs=specs,
             loads=loads,
-            policy=make_policy(algorithm, config),
-            duration=300.0,
+            policy=algorithm,
             workload_label="flash-sale",
-        )
+        ).run(300.0)
 
     report = compare_runs("flash-sale", summaries)
     print()

@@ -15,7 +15,7 @@ Run with::
     python examples/stateful_ledger.py
 """
 
-from repro import HyScaleCpu, KubernetesHpa, SimulationConfig, run_experiment
+from repro import HyScaleCpu, KubernetesHpa, Simulation, SimulationConfig
 from repro.analysis import compare_runs
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
@@ -43,14 +43,13 @@ def run_variant(stateful: bool) -> dict:
     ]
     summaries = {}
     for policy in (KubernetesHpa(), HyScaleCpu()):
-        summaries[policy.name] = run_experiment(
+        summaries[policy.name] = Simulation.build(
             config=config,
             specs=specs,
             loads=loads,
             policy=policy,
-            duration=300.0,
             workload_label=f"ledger/stateful={stateful}",
-        )
+        ).run(300.0)
     return summaries
 
 

@@ -12,12 +12,11 @@ Run with::
     python examples/video_cdn_burst.py
 """
 
-from repro import SimulationConfig, run_experiment
+from repro import Simulation, SimulationConfig
 from repro.analysis import compare_runs
 from repro.analysis.speedup import response_drop_percent
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
-from repro.experiments.configs import make_policy
 from repro.workloads import HighBurstLoad, NETWORK_BOUND, ServiceLoad
 
 SERVICES = ("clips-eu", "clips-us", "clips-apac")
@@ -53,14 +52,13 @@ def main() -> None:
     summaries = {}
     for algorithm in ("kubernetes", "network"):
         print(f"running CDN burst under {algorithm} ...")
-        summaries[algorithm] = run_experiment(
+        summaries[algorithm] = Simulation.build(
             config=config,
             specs=specs,
             loads=loads,
-            policy=make_policy(algorithm, config),
-            duration=300.0,
+            policy=algorithm,
             workload_label="video-cdn",
-        )
+        ).run(300.0)
 
     report = compare_runs("video-cdn", summaries)
     print()

@@ -41,7 +41,7 @@ from repro.core import (
     resolve_policy,
 )
 from repro.errors import ReproError
-from repro.experiments.runner import Simulation, run_experiment  # lint: disable=API002(back-compat re-export of the deprecated shim)
+from repro.experiments.runner import Simulation
 from repro.experiments.spec import RunSpec, SweepSpec
 from repro.metrics import (
     MetricsCollector,
@@ -93,7 +93,6 @@ __all__ = [
     "RemoveReplica",
     # running experiments
     "Simulation",
-    "run_experiment",
     "RunSpec",
     "SweepSpec",
     # the scheduling grant bundle

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.analysis.compare import compare_runs
+from repro.core.registry import registered_policies
 from repro.experiments.configs import (
     ALGORITHMS,
     BURSTS,
-    EXTENSION_ALGORITHMS,
     ExperimentSpec,
 )
 from repro.experiments.report import (
@@ -55,9 +56,6 @@ from repro.workloads.registry import (
 #: Every workload name the CLI accepts, sorted.
 WORKLOADS = registered_workloads()
 
-#: Every runnable algorithm: the paper's four plus extensions.
-ALL_POLICY_NAMES = ALGORITHMS + EXTENSION_ALGORITHMS
-
 
 def _build_spec(
     workload: str | None, burst: str, seed: int, app: str | None = None
@@ -73,7 +71,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
     print("workloads :", ", ".join(WORKLOADS))
     print("apps      :", ", ".join(registered_apps()))
     print("bursts    :", ", ".join(BURSTS))
-    print("algorithms:", ", ".join(ALGORITHMS), "(+ extensions:", ", ".join(EXTENSION_ALGORITHMS) + ")")
+    extensions = [name for name in registered_policies() if name not in ALGORITHMS]
+    print("algorithms:", ", ".join(ALGORITHMS), "(+ extensions:", ", ".join(extensions) + ")")
     print("routing   :", ", ".join(registered_routings()))
     return 0
 
@@ -102,55 +101,48 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: pass exactly one of a workload name or --app", file=sys.stderr)
         return 2
     spec = _build_spec(args.workload, args.burst, args.seed, app=args.app)
+    # One shard list serves both paths, so --seed-mode and --routing mean
+    # the same whether a run fans out or is observed in-process.
+    sweep = spec.to_sweep(tuple(args.algorithms), seed_mode=args.seed_mode)
+    sweep = replace(
+        sweep, shards=tuple(replace(shard, routing=args.routing) for shard in sweep.shards)
+    )
     summaries = {}
     cost_reports = {}
     event_logs = {}
     wants_metrics = bool(args.metrics_out or args.openmetrics_out)
     wants_sampling = args.sampling != "full"
-    # Sampling policies are observation-only knobs that need the live
-    # controller, so they ride the serial in-process path.  Non-default
-    # routing rides it too (a front-LB knob the sweep codec treats as
-    # identity, so it must be wired in-process).
-    needs_simulation = (
-        args.costs or args.events > 0 or args.trace_out or wants_metrics
-        or wants_sampling or args.routing != DEFAULT_ROUTING
-    )
     multiple = len(args.algorithms) > 1
-    if needs_simulation:
-        # Observation plumbing (traces, cost ledgers, live registries)
-        # needs the Simulation object in-process, so this path stays
-        # serial; the plain comparison path below fans out.
-        for algorithm in args.algorithms:
-            print(f"running {spec.label} under {algorithm} ...", file=sys.stderr)
-            from repro.experiments.runner import Simulation
-            from repro.obs import NULL_TRACER, DecisionTracer, write_trace_jsonl
+    if args.costs or args.events > 0 or args.trace_out or wants_metrics or wants_sampling:
+        # Observation plumbing (traces, cost ledgers, live registries,
+        # sampling controllers) needs the Simulation object in-process, so
+        # this path runs the shards serially and uncached; the plain
+        # comparison path below fans out.
+        from repro.obs import NULL_TRACER, DecisionTracer, write_trace_jsonl
+        from repro.telemetry import NULL_REGISTRY, MetricRegistry
 
+        for shard in sweep.shards:
+            algorithm = shard.policy
+            print(f"running {shard.label} under {algorithm} ...", file=sys.stderr)
             tracer = DecisionTracer() if args.trace_out else NULL_TRACER
-            registry = slo = None
+            registry: MetricRegistry = NULL_REGISTRY
+            slo = None
             if wants_metrics or wants_sampling:
                 # Sampling decides what the live registry collects, so it
                 # needs a recording registry even without export flags.
-                from repro.telemetry import MetricRegistry
-
                 registry = MetricRegistry()
             if wants_metrics:
                 from repro.metrics import Sla
                 from repro.telemetry import SloTracker
 
                 slo = SloTracker(Sla(response_time_target=args.sla_target))
-            simulation = Simulation.build(
-                config=spec.config,
-                specs=list(spec.specs),
-                loads=list(spec.loads),
-                policy=algorithm,
-                workload_label=spec.label,
-                app=spec.app,
-                routing=args.routing,
+            simulation = shard.build(
                 tracer=tracer,
-                **({"telemetry": registry, "slo": slo} if registry is not None else {}),
-                **({"sampling": args.sampling} if wants_sampling else {}),
+                telemetry=registry,
+                slo=slo,
+                sampling=args.sampling if wants_sampling else None,
             )
-            summaries[algorithm] = simulation.run(spec.duration)
+            summaries[algorithm] = simulation.run(shard.duration)
             if wants_sampling:
                 controller = simulation.telemetry.sampling
                 budget = controller.budget
@@ -165,7 +157,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 path = _trace_path(args.trace_out, algorithm, multiple)
                 count = write_trace_jsonl(tracer.spans(), path)
                 print(f"wrote {count} decision spans to {path}", file=sys.stderr)
-            if registry is not None and slo is not None:
+            if slo is not None:
                 now = simulation.engine.clock.now
                 if args.metrics_out:
                     from repro.telemetry import write_snapshot_jsonl
@@ -195,7 +187,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.events > 0:
                 event_logs[algorithm] = simulation.collector.events
     else:
-        sweep = spec.to_sweep(tuple(args.algorithms), seed_mode=args.seed_mode)
         result = sweep.run(
             parallel=args.jobs, cache_dir=args.cache_dir, progress=_run_progress
         )
@@ -254,24 +245,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Run one workload live, printing a dashboard frame per interval."""
-    from repro.experiments.runner import Simulation
     from repro.metrics import Sla
     from repro.telemetry import MetricRegistry, SloTracker, run_top
 
     spec = _build_spec(args.workload, args.burst, args.seed)
     registry = MetricRegistry()
     slo = SloTracker(Sla(response_time_target=args.sla_target))
-    simulation = Simulation.build(
-        config=spec.config,
-        specs=list(spec.specs),
-        loads=list(spec.loads),
-        policy=args.algorithm,
-        workload_label=spec.label,
-        telemetry=registry,
-        slo=slo,
-        timeline_every=min(5.0, args.interval),
-        sampling=args.sampling,
-    )
+    shard = replace(spec.to_run_spec(args.algorithm), timeline_every=min(5.0, args.interval))
+    simulation = shard.build(telemetry=registry, slo=slo, sampling=args.sampling)
     duration = args.duration if args.duration is not None else spec.duration
     try:
         frames = run_top(
@@ -377,22 +358,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import Simulation
     from repro.obs import PhaseProfiler
 
     spec = _build_spec(args.workload, args.burst, args.seed)
     duration = args.duration if args.duration is not None else spec.duration
     profiler = PhaseProfiler()
     print(f"profiling {spec.label} under {args.algorithm} ...", file=sys.stderr)
-    simulation = Simulation.build(
-        config=spec.config,
-        specs=list(spec.specs),
-        loads=list(spec.loads),
-        policy=args.algorithm,
-        workload_label=spec.label,
-        profiler=profiler,
-    )
-    simulation.run(duration)
+    spec.to_run_spec(args.algorithm).build(profiler=profiler).run(duration)
     print(profiler.render())
     if args.json:
         with open(args.json, "w") as handle:
@@ -472,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         "see docs/app_graphs.md)",
     )
     run.add_argument("--burst", choices=BURSTS, default="low")
-    run.add_argument("--algorithms", nargs="+", choices=ALL_POLICY_NAMES, default=list(ALGORITHMS))
-    run.add_argument("--baseline", choices=ALL_POLICY_NAMES, default="kubernetes")
+    run.add_argument("--algorithms", nargs="+", choices=registered_policies(), default=list(ALGORITHMS))
+    run.add_argument("--baseline", choices=registered_policies(), default="kubernetes")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--costs",
@@ -571,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("workload", choices=WORKLOADS)
     top.add_argument("--burst", choices=BURSTS, default="low")
-    top.add_argument("--algorithm", choices=ALL_POLICY_NAMES, default="hybrid")
+    top.add_argument("--algorithm", choices=registered_policies(), default="hybrid")
     top.add_argument("--seed", type=int, default=0)
     top.add_argument(
         "--duration",
@@ -630,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--workload", choices=WORKLOADS, default="cpu")
     profile.add_argument("--burst", choices=BURSTS, default="low")
-    profile.add_argument("--algorithm", choices=ALL_POLICY_NAMES, default="hybrid")
+    profile.add_argument("--algorithm", choices=registered_policies(), default="hybrid")
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--duration", type=float, default=None,
                          help="simulated seconds (default: the workload's own duration)")

@@ -4,9 +4,10 @@ Section V-C: the scaling algorithm "can be specified at initialization or
 through the command-line interface".  Before this module, that name-to-
 policy mapping lived in :func:`repro.experiments.configs.make_policy` and
 the CLI kept its own copy of the name list; extensions had no way to add an
-algorithm without editing both.  The registry is now the single source of
-truth — the CLI, the experiment specs, and :func:`resolve_policy` all read
-from it, and :func:`register_policy` lets extension code plug in new
+algorithm without editing both.  The table (a
+:class:`~repro.names.NameRegistry`) is now the single source of truth —
+the CLI, the experiment specs, and :func:`resolve_policy` all read from
+it, and :func:`register_policy` lets extension code plug in new
 algorithms under their own names (see ``docs/extending.md``).
 
 Anywhere the public API accepts an :class:`AutoscalingPolicy`, it also
@@ -28,6 +29,7 @@ from repro.core.network import NetworkHpa
 from repro.core.policy import AutoscalingPolicy
 from repro.core.predictive import PredictiveHyScale
 from repro.errors import ExperimentError
+from repro.names import NameRegistry
 
 #: Algorithm names as the paper's figures label them.
 ALGORITHMS = ("kubernetes", "hybrid", "hybridmem", "network")
@@ -54,48 +56,45 @@ def _interval_factory(
     return build
 
 
-_REGISTRY: dict[str, PolicyFactory] = {
-    "kubernetes": _interval_factory(KubernetesHpa),
-    "network": _interval_factory(NetworkHpa),
-    "hybrid": _interval_factory(HyScaleCpu),
-    "hybridmem": _interval_factory(HyScaleCpuMem),
-    "disk": _interval_factory(DiskHpa),
-    "kubernetes-multi": _interval_factory(KubernetesMultiMetricHpa),
-    "kubernetes-mem": _interval_factory(KubernetesMemoryHpa),
-    "predictive": _interval_factory(PredictiveHyScale),
-    # Threshold-driven and purely vertical: the rescale-interval knobs do
-    # not apply (ElasticDocker has no horizontal operations).
-    "elasticdocker": lambda config: ElasticDockerPolicy(),
-}
+_POLICIES: NameRegistry[PolicyFactory] = NameRegistry(
+    "algorithm",
+    ExperimentError,
+    callable,
+    "a policy factory (callable)",
+    {
+        "kubernetes": _interval_factory(KubernetesHpa),
+        "network": _interval_factory(NetworkHpa),
+        "hybrid": _interval_factory(HyScaleCpu),
+        "hybridmem": _interval_factory(HyScaleCpuMem),
+        "disk": _interval_factory(DiskHpa),
+        "kubernetes-multi": _interval_factory(KubernetesMultiMetricHpa),
+        "kubernetes-mem": _interval_factory(KubernetesMemoryHpa),
+        "predictive": _interval_factory(PredictiveHyScale),
+        # Threshold-driven and purely vertical: the rescale-interval knobs do
+        # not apply (ElasticDocker has no horizontal operations).
+        "elasticdocker": lambda config: ElasticDockerPolicy(),
+    },
+)
 
 
 def registered_policies() -> tuple[str, ...]:
     """Every resolvable algorithm name, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return _POLICIES.names()
 
 
 def register_policy(name: str, factory: PolicyFactory, *, replace: bool = False) -> None:
     """Add an algorithm under ``name`` so string-accepting APIs find it.
 
-    Raises :class:`~repro.errors.ExperimentError` if the name is taken and
-    ``replace`` is not set.
+    Raises :class:`~repro.errors.ExperimentError` if the name is not a
+    non-empty string, ``factory`` is not callable, or the name is taken
+    and ``replace`` is not set.
     """
-    if not name:
-        raise ExperimentError("policy name must be non-empty")
-    if name in _REGISTRY and not replace:
-        raise ExperimentError(f"policy {name!r} is already registered")
-    _REGISTRY[name] = factory
+    _POLICIES.register(name, factory, replace=replace)
 
 
 def make_policy(name: str, config: SimulationConfig | None = None) -> AutoscalingPolicy:
     """Build a fresh policy by name, sized by ``config``'s intervals."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ExperimentError(
-            f"unknown algorithm {name!r}; known: {registered_policies()}"
-        ) from None
-    return factory(config or SimulationConfig())
+    return _POLICIES.resolve(name)(config or SimulationConfig())
 
 
 def resolve_policy(

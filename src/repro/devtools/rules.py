@@ -23,10 +23,6 @@ UNIT001     No raw unit-conversion magic numbers (1024, 1024², 10⁶ …) in
 API001      Public functions and methods in ``src/repro`` carry complete
             type annotations — the typed surface is what ``mypy`` strict
             verifies, and unannotated escapes undermine it.
-API002      No ``run_experiment`` imports inside ``src/repro`` — the
-            deprecated entry point survives only as a shim; internal code
-            describes runs with ``repro.experiments.spec.RunSpec`` so the
-            sweep executor and shard cache see every run.
 OBS001      ``src/repro/telemetry`` must not import ``time`` or
             ``datetime`` at all — exporters promise byte-identical output
             for same-seed runs, so telemetry timestamps are exclusively
@@ -481,50 +477,6 @@ def _api001_check(tree: ast.Module, aliases: dict[str, str], path: str) -> list[
 
 
 # ----------------------------------------------------------------------
-# API002 — no run_experiment imports inside src/repro
-# ----------------------------------------------------------------------
-#: Absolute modules the deprecated entry point is importable from.
-_API002_MODULES = frozenset({"repro", "repro.experiments", "repro.experiments.runner"})
-
-#: Relative spellings of the same modules as seen from inside the package.
-_API002_RELATIVE = frozenset({"", "runner", "experiments", "experiments.runner"})
-
-
-def _api002_applies(path: str) -> bool:
-    module = repro_module_path(path)
-    return module is not None and module != "experiments/runner.py"
-
-
-def _api002_check(tree: ast.Module, aliases: dict[str, str], path: str) -> list[Violation]:
-    """API002: ``run_experiment`` is a deprecation shim, kept only for
-    external callers.  Internal code that imports it bypasses the RunSpec
-    surface — and with it the canonical ``repro.sweep/1`` codec, the shard
-    cache, and the parallel executor's determinism contract."""
-    out: list[Violation] = []
-    _ = aliases
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        if not any(item.name == "run_experiment" for item in node.names):
-            continue
-        module = node.module or ""
-        absolute_hit = node.level == 0 and module in _API002_MODULES
-        relative_hit = node.level > 0 and module in _API002_RELATIVE
-        if absolute_hit or relative_hit:
-            out.append(
-                _violation(
-                    path,
-                    node,
-                    "API002",
-                    "`run_experiment` imported inside src/repro; it is a deprecated "
-                    "shim — describe the run with a repro.experiments.spec.RunSpec "
-                    "and call .run() (or SweepSpec.run for grids)",
-                )
-            )
-    return out
-
-
-# ----------------------------------------------------------------------
 # OBS001 — no wall-clock modules inside the telemetry package
 # ----------------------------------------------------------------------
 #: Modules whose very import signals wall-clock intent in telemetry code.
@@ -959,7 +911,8 @@ def _unit002_check(tree: ast.Module, aliases: dict[str, str], path: str) -> list
 #: rules CON001–003 over the flow graph.
 #: "6": application-graph registries — call-site contract rule CON004 over
 #: the workload/app/routing registration tables.
-CATALOGUE_VERSION = "6"
+#: "7": the import rule guarding the removed one-shot runner shim is gone.
+CATALOGUE_VERSION = "7"
 
 ALL_RULES: tuple[Rule, ...] = (
     Rule("DET001", "no wall-clock reads in simulator code", _det001_applies, _det001_check),
@@ -967,7 +920,6 @@ ALL_RULES: tuple[Rule, ...] = (
     Rule("DET003", "no iteration over bare sets", _det003_applies, _det003_check),
     Rule("UNIT001", "no raw unit-conversion literals in cluster/netsim", _unit001_applies, _unit001_check),
     Rule("API001", "public src/repro defs carry complete annotations", _api001_applies, _api001_check),
-    Rule("API002", "no run_experiment imports inside src/repro (use RunSpec)", _api002_applies, _api002_check),
     Rule("OBS001", "no time/datetime imports inside src/repro/telemetry", _obs001_applies, _obs001_check),
     Rule("OBS002", "registry.capture() only from the telemetry sampling layer", _obs002_applies, _obs002_check),
     Rule("SAN001", "no mutable class-level/default-arg containers in cluster/platform/sim", _san001_applies, _san001_check),

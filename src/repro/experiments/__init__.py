@@ -12,7 +12,7 @@ from repro.experiments.configs import (
     mixed,
     network_bound,
 )
-from repro.experiments.runner import Simulation, run_experiment  # lint: disable=API002(back-compat re-export of the deprecated shim)
+from repro.experiments.runner import Simulation
 from repro.experiments.spec import (
     SWEEP_SCHEMA,
     RunSpec,
@@ -28,7 +28,6 @@ from repro.experiments.suite import (
 __all__ = [
     "ExperimentSpec",
     "Simulation",
-    "run_experiment",
     "RunSpec",
     "SweepSpec",
     "derive_shard_seed",

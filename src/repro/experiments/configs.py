@@ -29,7 +29,7 @@ from repro.core.registry import (
     resolve_policy,
 )
 from repro.errors import ExperimentError
-from repro.experiments.spec import SEED_MODES, RunSpec, SweepSpec, derive_shard_seed
+from repro.experiments.spec import RunSpec, SweepSpec, _shard_seed
 from repro.metrics.summary import RunSummary
 from repro.workloads.bitbrains import bitbrains_service_loads, generate_bitbrains_trace
 from repro.workloads.generator import ServiceLoad
@@ -154,40 +154,26 @@ class ExperimentSpec:
         algorithm (the paper's like-for-like method, and the historic
         ``run_all`` behaviour).
         """
-        if seed_mode not in SEED_MODES:
-            raise ExperimentError(f"seed_mode must be one of {SEED_MODES}, got {seed_mode!r}")
-        base = self.config.seed
         shards = tuple(
             self.to_run_spec(
-                name,
-                seed=base
-                if seed_mode == "shared"
-                else derive_shard_seed(base, f"{self.label}/{name}"),
+                name, seed=_shard_seed(self.config.seed, f"{self.label}/{name}", seed_mode)
             )
             for name in algorithms
         )
         return SweepSpec(shards=shards, seed_mode=seed_mode)
 
     def run(self, policy: AutoscalingPolicy | str) -> RunSummary:
-        """Run this experiment under one algorithm (object or name).
-
-        Registered names route through the canonical spec layer; policy
-        *objects* cannot be serialised into a spec, so they are wired
-        directly into a :class:`~repro.experiments.runner.Simulation`.
-        """
-        if isinstance(policy, str):
-            return self.to_run_spec(policy).run()
+        """Run this experiment under one algorithm (object or registered name)."""
         from repro.experiments.runner import Simulation
 
-        simulation = Simulation.build(
+        return Simulation.build(
             config=self.config,
             specs=list(self.specs),
             loads=list(self.loads),
-            policy=resolve_policy(policy, self.config),
+            policy=policy,
             workload_label=self.label,
             app=self.app,
-        )
-        return simulation.run(self.duration)
+        ).run(self.duration)
 
     def run_all(
         self,
@@ -414,9 +400,9 @@ def three_tier(
 # ----------------------------------------------------------------------
 # Registration: the one workload namespace
 # ----------------------------------------------------------------------
-# The canonical spelling of the evaluation matrix is the instance-held
-# registry in :mod:`repro.workloads.registry` (mirroring the policy
-# registry).  These calls are the single source of truth.
+# The canonical spelling of the evaluation matrix is the workload and app
+# tables in :mod:`repro.workloads.registry` (one ``NameRegistry`` each, like
+# the policy table).  These calls are the single source of truth.
 register_workload("cpu", cpu_bound)
 register_workload("memory", memory_bound)
 register_workload("mixed", mixed)

@@ -18,7 +18,6 @@ auditable and deterministic.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
@@ -425,74 +424,3 @@ class Simulation:
             app=self.app.name if self.app is not None else None,
         )
 
-
-def run_experiment(
-    *,
-    config: SimulationConfig,
-    specs: list[MicroserviceSpec],
-    loads: list[ServiceLoad],
-    policy: AutoscalingPolicy | str,
-    duration: float,
-    workload_label: str = "custom",
-    routing: RoutingPolicy = RoutingPolicy.WEIGHTED_CPU,
-    placement: PlacementStrategy | None = None,
-    tracer: Tracer = NULL_TRACER,
-    profiler: PhaseProfiler | None = None,
-    telemetry: MetricRegistry = NULL_REGISTRY,
-    slo: SloTracker | None = None,
-    sanitizer: Sanitizer = NULL_SANITIZER,
-) -> RunSummary:
-    """Deprecated one-shot: build a :class:`Simulation` and run it.
-
-    This signature is the old spelling of what
-    :class:`repro.experiments.spec.RunSpec` now describes canonically;
-    it survives as a thin shim that forwards *exactly* (same defaults,
-    same semantics, pinned in tests).  Prefer::
-
-        RunSpec(label=..., policy="hybrid", seed=..., duration=...,
-                config=..., fleet=..., loads=...).run()
-
-    Registered policy names route through the spec layer; policy
-    *objects* cannot be canonicalised and keep the direct build path.
-    """
-    warnings.warn(
-        "run_experiment() is deprecated; describe the run with a "
-        "repro.experiments.spec.RunSpec and call .run() (see docs/parallel.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if isinstance(policy, str):
-        from repro.experiments.spec import RunSpec
-
-        return RunSpec(
-            label=workload_label,
-            policy=policy,
-            seed=config.seed,
-            duration=duration,
-            config=config,
-            fleet=tuple(specs),
-            loads=tuple(loads),
-            routing=routing,
-        ).run(
-            placement=placement,
-            tracer=tracer,
-            profiler=profiler,
-            telemetry=telemetry,
-            slo=slo,
-            sanitizer=sanitizer,
-        )
-    simulation = Simulation.build(
-        config=config,
-        specs=specs,
-        loads=loads,
-        policy=policy,
-        workload_label=workload_label,
-        routing=routing,
-        placement=placement,
-        tracer=tracer,
-        profiler=profiler,
-        telemetry=telemetry,
-        slo=slo,
-        sanitizer=sanitizer,
-    )
-    return simulation.run(duration)

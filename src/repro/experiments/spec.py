@@ -1,8 +1,8 @@
 """The canonical run description: one spelling for "one experiment".
 
-Before this layer existed the same knobs were spelled three ways —
-``run_experiment(...)`` keyword arguments, :class:`ExperimentSpec` fields,
-and ``hyscale-repro run`` flags.  :class:`RunSpec` collapses them into a
+Before this layer existed the same knobs were spelled three ways — the
+keyword arguments of a one-shot runner function, :class:`ExperimentSpec`
+fields, and ``hyscale-repro run`` flags.  :class:`RunSpec` collapses them into a
 single frozen value object that (a) runs directly, (b) serialises to a
 canonical ``repro.sweep/1`` JSON document, and (c) is therefore picklable,
 content-addressable, and safe to ship to a worker process unchanged.

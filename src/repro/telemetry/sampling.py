@@ -34,8 +34,8 @@ observer's cost is a simulated quantity the scale bench can compare
 across policies.  Decisions are pure functions of simulated state — no
 clocks, no randomness — so sampled runs stay byte-deterministic.
 
-Policies are pluggable behind a name registry mirroring
-:mod:`repro.core.registry`: :func:`registered_sampling_policies`,
+Policies are pluggable behind a :class:`~repro.names.NameRegistry`, the
+table type every name kind uses: :func:`registered_sampling_policies`,
 :func:`register_sampling_policy`, and :func:`resolve_sampling` (the one
 coercion point behind every API accepting a policy name).
 """
@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import TelemetryError
+from repro.names import NameRegistry
 from repro.telemetry.cost import DEFAULT_COST_MODEL, MonitorBudget, ObservationCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -346,71 +347,44 @@ class ThresholdAwareSamplingController(AdaptiveSamplingController):
 
 
 # ----------------------------------------------------------------------
-# The name registry (mirrors repro.core.registry)
+# The name registry
 # ----------------------------------------------------------------------
 #: A factory builds a fresh controller for one run from its spec.
 SamplingFactory = Callable[[SamplingSpec], SamplingController]
 
-
-class _SamplingRegistry:
-    """Name -> controller-factory table, populated with the built-ins.
-
-    The table lives on an instance (not a bare module dict) so the lookup
-    paths that run inside sweep workers carry no module-level mutable
-    state; like the policy registry, it is fully populated
-    at import time and only read afterwards, so every worker resolves
-    identically.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, SamplingFactory] = {
-            "full": SamplingController,
-            "adaptive": AdaptiveSamplingController,
-            "threshold-aware": ThresholdAwareSamplingController,
-        }
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._entries))
-
-    def add(self, name: str, factory: SamplingFactory, *, replace: bool) -> None:
-        if not name:
-            raise TelemetryError("sampling policy name must be non-empty")
-        if name in self._entries and not replace:
-            raise TelemetryError(f"sampling policy {name!r} is already registered")
-        self._entries[name] = factory
-
-    def make(self, name: str, spec: SamplingSpec | None) -> SamplingController:
-        try:
-            factory = self._entries[name]
-        except KeyError:
-            raise TelemetryError(
-                f"unknown sampling policy {name!r}; known: {self.names()}"
-            ) from None
-        if spec is None:
-            spec = SamplingSpec(policy=name)
-        elif spec.policy != name:
-            spec = replace(spec, policy=name)
-        return factory(spec)
-
-
-_REGISTRY = _SamplingRegistry()
+_SAMPLINGS: NameRegistry[SamplingFactory] = NameRegistry(
+    "sampling policy",
+    TelemetryError,
+    callable,
+    "a controller factory (callable)",
+    {
+        "full": SamplingController,
+        "adaptive": AdaptiveSamplingController,
+        "threshold-aware": ThresholdAwareSamplingController,
+    },
+)
 
 
 def registered_sampling_policies() -> tuple[str, ...]:
     """Every resolvable sampling-policy name, sorted."""
-    return _REGISTRY.names()
+    return _SAMPLINGS.names()
 
 
 def register_sampling_policy(
     name: str, factory: SamplingFactory, *, replace: bool = False
 ) -> None:
     """Add a sampling policy under ``name`` (see ``docs/telemetry.md``)."""
-    _REGISTRY.add(name, factory, replace=replace)
+    _SAMPLINGS.register(name, factory, replace=replace)
 
 
 def make_sampling(name: str, spec: SamplingSpec | None = None) -> SamplingController:
     """Build a fresh controller by name, configured by ``spec``."""
-    return _REGISTRY.make(name, spec)
+    factory = _SAMPLINGS.resolve(name)
+    if spec is None:
+        spec = SamplingSpec(policy=name)
+    elif spec.policy != name:
+        spec = replace(spec, policy=name)
+    return factory(spec)
 
 
 def resolve_sampling(

@@ -139,8 +139,3 @@ DISK_BOUND = MicroserviceProfile(
     net_per_request=0.2,
     disk_per_request=6.0,
 )
-
-#: Registry used by experiment configs and the CLI.
-PROFILES: dict[str, MicroserviceProfile] = {
-    p.name: p for p in (CPU_BOUND, MEMORY_BOUND, NETWORK_BOUND, MIXED, DISK_BOUND)
-}

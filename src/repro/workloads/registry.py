@@ -1,8 +1,9 @@
 """The workload registry: one place where workload names become experiments.
 
-Workload, profile, and application names resolve here and nowhere else,
-mirroring :mod:`repro.core.registry` (policies) and
-:mod:`repro.platform.routing` (routing):
+Workload, profile, and application names resolve here and nowhere else.
+Each kind is one :class:`~repro.names.NameRegistry`, the table type the
+policy (:mod:`repro.core.registry`) and routing
+(:mod:`repro.platform.routing`) names use too:
 
 * **workloads** — ``register_workload`` / ``resolve_workload`` /
   ``registered_workloads``: experiment factories keyed by CLI name
@@ -18,9 +19,8 @@ mirroring :mod:`repro.core.registry` (policies) and
 
 Built-in *workload* and *app* factories live in
 :mod:`repro.experiments.configs`, which imports :mod:`repro.workloads` —
-so they are registered lazily on first enumeration/resolve rather than at
-import time, breaking the cycle the way
-:meth:`~repro.telemetry.sampling.resolve_sampling` does for controllers.
+so they are registered lazily, on the first enumeration, resolve or
+registration, rather than at import time.
 """
 
 from __future__ import annotations
@@ -28,111 +28,51 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.errors import WorkloadError
-from repro.workloads.profiles import PROFILES, MicroserviceProfile
+from repro.names import NameRegistry
+from repro.workloads.profiles import (
+    CPU_BOUND,
+    DISK_BOUND,
+    MEMORY_BOUND,
+    MIXED,
+    NETWORK_BOUND,
+    MicroserviceProfile,
+)
 
 #: An experiment factory: ``factory(burst, seed=...)`` or ``factory(seed=...)``
 #: returning an :class:`~repro.experiments.configs.ExperimentSpec`.
 WorkloadFactory = Callable[..., Any]
 
 
-class _WorkloadRegistry:
-    """Name -> factory/profile/app tables.
-
-    The tables live on an instance (not bare module dicts) so lookup paths
-    that run inside sweep workers carry no module-level mutable state
-    (PAR001); after the lazy built-in load they are only read, so every
-    worker resolves identically.
-    """
-
-    def __init__(self) -> None:
-        self._workloads: dict[str, tuple[WorkloadFactory, bool]] = {}
-        self._apps: dict[str, WorkloadFactory] = {}
-        self._profiles: dict[str, MicroserviceProfile] = dict(PROFILES)
-        self._builtins_loaded = False
-
-    def _ensure_builtins(self) -> None:
-        if self._builtins_loaded:
-            return
-        # Set the flag *before* the import: configs registers its built-ins
-        # at import time via register_workload/register_app, which re-enter
-        # this registry.
-        self._builtins_loaded = True
-        import repro.experiments.configs  # noqa: F401  (registers built-ins)
-
-    # -- workloads -----------------------------------------------------
-    def workload_names(self) -> tuple[str, ...]:
-        self._ensure_builtins()
-        return tuple(sorted(self._workloads))
-
-    def add_workload(
-        self, name: str, factory: WorkloadFactory, *, takes_burst: bool, replace: bool
-    ) -> None:
-        if not name:
-            raise WorkloadError("workload name must be non-empty")
-        if not callable(factory):
-            raise WorkloadError(f"workload {name!r} factory must be callable")
-        if name in self._workloads and not replace:
-            raise WorkloadError(f"workload {name!r} is already registered")
-        self._workloads[name] = (factory, takes_burst)
-
-    def resolve_workload(self, name: str) -> tuple[WorkloadFactory, bool]:
-        self._ensure_builtins()
-        try:
-            return self._workloads[name]
-        except KeyError:
-            raise WorkloadError(
-                f"unknown workload {name!r}; known: {self.workload_names()}"
-            ) from None
-
-    # -- apps ----------------------------------------------------------
-    def app_names(self) -> tuple[str, ...]:
-        self._ensure_builtins()
-        return tuple(sorted(self._apps))
-
-    def add_app(self, name: str, factory: WorkloadFactory, *, replace: bool) -> None:
-        if not name:
-            raise WorkloadError("application name must be non-empty")
-        if not callable(factory):
-            raise WorkloadError(f"application {name!r} factory must be callable")
-        if name in self._apps and not replace:
-            raise WorkloadError(f"application {name!r} is already registered")
-        self._apps[name] = factory
-
-    def resolve_app(self, name: str) -> WorkloadFactory:
-        self._ensure_builtins()
-        try:
-            return self._apps[name]
-        except KeyError:
-            raise WorkloadError(
-                f"unknown application {name!r}; known: {self.app_names()}"
-            ) from None
-
-    # -- profiles ------------------------------------------------------
-    def profile_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._profiles))
-
-    def add_profile(self, profile: MicroserviceProfile, *, replace: bool) -> None:
-        if not isinstance(profile, MicroserviceProfile):
-            raise WorkloadError("register_profile takes a MicroserviceProfile")
-        if profile.name in self._profiles and not replace:
-            raise WorkloadError(f"profile {profile.name!r} is already registered")
-        self._profiles[profile.name] = profile
-
-    def resolve_profile(self, name: str) -> MicroserviceProfile:
-        try:
-            return self._profiles[name]
-        except KeyError:
-            raise WorkloadError(
-                f"unknown profile {name!r}; known: {sorted(self._profiles)}"
-            ) from None
+def _load_builtins() -> None:
+    import repro.experiments.configs  # noqa: F401  (registers the built-ins)
 
 
-_REGISTRY = _WorkloadRegistry()
+_WORKLOADS: NameRegistry[tuple[WorkloadFactory, bool]] = NameRegistry(
+    "workload",
+    WorkloadError,
+    lambda entry: callable(entry[0]),
+    "a callable experiment factory",
+    load=_load_builtins,
+)
+_APPS: NameRegistry[WorkloadFactory] = NameRegistry(
+    "application",
+    WorkloadError,
+    callable,
+    "a callable experiment factory",
+    load=_load_builtins,
+)
+_PROFILES: NameRegistry[MicroserviceProfile] = NameRegistry(
+    "profile",
+    WorkloadError,
+    lambda profile: isinstance(profile, MicroserviceProfile),
+    "a MicroserviceProfile",
+    {p.name: p for p in (CPU_BOUND, MEMORY_BOUND, NETWORK_BOUND, MIXED, DISK_BOUND)},
+)
 
 
 def registered_workloads() -> tuple[str, ...]:
     """Every resolvable workload name, sorted."""
-    return _REGISTRY.workload_names()
+    return _WORKLOADS.names()
 
 
 def register_workload(
@@ -142,42 +82,45 @@ def register_workload(
 
     ``takes_burst`` declares whether the factory accepts the CLI's
     ``--burst`` knob as its first positional argument.  Raises
-    :class:`~repro.errors.WorkloadError` if the name is taken and
+    :class:`~repro.errors.WorkloadError` if the name is not a non-empty
+    string, ``factory`` is not callable, or the name is taken and
     ``replace`` is not set.
     """
-    _REGISTRY.add_workload(name, factory, takes_burst=takes_burst, replace=replace)
+    _WORKLOADS.register(name, (factory, takes_burst), replace=replace)
 
 
 def resolve_workload(name: str) -> tuple[WorkloadFactory, bool]:
     """Coerce a workload name to ``(factory, takes_burst)``."""
-    return _REGISTRY.resolve_workload(name)
+    return _WORKLOADS.resolve(name)
 
 
 def registered_apps() -> tuple[str, ...]:
     """Every resolvable application name, sorted."""
-    return _REGISTRY.app_names()
+    return _APPS.names()
 
 
 def register_app(name: str, factory: WorkloadFactory, *, replace: bool = False) -> None:
     """Add a multi-tier application experiment factory under ``name``."""
-    _REGISTRY.add_app(name, factory, replace=replace)
+    _APPS.register(name, factory, replace=replace)
 
 
 def resolve_app(name: str) -> WorkloadFactory:
     """Coerce an application name to its experiment factory."""
-    return _REGISTRY.resolve_app(name)
+    return _APPS.resolve(name)
 
 
 def registered_profiles() -> tuple[str, ...]:
     """Every resolvable profile name, sorted."""
-    return _REGISTRY.profile_names()
+    return _PROFILES.names()
 
 
 def register_profile(profile: MicroserviceProfile, *, replace: bool = False) -> None:
     """Add a resource profile under its own name."""
-    _REGISTRY.add_profile(profile, replace=replace)
+    # The table checks the value before the name, so a non-profile without
+    # a ``name`` is rejected as the wrong kind of value.
+    _PROFILES.register(getattr(profile, "name", ""), profile, replace=replace)
 
 
 def resolve_profile(name: str) -> MicroserviceProfile:
     """Coerce a profile name to its :class:`MicroserviceProfile`."""
-    return _REGISTRY.resolve_profile(name)
+    return _PROFILES.resolve(name)

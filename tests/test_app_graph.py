@@ -17,6 +17,8 @@ Plus the registry satellite: workload/app/profile/routing names resolve
 through one instance-held table each.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import build_parser
@@ -45,8 +47,11 @@ from repro.workloads.graph import (
     three_tier_graph,
 )
 from repro.workloads.registry import (
+    register_app,
+    register_profile,
     register_workload,
     registered_apps,
+    registered_profiles,
     registered_workloads,
     resolve_app,
     resolve_profile,
@@ -291,6 +296,22 @@ class TestWorkloadRegistry:
         register_workload("cpu", factory, takes_burst=takes_burst, replace=True)
         assert resolve_workload("cpu") == (factory, takes_burst)
 
+    def test_malformed_registrations_are_rejected(self):
+        factory, _ = resolve_workload("cpu")
+        for bad_name in (3, ""):
+            with pytest.raises(WorkloadError, match="non-empty"):
+                register_workload(bad_name, factory)  # type: ignore[arg-type]
+            with pytest.raises(WorkloadError, match="non-empty"):
+                register_app(bad_name, factory)  # type: ignore[arg-type]
+        with pytest.raises(WorkloadError, match="callable"):
+            register_workload("test-not-callable", "cpu")  # type: ignore[arg-type]
+        with pytest.raises(WorkloadError, match="MicroserviceProfile"):
+            register_profile("cpu_bound")  # type: ignore[arg-type]
+        with pytest.raises(WorkloadError, match="non-empty"):
+            register_profile(replace(CPU_BOUND, name=""))
+        for names in (registered_workloads(), registered_apps(), registered_profiles()):
+            assert list(names) == sorted(names)
+
     def test_app_factory_builds_an_app_bearing_spec(self):
         spec = resolve_app("three-tier")(burst="low", seed=0)
         assert spec.app is not None
@@ -317,6 +338,12 @@ class TestRoutingRegistry:
             register_routing("round_robin", RoutingPolicy.ROUND_ROBIN)
         with pytest.raises(ExperimentError, match="RoutingPolicy member"):
             register_routing("bogus", "round_robin")
+
+    def test_non_string_name_rejected_and_listing_survives(self):
+        with pytest.raises(ExperimentError, match="non-empty"):
+            register_routing(7, RoutingPolicy.ROUND_ROBIN)  # type: ignore[arg-type]
+        names = registered_routings()
+        assert list(names) == sorted(names)
 
 
 # ----------------------------------------------------------------------

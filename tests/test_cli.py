@@ -163,6 +163,30 @@ class TestCommands:
         assert "(cached)" in second.err
         assert second.out == first.out  # same table from the cached shard
 
+    def test_observed_run_keeps_the_seed_mode(self, capsys, tmp_path):
+        # An observation flag moves the run in-process; it must run the
+        # sweep's own shards, so --seed-mode means the same on both paths.
+        plain, observed = tmp_path / "plain.json", tmp_path / "observed.json"
+        base = ["run", "cpu", "--burst", "low", "--algorithms", "hybrid", "--seed-mode", "per_shard"]
+        assert main(base + ["--json", str(plain)]) == 0
+        assert main(base + ["--events", "1", "--json", str(observed)]) == 0
+        capsys.readouterr()
+        assert observed.read_text() == plain.read_text()
+
+    def test_routing_rides_the_cached_sweep(self, capsys, tmp_path):
+        # --routing is part of each shard's identity, so a non-default
+        # routing is cached like any other run and agrees with the
+        # in-process path.
+        cache = tmp_path / "cache"
+        swept, observed = tmp_path / "swept.json", tmp_path / "observed.json"
+        base = ["run", "cpu", "--burst", "low", "--algorithms", "hybrid", "--routing", "round_robin"]
+        assert main(base + ["--cache-dir", str(cache), "--json", str(swept)]) == 0
+        assert main(base + ["--cache-dir", str(cache)]) == 0
+        assert "(cached)" in capsys.readouterr().err
+        assert main(base + ["--events", "1", "--json", str(observed)]) == 0
+        capsys.readouterr()
+        assert observed.read_text() == swept.read_text()
+
     def test_reproduce_single_figure(self, capsys):
         assert main(["reproduce", "--figures", "fig6b"]) == 0
         out = capsys.readouterr().out

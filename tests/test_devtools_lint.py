@@ -249,55 +249,6 @@ class TestApi001:
 
 
 # ----------------------------------------------------------------------
-# API002 — no run_experiment imports inside src/repro
-# ----------------------------------------------------------------------
-class TestApi002:
-    def test_flags_import_from_runner(self):
-        src = "from repro.experiments.runner import run_experiment\n"
-        assert "API002" in rules_of(lint_source(src, CORE_PATH))
-
-    def test_flags_import_from_package(self):
-        src = "from repro.experiments import run_experiment\n"
-        assert "API002" in rules_of(lint_source(src, CORE_PATH))
-
-    def test_flags_import_from_top_level(self):
-        src = "from repro import run_experiment\n"
-        assert "API002" in rules_of(lint_source(src, CORE_PATH))
-
-    def test_flags_relative_import(self):
-        src = "from .runner import run_experiment\n"
-        assert "API002" in rules_of(
-            lint_source(src, "src/repro/experiments/fixture.py")
-        )
-
-    def test_runner_module_itself_is_exempt(self):
-        src = "from repro.experiments.runner import run_experiment\n"
-        assert lint_source(src, "src/repro/experiments/runner.py") == []
-
-    def test_tests_and_examples_may_import_the_shim(self):
-        src = "from repro import run_experiment\n"
-        assert lint_source(src, TESTS_PATH) == []
-        assert "API002" not in rules_of(
-            lint_source(src, "examples/fixture.py")
-        )
-
-    def test_runspec_import_is_clean(self):
-        src = "from repro.experiments.spec import RunSpec, SweepSpec\n"
-        assert lint_source(src, CORE_PATH) == []
-
-    def test_sibling_names_from_runner_are_clean(self):
-        src = "from repro.experiments.runner import Simulation\n"
-        assert lint_source(src, CORE_PATH) == []
-
-    def test_suppression_comment_is_honoured(self):
-        src = (
-            "from repro.experiments.runner import run_experiment  "
-            "# lint: disable=API002(back-compat re-export)\n"
-        )
-        assert lint_source(src, CORE_PATH) == []
-
-
-# ----------------------------------------------------------------------
 # OBS001 — no time/datetime imports inside the telemetry package
 # ----------------------------------------------------------------------
 class TestObs001:
@@ -613,7 +564,6 @@ class TestEngine:
             "UNIT001",
             "UNIT002",
             "API001",
-            "API002",
             "OBS001",
             "OBS002",
             "SAN001",
@@ -621,7 +571,7 @@ class TestEngine:
             "SAN003",
         }
         assert all(summary for summary in catalog.values())
-        assert len(ALL_RULES) == 12
+        assert len(ALL_RULES) == 11
 
 
 class TestCli:

@@ -167,17 +167,16 @@ class TestEndToEnd:
         """Demand beyond one machine: vertical-only cannot keep up — the
         paper's core argument for hybridization."""
         from repro.core.hyscale import HyScaleCpu
-        from repro.experiments.runner import run_experiment
 
         config = SimulationConfig(cluster=ClusterConfig(worker_nodes=3), seed=2)
         specs = [MicroserviceSpec(name="svc", max_replicas=6)]
         loads = [ServiceLoad("svc", CPU_BOUND, ConstantLoad(24.0))]  # ~6 cores
-        elastic = run_experiment(
-            config=config, specs=specs, loads=loads, policy=ElasticDockerPolicy(), duration=90.0
-        )
-        hybrid = run_experiment(
-            config=config, specs=specs, loads=loads, policy=HyScaleCpu(), duration=90.0
-        )
+        elastic = Simulation.build(
+            config=config, specs=specs, loads=loads, policy=ElasticDockerPolicy()
+        ).run(90.0)
+        hybrid = Simulation.build(
+            config=config, specs=specs, loads=loads, policy=HyScaleCpu()
+        ).run(90.0)
         # Vertical-only hits the single-machine wall: mass timeouts.  The
         # hybrid replicates past it and keeps serving.
         assert hybrid.availability > 0.95

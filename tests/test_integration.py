@@ -9,7 +9,6 @@ from repro import (
     NetworkHpa,
     Simulation,
     SimulationConfig,
-    run_experiment,
 )
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
@@ -36,9 +35,9 @@ class TestEndToEnd:
     )
     def test_every_algorithm_completes_a_run(self, policy_cls):
         config, specs, loads = small_setup()
-        summary = run_experiment(
-            config=config, specs=specs, loads=loads, policy=policy_cls(), duration=60.0
-        )
+        summary = Simulation.build(
+            config=config, specs=specs, loads=loads, policy=policy_cls()
+        ).run(60.0)
         assert summary.total_requests > 200
         assert summary.algorithm == policy_cls().name
         assert 0.0 <= summary.percent_failed <= 100.0
@@ -46,16 +45,16 @@ class TestEndToEnd:
 
     def test_hybrid_performs_vertical_scaling(self):
         config, specs, loads = small_setup(rate=10.0)
-        summary = run_experiment(
-            config=config, specs=specs, loads=loads, policy=HyScaleCpu(), duration=60.0
-        )
+        summary = Simulation.build(
+            config=config, specs=specs, loads=loads, policy=HyScaleCpu()
+        ).run(60.0)
         assert summary.vertical_scale_ops > 0
 
     def test_kubernetes_only_horizontal(self):
         config, specs, loads = small_setup(rate=10.0)
-        summary = run_experiment(
-            config=config, specs=specs, loads=loads, policy=KubernetesHpa(), duration=60.0
-        )
+        summary = Simulation.build(
+            config=config, specs=specs, loads=loads, policy=KubernetesHpa()
+        ).run(60.0)
         assert summary.vertical_scale_ops == 0
         assert summary.horizontal_scale_ups > 0
 
@@ -63,21 +62,21 @@ class TestEndToEnd:
         """Demand beyond one replica's capacity must trigger scaling and
         still complete the bulk of the traffic."""
         config, specs, loads = small_setup(n_services=1, rate=14.0)
-        summary = run_experiment(
-            config=config, specs=specs, loads=loads, policy=HyScaleCpu(), duration=90.0
-        )
+        summary = Simulation.build(
+            config=config, specs=specs, loads=loads, policy=HyScaleCpu()
+        ).run(90.0)
         assert summary.availability > 0.95
 
     def test_memory_blind_policy_fails_memory_load(self):
         """Section VI: Kubernetes and HYSCALE_CPU 'are unable to handle
         memory-bound loads and crash' — here: OOM kills and failures."""
         config, specs, loads = small_setup(rate=30.0, profile=MEMORY_BOUND)
-        blind = run_experiment(
-            config=config, specs=specs, loads=loads, policy=HyScaleCpu(), duration=120.0
-        )
-        aware = run_experiment(
-            config=config, specs=specs, loads=loads, policy=HyScaleCpuMem(), duration=120.0
-        )
+        blind = Simulation.build(
+            config=config, specs=specs, loads=loads, policy=HyScaleCpu()
+        ).run(120.0)
+        aware = Simulation.build(
+            config=config, specs=specs, loads=loads, policy=HyScaleCpuMem()
+        ).run(120.0)
         assert blind.percent_failed > 1.0
         assert aware.percent_failed < blind.percent_failed
 
@@ -103,8 +102,8 @@ class TestEndToEnd:
 class TestDeterminism:
     def test_same_seed_same_summary(self):
         config, specs, loads = small_setup(seed=17)
-        a = run_experiment(config=config, specs=specs, loads=loads, policy=HyScaleCpu(), duration=45.0)
-        b = run_experiment(config=config, specs=specs, loads=loads, policy=HyScaleCpu(), duration=45.0)
+        a = Simulation.build(config=config, specs=specs, loads=loads, policy=HyScaleCpu()).run(45.0)
+        b = Simulation.build(config=config, specs=specs, loads=loads, policy=HyScaleCpu()).run(45.0)
         assert a.total_requests == b.total_requests
         assert a.avg_response_time == pytest.approx(b.avg_response_time)
         assert a.vertical_scale_ops == b.vertical_scale_ops
@@ -112,9 +111,9 @@ class TestDeterminism:
 
     def test_different_seed_different_arrivals(self):
         config, specs, loads = small_setup(seed=1)
-        a = run_experiment(config=config, specs=specs, loads=loads, policy=HyScaleCpu(), duration=45.0)
+        a = Simulation.build(config=config, specs=specs, loads=loads, policy=HyScaleCpu()).run(45.0)
         config2, specs2, loads2 = small_setup(seed=2)
-        b = run_experiment(config=config2, specs=specs2, loads=loads2, policy=HyScaleCpu(), duration=45.0)
+        b = Simulation.build(config=config2, specs=specs2, loads=loads2, policy=HyScaleCpu()).run(45.0)
         assert a.total_requests != b.total_requests
 
 

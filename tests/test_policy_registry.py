@@ -14,7 +14,7 @@ from repro.core import (
     registered_policies,
     resolve_policy,
 )
-from repro.core.registry import _REGISTRY
+from repro.core.registry import _POLICIES
 from repro.errors import ExperimentError
 
 
@@ -66,11 +66,19 @@ class TestRegistryContents:
         # error listings, and sweep shard keys all consume these tuples.
         from repro.platform.routing import registered_routings
         from repro.telemetry.sampling import registered_sampling_policies
+        from repro.workloads.registry import (
+            registered_apps,
+            registered_profiles,
+            registered_workloads,
+        )
 
         for names in (
             registered_policies(),
             registered_routings(),
             registered_sampling_policies(),
+            registered_workloads(),
+            registered_apps(),
+            registered_profiles(),
         ):
             assert isinstance(names, tuple)
             assert list(names) == sorted(names)
@@ -85,7 +93,7 @@ class TestRegistryContents:
             assert list(names) == sorted(names)
             assert names[0] == name
         finally:
-            _REGISTRY.pop(name, None)
+            _POLICIES._entries.pop(name, None)
 
 
 class TestRegisterPolicy:
@@ -96,7 +104,7 @@ class TestRegisterPolicy:
             assert name in registered_policies()
             assert isinstance(resolve_policy(name), HyScaleCpu)
         finally:
-            _REGISTRY.pop(name, None)
+            _POLICIES._entries.pop(name, None)
 
     def test_duplicate_registration_raises_unless_replaced(self):
         name = "test-registry-dup"
@@ -107,11 +115,24 @@ class TestRegisterPolicy:
             register_policy(name, lambda config: KubernetesHpa(), replace=True)
             assert isinstance(resolve_policy(name), KubernetesHpa)
         finally:
-            _REGISTRY.pop(name, None)
+            _POLICIES._entries.pop(name, None)
 
     def test_empty_name_rejected(self):
         with pytest.raises(ExperimentError, match="non-empty"):
             register_policy("", lambda config: HyScaleCpu())
+
+    def test_non_string_name_rejected_and_listing_survives(self):
+        # An int key would make every later sorted() listing (and with it
+        # the CLI's --help) raise TypeError.
+        with pytest.raises(ExperimentError, match="non-empty"):
+            register_policy(3, lambda config: HyScaleCpu())  # type: ignore[arg-type]
+        names = registered_policies()
+        assert list(names) == sorted(names)
+
+    def test_non_callable_factory_rejected_at_registration(self):
+        with pytest.raises(ExperimentError, match="callable"):
+            register_policy("test-registry-not-callable", 42)  # type: ignore[arg-type]
+        assert "test-registry-not-callable" not in registered_policies()
 
 
 class TestStringAcceptingSurfaces:

@@ -9,16 +9,15 @@ from repro.workloads.profiles import (
     MEMORY_BOUND,
     MIXED,
     NETWORK_BOUND,
-    PROFILES,
     MicroserviceProfile,
 )
-from repro.workloads.registry import resolve_profile
+from repro.workloads.registry import registered_profiles, resolve_profile
 
 
 class TestCanonicalProfiles:
     def test_registry_complete(self):
         # The paper's four profiles plus the disk extension.
-        assert set(PROFILES) == {
+        assert set(registered_profiles()) == {
             "cpu_bound",
             "memory_bound",
             "network_bound",

@@ -86,17 +86,15 @@ class TestTimestepRobustness:
         """Halving the step width must not flip who wins — results reflect
         the modeled system, not the integrator."""
         from dataclasses import replace
-        from repro.experiments.configs import cpu_bound, make_policy
-        from repro.experiments.runner import run_experiment
+        from repro.experiments.configs import cpu_bound
 
         def run(dt: float, algorithm: str):
             spec = cpu_bound("high")
             small = replace(spec, duration=60.0, specs=spec.specs[:3], loads=spec.loads[:3])
             config = small.config.with_overrides(dt=dt)
-            return run_experiment(
-                config=config, specs=list(small.specs), loads=list(small.loads),
-                policy=make_policy(algorithm, config), duration=small.duration,
-            )
+            return Simulation.build(
+                config=config, specs=list(small.specs), loads=list(small.loads), policy=algorithm
+            ).run(small.duration)
 
         for dt in (0.5, 0.25):
             k8s = run(dt, "kubernetes")

@@ -9,7 +9,7 @@ forth more resources to a particular container (i.e., vertical scaling)."
 
 import pytest
 
-from repro import HyScaleCpu, KubernetesHpa, Simulation, SimulationConfig, run_experiment
+from repro import HyScaleCpu, KubernetesHpa, Simulation, SimulationConfig
 from repro.cluster import MicroserviceSpec
 from repro.cluster.microservice import MicroserviceSpec as Spec
 from repro.config import ClusterConfig
@@ -119,12 +119,12 @@ class TestVerticalWinsForState:
             config = SimulationConfig(cluster=ClusterConfig(worker_nodes=4), seed=3)
             specs = [MicroserviceSpec(name="ledger", max_replicas=8, stateful=stateful)]
             loads = [ServiceLoad("ledger", CPU_BOUND, ConstantLoad(14.0))]
-            k8s = run_experiment(
-                config=config, specs=specs, loads=loads, policy=KubernetesHpa(), duration=120.0
-            )
-            hybrid = run_experiment(
-                config=config, specs=specs, loads=loads, policy=HyScaleCpu(), duration=120.0
-            )
+            k8s = Simulation.build(
+                config=config, specs=specs, loads=loads, policy=KubernetesHpa()
+            ).run(120.0)
+            hybrid = Simulation.build(
+                config=config, specs=specs, loads=loads, policy=HyScaleCpu()
+            ).run(120.0)
             return k8s.avg_response_time / hybrid.avg_response_time
 
         assert gap(stateful=True) > gap(stateful=False)

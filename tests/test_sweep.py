@@ -2,17 +2,14 @@
 
 Covers the ``repro.sweep/1`` codec (every built-in load pattern, configs,
 fleets), canonical-JSON stability, the documented shard-seed derivations,
-grid construction, and the contract that the deprecated ``run_experiment``
-shim forwards *exactly* to :class:`RunSpec`.
+and grid construction.
 """
 
 import json
-import warnings
 from dataclasses import replace
 
 import pytest
 
-from repro.config import SimulationConfig
 from repro.errors import ExperimentError
 from repro.experiments.configs import ALGORITHMS, cpu_bound
 from repro.experiments.spec import (
@@ -244,42 +241,3 @@ class TestSweepSpec:
 
     def test_seed_modes_constant(self):
         assert SEED_MODES == ("per_shard", "shared")
-
-
-# ----------------------------------------------------------------------
-# The deprecated shim forwards exactly
-# ----------------------------------------------------------------------
-class TestRunExperimentShim:
-    def test_warns_and_forwards_exactly(self):
-        from repro.experiments.runner import run_experiment
-
-        experiment = small_experiment()
-        with pytest.warns(DeprecationWarning):
-            shimmed = run_experiment(
-                config=experiment.config,
-                specs=list(experiment.specs),
-                loads=list(experiment.loads),
-                policy="hybrid",
-                duration=experiment.duration,
-                workload_label=experiment.label,
-            )
-        canonical_run = experiment.to_run_spec("hybrid").run()
-        assert canonical(shimmed.to_dict()) == canonical(canonical_run.to_dict())
-
-    def test_policy_objects_still_run(self):
-        from repro.core.hyscale import HyScaleCpu
-        from repro.experiments.runner import run_experiment
-
-        experiment = small_experiment()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            summary = run_experiment(
-                config=experiment.config,
-                specs=list(experiment.specs),
-                loads=list(experiment.loads),
-                policy=HyScaleCpu(),
-                duration=experiment.duration,
-                workload_label=experiment.label,
-            )
-        assert summary.algorithm == "hybrid"
-        assert summary.total_requests > 0

@@ -147,6 +147,11 @@ class TestPolicyRegistry:
         with pytest.raises(TelemetryError):
             register_sampling_policy("", SamplingController)
 
+    def test_register_rejects_non_callable_factory(self):
+        with pytest.raises(TelemetryError, match="callable"):
+            register_sampling_policy("test-not-callable", "nope")  # type: ignore[arg-type]
+        assert "test-not-callable" not in registered_sampling_policies()
+
     def test_register_replace_roundtrip(self):
         register_sampling_policy("test-probe", SamplingController)
         try:
@@ -154,9 +159,9 @@ class TestPolicyRegistry:
             register_sampling_policy("test-probe", AdaptiveSamplingController, replace=True)
             assert isinstance(make_sampling("test-probe"), AdaptiveSamplingController)
         finally:
-            from repro.telemetry.sampling import _REGISTRY
+            from repro.telemetry.sampling import _SAMPLINGS
 
-            _REGISTRY._entries.pop("test-probe", None)
+            _SAMPLINGS._entries.pop("test-probe", None)
 
     def test_resolve_none_is_full(self):
         controller = resolve_sampling(None)
