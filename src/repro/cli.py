@@ -100,6 +100,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if (args.workload is None) == (args.app is None):
         print("error: pass exactly one of a workload name or --app", file=sys.stderr)
         return 2
+    repeated = sorted({name for name in args.algorithms if args.algorithms.count(name) > 1})
+    if repeated:
+        print(f"error: --algorithms names {', '.join(repeated)} more than once", file=sys.stderr)
+        return 2
     spec = _build_spec(args.workload, args.burst, args.seed, app=args.app)
     # One shard list serves both paths, so --seed-mode and --routing mean
     # the same whether a run fans out or is observed in-process.
@@ -265,6 +269,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
             max_nodes=args.nodes,
         )
         print(f"{frames} frame(s), t={simulation.engine.clock.now:.1f}s", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) went away: exit quietly.
         try:

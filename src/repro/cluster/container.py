@@ -9,9 +9,10 @@ replica, as in Section V-A of the paper).  It carries:
 * **measured usage** — what ``docker stats`` would report: CPU cores used
   last step, resident memory, and egress throughput.
 
-The *node* owns scheduling (fair-share CPU, NIC transmission); the container
-owns distributing whatever it was granted across its in-flight requests
-(processor sharing) and its own memory accounting.
+The *node* owns scheduling (fair-share CPU, disk, NIC transmission); the
+container owns distributing whatever it was granted across its in-flight
+requests — one processor-sharing kernel, :meth:`Container._share_epochs`,
+for every grant — and its own memory accounting.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.cluster.grants import ResourceGrants
 from repro.config import OverheadModel
 from repro.errors import ContainerStateError
 from repro.units import cores_to_shares
-from repro.workloads.requests import FailureReason, Request, RequestState
+from repro.workloads.requests import FailureReason, Phase, Request
 
 _container_seq = itertools.count(1)
 
@@ -139,23 +140,15 @@ class Container:
         """Requests waiting in the connection backlog."""
         return self.inflight[self.max_concurrency :]
 
-    def cpu_phase_requests(self) -> list[Request]:
-        """In-flight requests still in their compute phase (arrival order).
+    def phase_requests(self, phase: Phase) -> list[Request]:
+        """In-flight requests currently in ``phase`` (arrival order).
 
         Progress flows through a *sliding* thread-pool window (see
-        :meth:`advance`), so short requests queued behind the first
+        :meth:`_share_epochs`), so short requests queued behind the first
         ``max_concurrency`` can still complete within one step; the window
         bounds simultaneous residency (memory), not per-step turnover.
         """
-        return [r for r in self.inflight if r.in_cpu_phase]
-
-    def disk_phase_requests(self) -> list[Request]:
-        """In-flight requests currently doing disk I/O (arrival order)."""
-        return [r for r in self.inflight if r.in_disk_phase]
-
-    def net_phase_requests(self) -> list[Request]:
-        """In-flight requests currently transmitting (arrival order)."""
-        return [r for r in self.inflight if r.in_net_phase]
+        return [r for r in self.inflight if r.phase is phase]
 
     def memory_working_set(self) -> float:
         """Resident memory: application base footprint + active requests.
@@ -190,11 +183,12 @@ class Container:
         """
         if not self.is_serving:
             return 0.0
-        background = self.overheads.container_background_cpu
-        if self.cpu_phase_requests() or self.net_phase_requests():
-            # Pending transmissions also need CPU (networking syscalls).
-            return node_capacity
-        return min(background, node_capacity)
+        for request in self.inflight:
+            phase = request.phase
+            if phase is Phase.CPU or phase is Phase.NET:
+                # Pending transmissions also need CPU (networking syscalls).
+                return node_capacity
+        return min(self.overheads.container_background_cpu, node_capacity)
 
     def advance(self, grants: ResourceGrants, dt: float) -> None:
         """Spend this step's resource grants on in-flight work.
@@ -229,7 +223,7 @@ class Container:
             raise ContainerStateError("invalid compute grant")
         background = min(self.overheads.container_background_cpu, granted_cores)
         useful = max(0.0, granted_cores - background)
-        requests = self.cpu_phase_requests()
+        requests = self.phase_requests(Phase.CPU)
         if not requests:
             self.cpu_usage = background if self.is_serving else 0.0
             self._net_cpu_headroom = useful
@@ -240,24 +234,7 @@ class Container:
             efficiency *= self.overheads.swap_slowdown
 
         budget = useful * dt * efficiency  # effective core-seconds this step
-        consumed = 0.0
-        # Processor sharing in epochs over a sliding thread-pool window: the
-        # first ``max_concurrency`` pending requests progress at equal rate;
-        # when the smallest finishes, the next queued request takes its slot
-        # within the same step (no budget is stranded at step boundaries).
-        candidates = [r for r in self.inflight if r.in_cpu_phase]
-        while candidates and budget > 1e-12:
-            window = candidates[: self.max_concurrency]
-            smallest = min(r.cpu_remaining for r in window)
-            per_request = min(budget / len(window), smallest)
-            for request in window:
-                request.advance_cpu(per_request)
-            spent = per_request * len(window)
-            consumed += spent
-            budget -= spent
-            if per_request < smallest - 1e-15:
-                break  # budget exhausted mid-epoch
-            candidates = [r for r in candidates if r.cpu_remaining > 1e-12]
+        consumed = self._share_epochs(requests, budget, Phase.CPU)
         # Measured usage is what was actually burned (back out efficiency so
         # swap stalls still *look* busy to the monitor, as iowait does).
         compute_cores = consumed / (dt * efficiency) if efficiency > 0 else 0.0
@@ -268,29 +245,17 @@ class Container:
         """Disk I/O demand in MB/s this step (outstanding I/O / dt)."""
         if not self.is_serving:
             return 0.0
-        return sum(r.disk_remaining for r in self.disk_phase_requests()) / dt
+        return sum(r.disk_remaining for r in self.phase_requests(Phase.DISK)) / dt
 
     def _advance_disk(self, granted_mb_per_s: float, dt: float) -> None:
-        """Spend a disk grant (MB/s) on pending I/O, fair-share epochs."""
+        """Spend a disk grant (MB/s) on pending I/O."""
         if granted_mb_per_s < 0 or dt <= 0:
             raise ContainerStateError("invalid disk grant")
-        candidates = self.disk_phase_requests()
-        if not candidates:
+        requests = self.phase_requests(Phase.DISK)
+        if not requests:
             self.disk_usage = 0.0
             return
-        budget = granted_mb_per_s * dt  # MB served this step
-        served = 0.0
-        while candidates and budget > 1e-12:
-            window = candidates[: self.max_concurrency]
-            smallest = min(r.disk_remaining for r in window)
-            per_request = min(budget / len(window), smallest)
-            for request in window:
-                request.advance_disk(per_request)
-            served += per_request * len(window)
-            budget -= per_request * len(window)
-            if per_request < smallest - 1e-15:
-                break
-            candidates = [r for r in candidates if r.disk_remaining > 1e-12]
+        served = self._share_epochs(requests, granted_mb_per_s * dt, Phase.DISK)
         self.disk_usage = served / dt
 
     def net_demand(self, dt: float) -> float:
@@ -302,7 +267,7 @@ class Container:
         """
         if not self.is_serving:
             return 0.0
-        pending = sum(r.net_remaining for r in self.net_phase_requests())
+        pending = sum(r.net_remaining for r in self.phase_requests(Phase.NET))
         demand = pending / dt
         coefficient = self.overheads.net_cpu_per_mbit
         if coefficient > 0:
@@ -310,33 +275,42 @@ class Container:
         return demand
 
     def _advance_network(self, granted_mbps: float, dt: float) -> None:
-        """Spend a NIC grant on pending response payloads (fair split)."""
+        """Spend a NIC grant on pending response payloads."""
         if granted_mbps < 0 or dt <= 0:
             raise ContainerStateError("invalid network grant")
-        requests = self.net_phase_requests()
+        requests = self.phase_requests(Phase.NET)
         if not requests:
             self.net_usage = 0.0
             return
-        budget = granted_mbps * dt  # Mbit transmitted this step
-        transmitted = 0.0
-        # Same epoch-based fair sharing as the CPU path: equal progress over
-        # the window; finished transfers free their slot within the step.
-        candidates = [r for r in self.inflight if r.in_net_phase]
-        while candidates and budget > 1e-12:
-            window = candidates[: self.max_concurrency]
-            smallest = min(r.net_remaining for r in window)
-            per_request = min(budget / len(window), smallest)
-            for request in window:
-                request.advance_net(per_request)
-            transmitted += per_request * len(window)
-            budget -= per_request * len(window)
-            if per_request < smallest - 1e-15:
-                break
-            candidates = [r for r in candidates if r.net_remaining > 1e-12]
+        transmitted = self._share_epochs(requests, granted_mbps * dt, Phase.NET)
         self.net_usage = transmitted / dt
         # Networking syscalls burn CPU proportional to bytes pushed; the
         # monitor sees it as CPU usage (it is, to `docker stats`).
         self.cpu_usage += self.net_usage * self.overheads.net_cpu_per_mbit
+
+    def _share_epochs(self, queue: list[Request], budget: float, phase: Phase) -> float:
+        """Processor-share ``budget`` over ``queue``'s ``phase`` work; return what was spent.
+
+        The one sharing kernel behind every grant (DESIGN.md §4, "Processor
+        sharing").  It runs in epochs over a sliding thread-pool window: the
+        first ``max_concurrency`` queued requests progress at an equal rate;
+        when the smallest finishes, the next queued request takes its slot
+        within the same step, so no budget is stranded at step boundaries.
+        """
+        spent = 0.0
+        while queue and budget > 1e-12:
+            window = queue[: self.max_concurrency]
+            smallest = min(r.remaining(phase) for r in window)
+            per_request = min(budget / len(window), smallest)
+            for request in window:
+                request.advance(phase, per_request)
+            epoch = per_request * len(window)
+            spent += epoch
+            budget -= epoch
+            if per_request < smallest - 1e-15:
+                break  # budget exhausted mid-epoch
+            queue = [r for r in queue if r.remaining(phase) > 1e-12]
+        return spent
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -385,13 +359,7 @@ class Container:
         """
         still_inflight: list[Request] = []
         for request in self.inflight:
-            if (
-                request.state is RequestState.RUNNING
-                and request.cpu_remaining <= 1e-12
-                and request.disk_remaining <= 1e-12
-                and request.net_remaining <= 1e-12
-                and request.downstream_pending == 0
-            ):
+            if request.local_work_done and request.downstream_pending == 0:
                 if request.downstream_failed:
                     request.fail(now, FailureReason.CONNECTION)
                     self.total_failed += 1

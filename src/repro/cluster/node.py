@@ -159,11 +159,14 @@ class Node:
         for container in self.active_containers():
             container.tick_boot(dt)
 
-        self._schedule_cpu(dt)
-        self._schedule_disk(dt)
-        self._schedule_network(dt)
+        # Only boots change who is serving, so one id-ordered list serves
+        # the three schedulers and settlement.
+        serving = self.serving_containers()
+        self._schedule_cpu(serving, dt)
+        self._schedule_disk(serving, dt)
+        self._schedule_network(serving, dt)
 
-        for container in self.serving_containers():
+        for container in serving:
             container.settle_requests(now)
             if container.over_oom_threshold:
                 # The kernel kills the worst offender; requests die as
@@ -209,9 +212,8 @@ class Node:
             return serving
         return None
 
-    def _schedule_cpu(self, dt: float) -> None:
+    def _schedule_cpu(self, containers: list[Container], dt: float) -> None:
         """Weighted fair-share CPU with the co-location contention penalty."""
-        containers = self.serving_containers()
         if not containers:
             return
         demands = [c.cpu_demand(self.capacity.cpu) for c in containers]
@@ -229,9 +231,8 @@ class Node:
         for container, granted in zip(containers, grants):
             container.advance(ResourceGrants(cpu=granted, contention=contention), dt)
 
-    def _schedule_disk(self, dt: float) -> None:
+    def _schedule_disk(self, containers: list[Container], dt: float) -> None:
         """Fair-share the disk device over containers with pending I/O."""
-        containers = self.serving_containers()
         offered = {c.container_id: c.disk_demand(dt) for c in containers}
         if not any(load > 0 for load in offered.values()):
             for c in containers:
@@ -241,9 +242,8 @@ class Node:
         for container in containers:
             container.advance(ResourceGrants(disk=grants.get(container.container_id, 0.0)), dt)
 
-    def _schedule_network(self, dt: float) -> None:
+    def _schedule_network(self, containers: list[Container], dt: float) -> None:
         """HTB shaping + tx-queue contention over all serving containers."""
-        containers = self.serving_containers()
         offered = {c.container_id: c.net_demand(dt) for c in containers}
         if not any(load > 0 for load in offered.values()):
             for c in containers:

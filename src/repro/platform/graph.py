@@ -109,16 +109,6 @@ class _TierRecord:
         self.joined = False
 
 
-def _local_work_done(request: Request) -> bool:
-    """True once a running request's own CPU/disk/net phases are finished."""
-    return (
-        request.state is RequestState.RUNNING
-        and request.cpu_remaining <= 1e-12
-        and request.disk_remaining <= 1e-12
-        and request.net_remaining <= 1e-12
-    )
-
-
 class GraphRouter:
     """Engine actor that dispatches and joins cross-tier calls.
 
@@ -215,7 +205,7 @@ class GraphRouter:
             if request.is_finished:
                 self._join(record)
                 finished_ids.append(request.request_id)
-            elif not record.dispatched and _local_work_done(request):
+            elif not record.dispatched and request.local_work_done:
                 record.dispatched = True
                 self._dispatch(record)
         for request_id in finished_ids:

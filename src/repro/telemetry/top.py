@@ -81,8 +81,7 @@ def render_top(
     (the default) renders every node in registration order, which keeps
     small-fleet frames byte-identical to the pre-``max_nodes`` dashboard.
     """
-    if max_nodes is not None and max_nodes < 1:
-        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    _check_max_nodes(max_nodes)
     lines: list[str] = []
     header = f"hyscale-repro top — t={now:.1f}s"
     if title:
@@ -235,6 +234,11 @@ def render_top(
     return "\n".join(lines) + "\n"
 
 
+def _check_max_nodes(max_nodes: int | None) -> None:
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+
+
 def run_top(
     simulation: object,
     *,
@@ -248,27 +252,37 @@ def run_top(
     """Drive ``simulation`` and write one frame per simulated interval.
 
     ``simulation`` is a built :class:`repro.experiments.Simulation` (typed
-    loosely to keep this module import-light).  Returns the number of
-    frames written; stops early — cleanly — if the stream's consumer goes
-    away (``BrokenPipeError``), so piping into ``head`` works.
+    loosely to keep this module import-light).  The engine moves in whole
+    steps, so each frame lands on the last step boundary at or before its
+    due time, and the run ends at the last boundary within ``duration``.
+    Raises ``ValueError`` for an ``interval`` shorter than one step or a
+    ``max_nodes`` below 1.  Returns the number of frames written; stops
+    early — cleanly — if the stream's consumer goes away
+    (``BrokenPipeError``), so piping into ``head`` works.
     """
     engine = simulation.engine  # type: ignore[attr-defined]
     hub = simulation.telemetry  # type: ignore[attr-defined]
     if hub is None or not hub.registry.enabled:
         raise ValueError("run_top needs a simulation built with a recording registry")
+    clock = engine.clock
+    if not interval >= clock.dt:  # written so that NaN fails too
+        raise ValueError(f"interval must be at least one step ({clock.dt:g} s), got {interval:g}")
+    _check_max_nodes(max_nodes)
     frames = 0
-    remaining = duration
+    end = clock.now + duration
+    due = clock.now
     try:
-        while remaining > 1e-9:
-            chunk = min(interval, remaining)
-            engine.run_for(chunk)
-            remaining -= chunk
+        # Loop on the clock, not on the time asked for: ``run_for`` takes
+        # whole steps only, so it can pass less time than it was given.
+        while clock.now + clock.dt <= end + 1e-9:
+            due = min(due + interval, end)
+            engine.run_for(due - clock.now)
             if clear:
                 stream.write("\x1b[2J\x1b[H")
             stream.write(
                 render_top(
                     hub.registry,
-                    now=engine.clock.now,
+                    now=clock.now,
                     slo=hub.slo,
                     title=title,
                     max_nodes=max_nodes,

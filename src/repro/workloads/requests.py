@@ -1,9 +1,10 @@
 """Client request model and failure taxonomy.
 
 A request is the unit of load: it arrives at the load balancer, is routed to
-one replica, consumes CPU there (a processor-sharing phase), then transmits
-its response over the node's NIC (a network phase).  The paper's Figures 6-8
-distinguish exactly two failure classes, which we mirror:
+one replica, and works through its processor-sharing phases there
+(:class:`Phase`): compute, disk I/O, then its response over the node's NIC.
+The paper's Figures 6-8 distinguish exactly two failure classes, which we
+mirror:
 
 * **removal failures** — "requests that end prematurely due to container
   removals" (a replica was scaled in or OOM-killed while serving);
@@ -29,6 +30,14 @@ class RequestState(enum.Enum):
     RUNNING = "running"  # assigned to a replica, consuming resources
     SUCCEEDED = "succeeded"
     FAILED = "failed"
+
+
+class Phase(enum.Enum):
+    """The local work phases of a running request, in the order served."""
+
+    CPU = "cpu"  # core-seconds of compute
+    DISK = "disk"  # MB of disk I/O
+    NET = "net"  # Mbit of response payload
 
 
 class FailureReason(enum.Enum):
@@ -139,29 +148,31 @@ class Request:
         """Mbit of response payload still to transmit."""
         return max(0.0, self.net_mbits - self.net_done)
 
-    @property
-    def in_cpu_phase(self) -> bool:
-        """True while compute is unfinished."""
-        return self.state is RequestState.RUNNING and self.cpu_remaining > 1e-12
+    def remaining(self, phase: Phase) -> float:
+        """Work still required in ``phase`` (core-seconds, MB, or Mbit)."""
+        if phase is Phase.CPU:
+            return self.cpu_remaining
+        if phase is Phase.DISK:
+            return self.disk_remaining
+        return self.net_remaining
 
     @property
-    def in_disk_phase(self) -> bool:
-        """True once compute is done but disk I/O is still outstanding."""
-        return (
-            self.state is RequestState.RUNNING
-            and not self.in_cpu_phase
-            and self.disk_remaining > 1e-12
-        )
+    def phase(self) -> Phase | None:
+        """The running request's current phase (CPU, then DISK, then NET), else ``None``."""
+        if self.state is not RequestState.RUNNING:
+            return None
+        if self.cpu_remaining > 1e-12:
+            return Phase.CPU
+        if self.disk_remaining > 1e-12:
+            return Phase.DISK
+        if self.net_remaining > 1e-12:
+            return Phase.NET
+        return None
 
     @property
-    def in_net_phase(self) -> bool:
-        """True once compute and disk are done but the payload is in flight."""
-        return (
-            self.state is RequestState.RUNNING
-            and not self.in_cpu_phase
-            and not self.in_disk_phase
-            and self.net_remaining > 1e-12
-        )
+    def local_work_done(self) -> bool:
+        """True once a running request has no phase left (graph calls may still be pending)."""
+        return self.state is RequestState.RUNNING and self.phase is None
 
     @property
     def is_finished(self) -> bool:
@@ -193,23 +204,16 @@ class Request:
         self.start_time = now
         self.overhead_factor = overhead_factor
 
-    def advance_cpu(self, core_seconds: float) -> None:
-        """Credit ``core_seconds`` of compute progress."""
-        if core_seconds < 0:
-            raise WorkloadError("cpu progress must be non-negative")
-        self.cpu_done += core_seconds
-
-    def advance_disk(self, mb: float) -> None:
-        """Credit ``mb`` of disk I/O progress."""
-        if mb < 0:
-            raise WorkloadError("disk progress must be non-negative")
-        self.disk_done += mb
-
-    def advance_net(self, mbits: float) -> None:
-        """Credit ``mbits`` of transmitted payload."""
-        if mbits < 0:
-            raise WorkloadError("net progress must be non-negative")
-        self.net_done += mbits
+    def advance(self, phase: Phase, amount: float) -> None:
+        """Credit ``amount`` of progress in ``phase``."""
+        if amount < 0:
+            raise WorkloadError("progress must be non-negative")
+        if phase is Phase.CPU:
+            self.cpu_done += amount
+        elif phase is Phase.DISK:
+            self.disk_done += amount
+        else:
+            self.net_done += amount
 
     def complete(self, now: float) -> None:
         """Mark the request successful."""

@@ -19,6 +19,12 @@ class TestParser:
         assert main(["run"]) == 2
         assert main(["run", "cpu", "--app", "three-tier"]) == 2
 
+    def test_run_rejects_a_repeated_algorithm(self, capsys):
+        # Rejected before anything is built: a usage error, not a traceback.
+        assert main(["run", "cpu", "--algorithms", "hybrid", "hybrid"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "hybrid" in err
+
     def test_run_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "gpu"])
@@ -381,6 +387,23 @@ class TestTelemetryCommands:
         node_rows = [line for line in out.splitlines() if line.startswith("node-")]
         frames = out.count("NODE")
         assert len(node_rows) == 2 * frames
+
+    def test_top_counts_simulated_time(self, capsys):
+        # 0.7 s is not a whole number of 0.5 s steps; the run still ends
+        # at the requested duration.
+        assert main(["top", "cpu", "--duration", "10", "--interval", "0.7"]) == 0
+        assert "t=10.0s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--interval", "0"], ["--interval", "0.2"], ["--interval", "-1"], ["--nodes", "0"]],
+        ids=["interval-0", "interval-below-step", "interval-negative", "nodes-0"],
+    )
+    def test_top_rejects_bad_interval_and_nodes(self, capsys, flags):
+        assert main(["top", "cpu", "--duration", "10", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_run_with_adaptive_sampling_reports_the_budget(self, capsys):
         assert main(

@@ -9,7 +9,7 @@ from repro.cluster.resources import ResourceVector
 from repro.core.disk import DiskHpa
 from repro.core.actions import AddReplica
 from repro.errors import ClusterError
-from repro.workloads.requests import Request
+from repro.workloads.requests import Phase, Request
 
 from tests.conftest import make_container, make_replica, make_service, make_view
 
@@ -69,11 +69,11 @@ class TestDiskPhase:
     def test_phase_order_cpu_disk_net(self):
         request = Request(service="s", arrival_time=0.0, cpu_work=1.0, disk_mb=5.0, net_mbits=2.0)
         request.assign("c1", 0.0)
-        assert request.in_cpu_phase
-        request.advance_cpu(1.0)
-        assert request.in_disk_phase and not request.in_net_phase
-        request.advance_disk(5.0)
-        assert request.in_net_phase
+        assert request.phase is Phase.CPU
+        request.advance(Phase.CPU, 1.0)
+        assert request.phase is Phase.DISK
+        request.advance(Phase.DISK, 5.0)
+        assert request.phase is Phase.NET
 
     def test_container_disk_progress(self, overheads):
         container = make_container(overheads=overheads)

@@ -7,7 +7,9 @@ text form and hashed; the digests below were recorded from the engine as
 it stood before the quiet-node step and the frame-based stats history
 moved onto ``Node``/``NodeManager``.  Every registered policy is pinned at
 the paper's 24-node scale, plus a three-tier application run (graph
-dispatch, join, and back-pressure).  A digest mismatch means the engine's
+dispatch, join, and back-pressure) and a disk-bound run, recorded before
+CPU, disk and NIC grants shared one processor-sharing kernel (the policy
+runs never touch the disk).  A digest mismatch means the engine's
 observable behaviour changed: find the byte that moved, do not re-record.
 
 The digests were recorded on CPython 3.11, where ``sum()`` over floats is
@@ -29,12 +31,20 @@ from repro.experiments.runner import Simulation
 from repro.metrics.sla import Sla
 from repro.obs import DecisionTracer, spans_to_jsonl
 from repro.telemetry import MetricRegistry, SloTracker, render_openmetrics, snapshot_to_jsonl
-from repro.workloads import CPU_BOUND, HighBurstLoad, LowBurstLoad, ServiceLoad
+from repro.workloads import (
+    CPU_BOUND,
+    DISK_BOUND,
+    HighBurstLoad,
+    LowBurstLoad,
+    MicroserviceProfile,
+    ServiceLoad,
+)
 from repro.workloads.graph import three_tier_app
 
 ARTEFACTS = ("summary", "events", "timeline", "trace", "openmetrics", "snapshot")
 
-#: sha256 per artefact, per run.  Keys are policy names plus "app:three-tier".
+#: sha256 per artefact, per run.  Keys are policy names plus prefixed keys
+#: for the other runs ("app:three-tier", "load:disk-bound").
 GOLDEN: dict[str, dict[str, str]] = {
     "app:three-tier": {
         "summary": "759d78970694e569c42abf6519debc4fbbaed5b29835308b5d1762b86a50c8a3",
@@ -43,6 +53,14 @@ GOLDEN: dict[str, dict[str, str]] = {
         "trace": "cf0c852223a467e2bd30053e1b4e0067c6561eb582f7bb09ade182bea99fe622",
         "openmetrics": "f4ba80b3303a17fae6f4d718de76c5402ff45371b7d238a8c839217f3afd5a55",
         "snapshot": "33d8253c4f93d911740aee0e8658962197cda90631aafc00040a2d9f0ea81fd4",
+    },
+    "load:disk-bound": {
+        "summary": "397656ea46723e93ae713916f4ed3182bc461714be4c7cf212539d874b9e9dec",
+        "events": "b4676ab17aa8fb7ea08582fa0f461b309eaee0ddaf5feb221637721c7d024172",
+        "timeline": "91440176bfadde267a32d34716619f84d1126977cb95daa5c6760d55fbe13764",
+        "trace": "ed0a90ed2041f517571a4de2cdaf0b86ac4d22275fa574b64a35c538ebf710a3",
+        "openmetrics": "ff46df9ee4af17be9280d4ecab6c6286056371dbd116f2644b1f48f9e27aeca2",
+        "snapshot": "60b92f4768d65f29c4300d743c35cd153b89046d645109bcc8b4c752ef861a3f",
     },
     "disk": {
         "summary": "8e90d6edcea7cb2c230429daedbf23227ab4ac97b0fba5432545cfeac4c40f7d",
@@ -144,30 +162,45 @@ def _observed_run(duration: float, **build: object) -> dict[str, str]:
     return {name: _sha(texts[name]) for name in ARTEFACTS}
 
 
-def policy_digests(policy: str) -> dict[str, str]:
-    """Two bursty CPU-bound services on the paper's 24 workers, 45 s."""
+def policy_digests(
+    policy: str,
+    *,
+    profile: MicroserviceProfile = CPU_BOUND,
+    pattern: HighBurstLoad = HighBurstLoad(base=4.0, peak=14.0, period=40.0, duty=0.4),
+    worker_nodes: int = 24,
+    workload_label: str = "backend-parity",
+) -> dict[str, str]:
+    """Two bursty services (CPU-bound by default) on the paper's 24 workers, 45 s."""
     specs = [
         MicroserviceSpec(
             name=f"svc-{i}", cpu_request=0.5, mem_limit=512.0, net_rate=50.0, max_replicas=8
         )
         for i in range(2)
     ]
-    loads = [
-        ServiceLoad(
-            service=spec.name,
-            profile=CPU_BOUND,
-            pattern=HighBurstLoad(base=4.0, peak=14.0, period=40.0, duty=0.4),
-        )
-        for spec in specs
-    ]
+    loads = [ServiceLoad(service=spec.name, profile=profile, pattern=pattern) for spec in specs]
     return _observed_run(
         45.0,
-        config=SimulationConfig(cluster=ClusterConfig(worker_nodes=24), seed=7),
+        config=SimulationConfig(cluster=ClusterConfig(worker_nodes=worker_nodes), seed=7),
         specs=specs,
         loads=loads,
         policy=policy,
         # The label is part of the pinned summary bytes.
-        workload_label="backend-parity",
+        workload_label=workload_label,
+    )
+
+
+def disk_bound_digests() -> dict[str, str]:
+    """Two bursty disk-bound services on 8 workers under the disk policy.
+
+    The policy runs above use CPU-bound load, so their disks stay idle;
+    this run is the one that pins disk grants (and their seek thrash).
+    """
+    return policy_digests(
+        "disk",
+        profile=DISK_BOUND,
+        pattern=HighBurstLoad(base=6.0, peak=30.0, period=40.0, duty=0.4),
+        worker_nodes=8,
+        workload_label="disk-bound",
     )
 
 
@@ -190,7 +223,8 @@ def app_digests() -> dict[str, str]:
 
 
 def test_every_registered_policy_is_pinned():
-    assert sorted(k for k in GOLDEN if not k.startswith("app:")) == list(registered_policies())
+    # Prefixed keys ("app:", "load:") name runs, not policies.
+    assert sorted(k for k in GOLDEN if ":" not in k) == list(registered_policies())
 
 
 @pytest.mark.parametrize("policy", registered_policies())
@@ -200,3 +234,7 @@ def test_policy_run_matches_golden_digests(policy):
 
 def test_three_tier_app_run_matches_golden_digests():
     assert app_digests() == GOLDEN["app:three-tier"]
+
+
+def test_disk_bound_run_matches_golden_digests():
+    assert disk_bound_digests() == GOLDEN["load:disk-bound"]

@@ -14,7 +14,7 @@ from repro.cluster.grants import ResourceGrants
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
 from repro.config import OverheadModel
-from repro.workloads.requests import Request
+from repro.workloads.requests import Phase, Request
 
 QUIET = OverheadModel(
     colocation_contention=0.0,
@@ -90,13 +90,27 @@ class TestNetworkConservation:
     def test_transmitted_bounded_by_grant(self, batch, granted):
         container, requests = container_with(batch)
         for request in requests:
-            request.advance_cpu(request.cpu_remaining)  # skip to net phase
-            request.advance_disk(request.disk_remaining)
+            request.advance(Phase.CPU, request.cpu_remaining)  # skip to net phase
+            request.advance(Phase.DISK, request.disk_remaining)
         before = sum(r.net_done for r in requests)
         container.advance(ResourceGrants(net=granted), 1.0)
         sent = sum(r.net_done for r in requests) - before
         assert sent <= granted * 1.0 + 1e-6
         assert container.net_usage == pytest.approx(sent, rel=1e-6, abs=1e-6)
+
+    @given(batch=request_batches, granted=st.floats(0.0, 200.0, allow_nan=False))
+    @settings(max_examples=60, deadline=None)
+    def test_work_conserving_until_done(self, batch, granted):
+        """Either the whole grant is sent or every payload is out."""
+        container, requests = container_with(batch)
+        for request in requests:
+            request.advance(Phase.CPU, request.cpu_remaining)  # skip to net phase
+            request.advance(Phase.DISK, request.disk_remaining)
+        outstanding = sum(r.net_remaining for r in requests)
+        before = sum(r.net_done for r in requests)
+        container.advance(ResourceGrants(net=granted), 1.0)
+        sent = sum(r.net_done for r in requests) - before
+        assert abs(sent - min(granted * 1.0, outstanding)) <= 1e-6
 
 
 class TestDiskConservation:
@@ -105,11 +119,24 @@ class TestDiskConservation:
     def test_served_bounded_by_grant(self, batch, granted):
         container, requests = container_with(batch)
         for request in requests:
-            request.advance_cpu(request.cpu_remaining)
+            request.advance(Phase.CPU, request.cpu_remaining)
         before = sum(r.disk_done for r in requests)
         container.advance(ResourceGrants(disk=granted), 1.0)
         served = sum(r.disk_done for r in requests) - before
         assert served <= granted + 1e-6
+
+    @given(batch=request_batches, granted=st.floats(0.0, 300.0, allow_nan=False))
+    @settings(max_examples=60, deadline=None)
+    def test_work_conserving_until_done(self, batch, granted):
+        """Either the whole grant is served or every disk phase ends."""
+        container, requests = container_with(batch)
+        for request in requests:
+            request.advance(Phase.CPU, request.cpu_remaining)
+        outstanding = sum(r.disk_remaining for r in requests)
+        before = sum(r.disk_done for r in requests)
+        container.advance(ResourceGrants(disk=granted), 1.0)
+        served = sum(r.disk_done for r in requests) - before
+        assert abs(served - min(granted * 1.0, outstanding)) <= 1e-6
 
 
 class TestNodeConservation:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.requests import FailureReason, Request, RequestState
+from repro.workloads.requests import FailureReason, Phase, Request, RequestState
 
 
 def make_request(**kwargs) -> Request:
@@ -38,28 +38,28 @@ class TestPhases:
     def test_cpu_then_net_phase(self):
         request = make_request()
         request.assign("c1", 1.0)
-        assert request.in_cpu_phase and not request.in_net_phase
-        request.advance_cpu(0.5)
-        assert not request.in_cpu_phase and request.in_net_phase
-        request.advance_net(2.0)
-        assert not request.in_net_phase
+        assert request.phase is Phase.CPU
+        request.advance(Phase.CPU, 0.5)
+        assert request.phase is Phase.NET
+        request.advance(Phase.NET, 2.0)
+        assert request.phase is None
 
     def test_no_cpu_work_goes_straight_to_net(self):
         request = make_request(cpu_work=0.0)
         request.assign("c1", 1.0)
-        assert not request.in_cpu_phase and request.in_net_phase
+        assert request.phase is Phase.NET
 
     def test_overhead_factor_inflates_cpu(self):
         request = make_request(cpu_work=1.0)
         request.assign("c1", 1.0, overhead_factor=1.2)
         assert request.effective_cpu_work == pytest.approx(1.2)
-        request.advance_cpu(1.0)
-        assert request.in_cpu_phase  # 0.2 still remaining
+        request.advance(Phase.CPU, 1.0)
+        assert request.phase is Phase.CPU  # 0.2 still remaining
 
     def test_remaining_never_negative(self):
         request = make_request(cpu_work=0.5)
         request.assign("c1", 1.0)
-        request.advance_cpu(10.0)
+        request.advance(Phase.CPU, 10.0)
         assert request.cpu_remaining == 0.0
 
 
@@ -72,13 +72,13 @@ class TestMemoryRamp:
     def test_full_at_completion_of_work(self):
         request = make_request(mem_footprint=100.0, cpu_work=1.0, net_mbits=0.0)
         request.assign("c1", 1.0)
-        request.advance_cpu(1.0)
+        request.advance(Phase.CPU, 1.0)
         assert request.resident_memory == pytest.approx(100.0)
 
     def test_progress_spans_both_phases(self):
         request = make_request(cpu_work=1.0, net_mbits=1.0)
         request.assign("c1", 1.0)
-        request.advance_cpu(1.0)
+        request.advance(Phase.CPU, 1.0)
         assert request.progress == pytest.approx(0.5)
 
     def test_zero_work_counts_as_done(self):
@@ -126,6 +126,6 @@ class TestTransitions:
         request = make_request()
         request.assign("c1", 1.0)
         with pytest.raises(WorkloadError):
-            request.advance_cpu(-0.1)
+            request.advance(Phase.CPU, -0.1)
         with pytest.raises(WorkloadError):
-            request.advance_net(-0.1)
+            request.advance(Phase.NET, -0.1)
