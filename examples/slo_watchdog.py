@@ -16,7 +16,7 @@ Run with::
     python examples/slo_watchdog.py
 """
 
-from repro import Simulation, SimulationConfig, Sla
+from repro import Observe, Simulation, SimulationConfig, Sla
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
 from repro.telemetry import (
@@ -66,8 +66,7 @@ def main() -> None:
         loads=loads,
         policy="hybridmem",
         workload_label="slo-watchdog",
-        telemetry=registry,
-        slo=slo,
+        observe=Observe(telemetry=registry, slo=slo),
     )
     summary = sim.run(duration=420.0)
     now = sim.engine.clock.now

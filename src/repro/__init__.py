@@ -42,6 +42,7 @@ from repro.core import (
 )
 from repro.errors import ReproError
 from repro.experiments.runner import Simulation
+from repro.instrument import Observe
 from repro.experiments.spec import RunSpec, SweepSpec
 from repro.metrics import (
     MetricsCollector,
@@ -54,20 +55,8 @@ from repro.metrics import (
 )
 from repro.obs import DecisionTracer, NullTracer, PhaseProfiler, Tracer
 from repro.parallel import ShardCache, ShardError, SweepExecutor, SweepResult
-from repro.sanitizer import (
-    NULL_SANITIZER,
-    NullSanitizer,
-    Sanitizer,
-    SanViolation,
-    SimSanitizer,
-)
-from repro.telemetry import (
-    NULL_REGISTRY,
-    MetricRegistry,
-    NullRegistry,
-    RunTelemetry,
-    SloTracker,
-)
+from repro.sanitizer import Sanitizer, SanViolation, SimSanitizer
+from repro.telemetry import MetricRegistry, RunTelemetry, SloTracker
 
 __version__ = "1.0.0"
 
@@ -110,21 +99,18 @@ __all__ = [
     "TimelinePoint",
     "ScalingEvent",
     "ScalingEventLog",
-    # observability
+    # observability: one Observe bundle per run
+    "Observe",
     "Tracer",
     "NullTracer",
     "DecisionTracer",
     "PhaseProfiler",
     # streaming telemetry
     "MetricRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "RunTelemetry",
     "SloTracker",
     # the simulation sanitizer
     "Sanitizer",
-    "NullSanitizer",
-    "NULL_SANITIZER",
     "SimSanitizer",
     "SanViolation",
     # errors

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis.speedup import failure_reduction, response_speedup
+from repro.analysis.speedup import response_speedup
 from repro.errors import ExperimentError
 from repro.experiments.report import comparison_table
 from repro.metrics.summary import RunSummary
@@ -35,11 +35,6 @@ class ComparisonReport:
         """Response-time speedup of each algorithm over the baseline."""
         base = self.summaries[self.baseline]
         return {name: response_speedup(s, base) for name, s in self.summaries.items()}
-
-    def failure_reductions(self) -> dict[str, float]:
-        """Failure-rate reduction factor of each algorithm over the baseline."""
-        base = self.summaries[self.baseline]
-        return {name: failure_reduction(s, base) for name, s in self.summaries.items()}
 
     def fastest(self) -> str:
         """Algorithm with the lowest user-traffic average response time."""

@@ -27,6 +27,7 @@ from dataclasses import replace
 
 from repro.analysis.compare import compare_runs
 from repro.core.registry import registered_policies
+from repro.errors import WorkloadError
 from repro.experiments.configs import (
     ALGORITHMS,
     BURSTS,
@@ -43,6 +44,7 @@ from repro.experiments.section3 import (
     network_scaling_curve,
 )
 from repro.experiments.spec import SEED_MODES, RunSpec
+from repro.instrument import Observe
 from repro.platform.routing import DEFAULT_ROUTING, registered_routings
 from repro.telemetry.sampling import registered_sampling_policies
 from repro.workloads.bitbrains import generate_bitbrains_trace
@@ -96,6 +98,14 @@ def _run_progress(shard: RunSpec, status: str) -> None:
         print(f"running {shard.label} under {shard.policy} ... (cached)", file=sys.stderr)
 
 
+def _jobs_ok(jobs: int) -> bool:
+    """``--jobs`` names at least one worker; else print the usage error."""
+    if jobs >= 1:
+        return True
+    print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+    return False
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if (args.workload is None) == (args.app is None):
         print("error: pass exactly one of a workload name or --app", file=sys.stderr)
@@ -103,6 +113,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     repeated = sorted({name for name in args.algorithms if args.algorithms.count(name) > 1})
     if repeated:
         print(f"error: --algorithms names {', '.join(repeated)} more than once", file=sys.stderr)
+        return 2
+    if not _jobs_ok(args.jobs):
         return 2
     spec = _build_spec(args.workload, args.burst, args.seed, app=args.app)
     # One shard list serves both paths, so --seed-mode and --routing mean
@@ -122,32 +134,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # sampling controllers) needs the Simulation object in-process, so
         # this path runs the shards serially and uncached; the plain
         # comparison path below fans out.
-        from repro.obs import NULL_TRACER, DecisionTracer, write_trace_jsonl
-        from repro.telemetry import NULL_REGISTRY, MetricRegistry
+        from repro.obs import DecisionTracer, write_trace_jsonl
+        from repro.telemetry import MetricRegistry
 
         for shard in sweep.shards:
             algorithm = shard.policy
             print(f"running {shard.label} under {algorithm} ...", file=sys.stderr)
-            tracer = DecisionTracer() if args.trace_out else NULL_TRACER
-            registry: MetricRegistry = NULL_REGISTRY
+            tracer = DecisionTracer() if args.trace_out else None
+            # Sampling decides what the live registry collects, so it
+            # needs a recording registry even without export flags.
+            registry = MetricRegistry() if wants_metrics or wants_sampling else None
             slo = None
-            if wants_metrics or wants_sampling:
-                # Sampling decides what the live registry collects, so it
-                # needs a recording registry even without export flags.
-                registry = MetricRegistry()
             if wants_metrics:
                 from repro.metrics import Sla
                 from repro.telemetry import SloTracker
 
                 slo = SloTracker(Sla(response_time_target=args.sla_target))
             simulation = shard.build(
-                tracer=tracer,
-                telemetry=registry,
-                slo=slo,
-                sampling=args.sampling if wants_sampling else None,
+                observe=Observe(
+                    tracer=tracer,
+                    telemetry=registry,
+                    slo=slo,
+                    sampling=args.sampling if wants_sampling else None,
+                )
             )
             summaries[algorithm] = simulation.run(shard.duration)
-            if wants_sampling:
+            if wants_sampling and simulation.telemetry is not None:
                 controller = simulation.telemetry.sampling
                 budget = controller.budget
                 print(
@@ -157,11 +169,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"(staleness bound {controller.max_staleness():.0f}s)",
                     file=sys.stderr,
                 )
-            if args.trace_out:
+            if tracer is not None:
                 path = _trace_path(args.trace_out, algorithm, multiple)
                 count = write_trace_jsonl(tracer.spans(), path)
                 print(f"wrote {count} decision spans to {path}", file=sys.stderr)
-            if slo is not None:
+            if registry is not None and slo is not None:
                 now = simulation.engine.clock.now
                 if args.metrics_out:
                     from repro.telemetry import write_snapshot_jsonl
@@ -253,10 +265,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.telemetry import MetricRegistry, SloTracker, run_top
 
     spec = _build_spec(args.workload, args.burst, args.seed)
-    registry = MetricRegistry()
-    slo = SloTracker(Sla(response_time_target=args.sla_target))
+    observe = Observe(
+        telemetry=MetricRegistry(),
+        slo=SloTracker(Sla(response_time_target=args.sla_target)),
+        sampling=args.sampling,
+    )
     shard = replace(spec.to_run_spec(args.algorithm), timeline_every=min(5.0, args.interval))
-    simulation = shard.build(telemetry=registry, slo=slo, sampling=args.sampling)
+    simulation = shard.build(observe=observe)
     duration = args.duration if args.duration is not None else spec.duration
     try:
         frames = run_top(
@@ -298,9 +313,13 @@ def _cmd_section3(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    trace = generate_bitbrains_trace(
-        n_vms=args.vms, duration=args.duration, interval=args.interval, seed=args.seed
-    )
+    try:
+        trace = generate_bitbrains_trace(
+            n_vms=args.vms, duration=args.duration, interval=args.interval, seed=args.seed
+        )
+    except WorkloadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         trace_series_table(
             list(trace.times()),
@@ -319,8 +338,15 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.analysis.timeline import allocation_efficiency, render_timeline
     from repro.metrics.summary import RunSummary
 
-    with open(args.path) as handle:
-        payload = json.load(handle)
+    try:
+        with open(args.path) as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {args.path} is not a JSON dump: {exc}", file=sys.stderr)
+        return 2
     summaries = {name: RunSummary.from_dict(data) for name, data in payload.items()}
     workload = next(iter(summaries.values())).workload if summaries else "?"
     baseline = "kubernetes" if "kubernetes" in summaries else next(iter(sorted(summaries)), None)
@@ -367,11 +393,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import PhaseProfiler
 
+    if args.duration is not None and not args.duration >= 0:  # NaN fails too
+        print(f"error: --duration must be non-negative, got {args.duration:g}", file=sys.stderr)
+        return 2
     spec = _build_spec(args.workload, args.burst, args.seed)
     duration = args.duration if args.duration is not None else spec.duration
     profiler = PhaseProfiler()
     print(f"profiling {spec.label} under {args.algorithm} ...", file=sys.stderr)
-    spec.to_run_spec(args.algorithm).build(profiler=profiler).run(duration)
+    spec.to_run_spec(args.algorithm).build(observe=Observe(profiler=profiler)).run(duration)
     print(profiler.render())
     if args.json:
         with open(args.json, "w") as handle:
@@ -418,6 +447,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.experiments.suite import render_reproduction, reproduce_evaluation
 
+    if not _jobs_ok(args.jobs):
+        return 2
     figures = tuple(args.figures) if args.figures else None
     result = reproduce_evaluation(
         seed=args.seed,

@@ -107,11 +107,6 @@ class ServiceView:
         """Network analogue of :meth:`total_cpu_requested`."""
         return sum(r.net_rate for r in self.measurable_replicas())
 
-    def total_disk_usage(self) -> float:
-        """Disk analogue of :meth:`total_cpu_usage`."""
-        return sum(r.disk_usage for r in self.measurable_replicas())
-
-
 @dataclass(frozen=True)
 class NodeView:
     """One machine: capacity and what is reserved on it."""

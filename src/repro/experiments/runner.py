@@ -8,8 +8,8 @@ Phase order within each simulation step (see DESIGN.md §4):
 4. ``nm/*``       — sample ``docker stats`` into the NMs' windows,
 5. ``monitor``    — reap corpses; on the query period: view -> policy -> act,
 6. ``metrics``    — drain finished requests and sample the timeline,
-7. ``telemetry``  — (only with a recording registry) sample the standard
-   instrument catalogue and capture series rings.
+7. ``telemetry``  — (only when observed with a registry) sample the
+   standard instrument catalogue and capture series rings.
 
 Registration order in the engine *is* this order, so the data flow is
 auditable and deterministic.
@@ -28,11 +28,11 @@ from repro.core.policy import AutoscalingPolicy
 from repro.core.registry import resolve_policy
 from repro.dockersim.api import DockerClient
 from repro.errors import ExperimentError
-from repro.instrument import when_enabled
+from repro.instrument import Observe, StepObserver
 from repro.metrics.collector import MetricsCollector, TimelinePoint
 from repro.metrics.summary import RunSummary
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER
 from repro.platform.faults import FaultInjector, NodeManagerFleet
 from repro.platform.graph import GraphRouter
 from repro.platform.lb_tier import LoadBalancerTier
@@ -41,14 +41,11 @@ from repro.platform.monitor import Monitor
 from repro.platform.node_manager import NodeManager
 from repro.platform.registry import ServiceRegistry
 from repro.platform.routing import resolve_routing
-from repro.sanitizer.api import NULL_SANITIZER, Sanitizer
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.telemetry.hub import RunTelemetry
-from repro.telemetry.registry import NULL_REGISTRY, MetricRegistry
-from repro.telemetry.sampling import SamplingController, SamplingSpec, resolve_sampling
-from repro.telemetry.slo import SloTracker
+from repro.telemetry.sampling import resolve_sampling
 from repro.workloads.generator import ClientLoadGenerator, ServiceLoad
 from repro.workloads.graph import ApplicationSpec
 from repro.workloads.requests import Request
@@ -152,19 +149,10 @@ class Simulation:
     #: Schedule machine crashes/additions here before (or while) running —
     #: the paper's "dynamic addition and removal of machines" future work.
     faults: FaultInjector
-    #: Decision-trace sink every policy decision reports into
-    #: (:data:`~repro.obs.NULL_TRACER` unless a recording tracer was passed
-    #: to :meth:`build`).
-    tracer: Tracer = NULL_TRACER
-    #: Per-phase wall-time profiler, or ``None`` when profiling is off.
-    profiler: PhaseProfiler | None = None
-    #: Invariant sanitizer (:data:`~repro.sanitizer.NULL_SANITIZER` unless
-    #: a recording :class:`~repro.sanitizer.SimSanitizer` was passed to
-    #: :meth:`build`).
-    sanitizer: Sanitizer = NULL_SANITIZER
-    #: The run's instrument catalogue + sampling actor.  Always present;
-    #: backed by :data:`~repro.telemetry.NULL_REGISTRY` (all no-ops) unless
-    #: a recording registry was passed to :meth:`build`.
+    #: Everything this run is observed with (all unset by default).
+    observe: Observe = Observe()
+    #: The run's instrument catalogue and sampling actor, or ``None`` when
+    #: the run is not observed with a telemetry registry.
     telemetry: RunTelemetry | None = None
     #: The application graph this run models, or ``None`` for a plain
     #: single-service fleet.
@@ -185,12 +173,7 @@ class Simulation:
         app: ApplicationSpec | None = None,
         placement: PlacementStrategy | None = None,
         timeline_every: float = 5.0,
-        tracer: Tracer = NULL_TRACER,
-        profiler: PhaseProfiler | None = None,
-        telemetry: MetricRegistry = NULL_REGISTRY,
-        slo: SloTracker | None = None,
-        sanitizer: Sanitizer = NULL_SANITIZER,
-        sampling: SamplingController | SamplingSpec | str | None = None,
+        observe: Observe = Observe(),
     ) -> "Simulation":
         """Assemble cluster, platform, and workload for one experiment.
 
@@ -198,29 +181,15 @@ class Simulation:
         (see :func:`repro.core.resolve_policy`); names are built with this
         config's rescale intervals.
 
-        ``telemetry`` selects the metric registry: the default
-        :data:`~repro.telemetry.NULL_REGISTRY` records nothing at zero
-        cost; pass a :class:`~repro.telemetry.MetricRegistry` to stream the
-        standard instrument catalogue (sampled every ``timeline_every``
-        simulated seconds, as an extra final engine phase named
-        ``telemetry``).  ``slo`` optionally adds error-budget burn-rate
-        tracking on top; it requires a recording registry.
-
-        ``sanitizer`` selects the invariant sanitizer: the default
-        :data:`~repro.sanitizer.NULL_SANITIZER` checks nothing at zero
-        cost; pass a :class:`~repro.sanitizer.SimSanitizer` to bracket
-        every engine step with conservation/aliasing/ordering audits
-        (observation only — a sanitized run is bit-identical to a bare
-        one).  Mutually exclusive with ``profiler``.
-
-        ``sampling`` selects the telemetry sampling policy (see
-        :func:`repro.telemetry.resolve_sampling`): a registered name
-        (``"full"``, ``"adaptive"``, ``"threshold-aware"``), a
-        :class:`~repro.telemetry.SamplingSpec`, or a controller instance.
-        The default (``None``) is full-cadence sampling, byte-identical
-        to builds that never pass the keyword; like tracers it is an
-        observation knob and never part of a RunSpec's identity.
-        Requires a recording registry when set.
+        ``observe`` is everything the run is observed with (see
+        :class:`~repro.instrument.Observe`); it never changes a result.
+        Its ``telemetry`` registry streams the standard instrument
+        catalogue, sampled every ``timeline_every`` simulated seconds as an
+        extra final engine phase named ``telemetry``; without one the run
+        builds no hub and ``Simulation.telemetry`` is ``None``.  Its
+        ``profiler``, ``sanitizer`` and telemetry step counters observe
+        every engine step together; with none of them the engine runs its
+        bare loop.
 
         ``app`` switches the run to an application graph: the fleet is
         derived from the graph's tiers (``specs`` must not be passed),
@@ -252,36 +221,31 @@ class Simulation:
                     f"got {sorted(load_names - ingress)}"
                 )
 
-        if slo is not None and not telemetry.enabled:
-            raise ExperimentError("SLO tracking needs a recording telemetry registry")
-        if sampling is not None and not telemetry.enabled:
-            raise ExperimentError("sampling policies need a recording telemetry registry")
-        sampling_controller = resolve_sampling(sampling)
-
-        engine = Engine(dt=config.dt, profiler=profiler, sanitizer=sanitizer)
+        tracer = NULL_TRACER if observe.tracer is None else observe.tracer
         rng = RngStreams(config.seed)
         cluster = Cluster.from_config(config.cluster, config.overheads)
-        if engine.sanitizer is not None:
-            sanitizer.bind(cluster=cluster)
+        if observe.sanitizer is not None:
+            observe.sanitizer.bind(cluster=cluster)
         client = DockerClient(cluster)
         collector = MetricsCollector()
-        hub = RunTelemetry(
-            telemetry,
-            slo=slo,
-            sample_every=timeline_every,
-            profiler=profiler,
-            sampling=sampling_controller,
-        )
-        if telemetry.enabled:
+        hub: RunTelemetry | None = None
+        if observe.telemetry is not None:
+            live = hub = RunTelemetry(
+                observe.telemetry,
+                slo=observe.slo,
+                sample_every=timeline_every,
+                profiler=observe.profiler,
+                sampling=resolve_sampling(observe.sampling),
+            )
+
             # LB rejections bypass the cluster's drain path, so the sink is
             # the only place they can be observed; wrap it.
             def failure_sink(request: Request) -> None:
                 collector.record_request(request)
-                hub.observe_rejection(request)
+                live.observe_rejection(request)
 
         else:
             failure_sink = collector.record_request
-        recording_hub = when_enabled(hub)
         registry = ServiceRegistry(cluster)
         lb = LoadBalancerTier(
             registry,
@@ -293,7 +257,8 @@ class Simulation:
         router: GraphRouter | None = None
         if app is not None:
             collector.enable_graph()
-            hub.enable_graph()
+            if hub is not None:
+                hub.enable_graph()
             # One id space for ingress arrivals and internal graph calls,
             # shared by the generator and the router (ids shard the LB
             # tier, so they must be a pure function of the run).
@@ -307,7 +272,7 @@ class Simulation:
                 lb.submit,
                 request_seq,
                 routing=routing,
-                telemetry=recording_hub,
+                telemetry=hub,
             )
             generator = ClientLoadGenerator(
                 loads, rng, sink=router.ingress, request_seq=request_seq
@@ -328,8 +293,8 @@ class Simulation:
             collector,
             placement=placement or SpreadPlacement(),
             tracer=tracer,
-            telemetry=recording_hub,
-            sanitizer=sanitizer,
+            telemetry=hub,
+            sanitizer=observe.sanitizer,
         )
 
         # Initial deployment: min_replicas per service, spread over the
@@ -360,6 +325,14 @@ class Simulation:
 
         faults = FaultInjector(cluster, client, node_managers)
 
+        # The sanitizer opens each step first; the profiler marks last, so
+        # each actor's time includes the checks that follow it.
+        observers: tuple[StepObserver, ...] = tuple(
+            observer
+            for observer in (observe.sanitizer, hub, observe.profiler)
+            if observer is not None
+        )
+        engine = Engine(dt=config.dt, observers=observers)
         engine.add_actor("faults", faults)
         engine.add_actor("generator", generator)
         engine.add_actor("lb", lb)
@@ -376,19 +349,16 @@ class Simulation:
                 cluster,
                 collector,
                 timeline_every,
-                profiler=profiler,
-                telemetry=recording_hub,
+                profiler=observe.profiler,
+                telemetry=hub,
             ),
         )
-        hub.bind(cluster=cluster, lb=lb, generator=generator)
-        if recording_hub is not None:
+        if hub is not None:
             # Last phase: sample after the step has fully settled.  Not
-            # registered at all under the null registry, so un-instrumented
-            # runs keep the documented seven-phase order.
+            # registered at all without a registry, so unobserved runs keep
+            # the documented seven-phase order.
+            hub.bind(cluster=cluster, lb=lb, generator=generator)
             engine.add_actor("telemetry", hub)
-            engine.attach_counters(
-                steps=hub.sim_steps.labels(), events=hub.sim_events_fired.labels()
-            )
 
         return cls(
             engine=engine,
@@ -401,10 +371,8 @@ class Simulation:
             policy=policy,
             workload_label=workload_label,
             faults=faults,
-            tracer=tracer,
-            profiler=profiler,
+            observe=observe,
             telemetry=hub,
-            sanitizer=sanitizer,
             app=app,
             router=router,
         )

@@ -45,16 +45,11 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from repro.cluster.microservice import MicroserviceSpec
 from repro.config import ClusterConfig, OverheadModel, SimulationConfig
 from repro.errors import ExperimentError
+from repro.instrument import Observe
 from repro.metrics.summary import RunSummary
-from repro.obs.profiler import PhaseProfiler
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.platform.load_balancer import RoutingPolicy
 from repro.platform.routing import resolve_routing
-from repro.sanitizer.api import NULL_SANITIZER, Sanitizer
 from repro.sim.rng import RngStreams
-from repro.telemetry.registry import NULL_REGISTRY, MetricRegistry
-from repro.telemetry.sampling import SamplingController, SamplingSpec
-from repro.telemetry.slo import SloTracker
 from repro.workloads.generator import ServiceLoad
 from repro.workloads.graph import ApplicationSpec
 from repro.workloads.patterns import (
@@ -182,8 +177,9 @@ class RunSpec:
     Everything that determines the run's *result* lives here — config,
     fleet, loads, policy name, seed, duration, routing — which is why the
     canonical JSON of a ``RunSpec`` can serve as a cache key.  Observation
-    plumbing (tracers, profilers, telemetry registries) deliberately does
-    not: it never changes a result, so it is passed at :meth:`run` time.
+    (an :class:`~repro.instrument.Observe` bundle) deliberately does not:
+    it never changes a result, so it is passed at :meth:`build`/:meth:`run`
+    time.
     """
 
     label: str
@@ -245,22 +241,15 @@ class RunSpec:
     def build(
         self,
         *,
-        tracer: Tracer = NULL_TRACER,
-        profiler: PhaseProfiler | None = None,
-        telemetry: MetricRegistry = NULL_REGISTRY,
-        slo: SloTracker | None = None,
-        sanitizer: Sanitizer = NULL_SANITIZER,
+        observe: Observe = Observe(),
         placement: "PlacementStrategy | None" = None,
-        sampling: "SamplingController | SamplingSpec | str | None" = None,
     ) -> "Simulation":
         """Assemble the :class:`~repro.experiments.runner.Simulation`.
 
-        The keyword arguments are the run-time observation knobs; none of
-        them participates in the spec's identity (see the class docstring).
-        ``sampling`` rides along with them: telemetry sampling policies are
-        observation-only (they change what the monitor *records*, never what
-        the simulation *does*), so the choice stays out of the canonical
-        JSON too.
+        ``observe`` (tracer, profiler, telemetry, SLO, sanitizer, sampling)
+        never participates in the spec's identity (see the class
+        docstring): observation changes what a run *records*, never what
+        it *does*, so it stays out of the canonical JSON.
         """
         from repro.experiments.runner import Simulation
 
@@ -274,36 +263,17 @@ class RunSpec:
             app=self.app,
             placement=placement,
             timeline_every=self.timeline_every,
-            tracer=tracer,
-            profiler=profiler,
-            telemetry=telemetry,
-            slo=slo,
-            sanitizer=sanitizer,
-            sampling=sampling,
+            observe=observe,
         )
 
     def run(
         self,
         *,
-        tracer: Tracer = NULL_TRACER,
-        profiler: PhaseProfiler | None = None,
-        telemetry: MetricRegistry = NULL_REGISTRY,
-        slo: SloTracker | None = None,
-        sanitizer: Sanitizer = NULL_SANITIZER,
+        observe: Observe = Observe(),
         placement: "PlacementStrategy | None" = None,
-        sampling: "SamplingController | SamplingSpec | str | None" = None,
     ) -> RunSummary:
         """Build and run this spec for its full duration."""
-        simulation = self.build(
-            tracer=tracer,
-            profiler=profiler,
-            telemetry=telemetry,
-            slo=slo,
-            sanitizer=sanitizer,
-            placement=placement,
-            sampling=sampling,
-        )
-        return simulation.run(self.duration)
+        return self.build(observe=observe, placement=placement).run(self.duration)
 
     # -- codec ---------------------------------------------------------
     def to_dict(self) -> dict:

@@ -1,71 +1,86 @@
-"""The null-object discipline shared by every optional instrument.
+"""The one observation bundle and the engine's step-observer contract.
 
-The simulator carries three opt-in instrumentation layers — decision traces
-(:mod:`repro.obs`), streaming telemetry (:mod:`repro.telemetry`), and the
-invariant sanitizer (:mod:`repro.sanitizer`).  All three follow the same
-zero-overhead-when-off pattern, factored out here so it is written once:
+A run is observed through one frozen :class:`Observe` value handed to
+``Simulation.build(observe=...)`` (and ``RunSpec.build``/``run``).  Each
+field is one optional instrument; an unset field is ``None`` and costs
+nothing:
 
-* a **shared null instance** whose hooks are constant-time no-ops and whose
-  ``enabled`` attribute is ``False`` — instrumented code guards any
-  expensive evidence-building behind ``if instrument.enabled: ...`` and
-  otherwise calls hooks unconditionally;
-* **conditional wiring**: components that would add work to the hot loop
-  (an extra engine actor, a bracketed step path) are only registered when
-  the instrument records.  :func:`when_enabled` collapses the
-  "instrument-or-``None``" decision to one expression, so an un-instrumented
-  run keeps the seed code path bit-for-bit.
+* ``tracer`` — decision traces (:mod:`repro.obs`), reported into by the
+  monitor and the policy;
+* ``profiler`` — per-phase wall time (:class:`~repro.obs.PhaseProfiler`);
+* ``telemetry`` — a recording :class:`~repro.telemetry.MetricRegistry`,
+  with optional ``slo`` burn-rate tracking and a ``sampling`` policy on
+  top (both need the registry);
+* ``sanitizer`` — runtime invariant checks (:mod:`repro.sanitizer`).
 
-Overhead note: with the defaults (``NULL_TRACER``, ``NULL_REGISTRY``,
-``NULL_SANITIZER``) the engine hot loop carries only ``is None`` checks —
-no timing calls, no snapshots, no per-step allocation.  The decision-trace
-layer measured this at -0.3% vs the pre-instrumentation seed
-(``docs/observability.md``); the determinism suite pins the stronger
-property that null-instrumented runs are *bit-identical* to bare ones.
+The engine runs one of exactly two loops.  With no observer attached it
+runs the bare loop, which contains no instrument check at all.  Otherwise
+it runs one observed loop that calls every :class:`StepObserver`'s
+``begin_step``/``after_actor``/``end_step`` hooks; the profiler, the
+sanitizer and telemetry's step counters are all observers, so they
+compose in one run.  Observation never feeds back into the simulation:
+an observed run is bit-identical to the bare one.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, TypeVar, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
+
+from repro.errors import ExperimentError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (keeps repro.sim import-light)
+    from repro.obs.profiler import PhaseProfiler
+    from repro.obs.tracer import Tracer
+    from repro.sanitizer.api import Sanitizer
+    from repro.telemetry.registry import MetricRegistry
+    from repro.telemetry.sampling import SamplingController, SamplingSpec
+    from repro.telemetry.slo import SloTracker
 
 
 @runtime_checkable
-class Instrument(Protocol):
-    """The one attribute every optional instrument must expose."""
+class StepObserver(Protocol):
+    """What the engine's observed loop calls around every step.
 
-    #: ``False`` on no-op implementations: callers may skip building
-    #: evidence, and wiring code may skip registration entirely.
-    enabled: bool
-
-
-class NullInstrument:
-    """Base class for shared, stateless, disabled null objects.
-
-    Subclasses (``NullTracer``, ``NullRegistry``, ``NullSanitizer``) add
-    their protocol's no-op hooks; this base contributes the ``enabled``
-    flag and keeps instances slot-free so one shared module-level instance
-    serves every run.
+    All hooks are keyword-only.  An observer may read any simulation state
+    but must never write it.
     """
 
-    __slots__ = ()
+    def begin_step(self, *, now: float, step: int) -> None:
+        """The clock has advanced to ``now``; no actor has run yet."""
+        ...  # pragma: no cover - protocol stub
 
-    enabled: bool = False
+    def after_actor(self, *, name: str, now: float) -> None:
+        """The actor registered as ``name`` finished its step."""
+        ...  # pragma: no cover - protocol stub
+
+    def end_step(self, *, now: float, next_due: float | None, fired: int) -> None:
+        """Due events fired (``fired`` of them); ``next_due`` is the queue head."""
+        ...  # pragma: no cover - protocol stub
 
 
-_InstrumentT = TypeVar("_InstrumentT", bound=Instrument)
+@dataclass(frozen=True)
+class Observe:
+    """Everything that observes one run, and nothing that changes it.
 
-
-def when_enabled(instrument: _InstrumentT | None) -> _InstrumentT | None:
-    """``instrument`` if it records, else ``None`` (conditional wiring).
-
-    Collapses the registration decision every instrumented component makes:
-    ``engine.add_actor(...)``, ``Monitor(..., telemetry=...)`` and the
-    engine's bracketed step paths all take "a recording instrument or
-    ``None``" — never a null object — so disabled instruments cost nothing
-    on the hot path.
+    Never part of a run's identity: a ``RunSpec``'s canonical JSON (and so
+    its cache key) is the same whatever a run is observed with.
     """
-    if instrument is None or not instrument.enabled:
-        return None
-    return instrument
+
+    tracer: Tracer | None = None
+    profiler: PhaseProfiler | None = None
+    telemetry: MetricRegistry | None = None
+    slo: SloTracker | None = None
+    sanitizer: Sanitizer | None = None
+    #: A registered sampling-policy name, a ``SamplingSpec`` or a
+    #: controller instance; ``None`` is full-cadence sampling.
+    sampling: SamplingController | SamplingSpec | str | None = None
+
+    def __post_init__(self) -> None:
+        if self.slo is not None and self.telemetry is None:
+            raise ExperimentError("SLO tracking needs a recording telemetry registry")
+        if self.sampling is not None and self.telemetry is None:
+            raise ExperimentError("sampling policies need a recording telemetry registry")
 
 
-__all__ = ["Instrument", "NullInstrument", "when_enabled"]
+__all__ = ["Observe", "StepObserver"]

@@ -11,8 +11,9 @@ the simulator's wall-time measurable:
 * :mod:`repro.obs.explain` — the operator-facing "why did it scale?" view.
 * :mod:`repro.obs.profiler` — per-engine-phase wall-time accumulation.
 
-Wiring: pass ``tracer=DecisionTracer()`` and/or ``profiler=PhaseProfiler()``
-to :meth:`repro.Simulation.build` (or use the CLI's ``run --trace-out`` /
+Wiring: pass ``observe=Observe(tracer=DecisionTracer(),
+profiler=PhaseProfiler())`` (either field alone works too) to
+:meth:`repro.Simulation.build` (or use the CLI's ``run --trace-out`` /
 ``explain`` / ``profile`` verbs).  See ``docs/observability.md``.
 """
 

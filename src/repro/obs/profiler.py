@@ -3,10 +3,15 @@
 ROADMAP's north star ("as fast as the hardware allows") needs evidence
 before optimization: which engine phase — ``generator``, ``lb``,
 ``cluster``, ``node-managers``, ``monitor``, ``metrics`` — actually burns
-the wall-clock?  A :class:`PhaseProfiler` handed to
-:class:`~repro.sim.engine.Engine` accumulates per-actor wall time and
-arbitrary named counters, and renders them as a table or a JSON report
-(the ``make profile`` / ``hyscale-repro profile`` artifact).
+the wall-clock?  A :class:`PhaseProfiler` passed as
+``Observe(profiler=...)`` is one of the engine's step observers: it
+charges the wall time from one of its hooks to the next, its own
+bookkeeping excluded, to ``actor:<name>`` (and to ``events`` for event
+firing), accumulates arbitrary named counters, and renders them as a
+table or a JSON report (the ``make profile`` / ``hyscale-repro profile``
+artifact).  Observers compose, so with a sanitizer attached too each
+actor's time includes the checks that run after it; such timings are
+not representative.
 
 Determinism note: the profiler is the one component that *may* read the
 host clock, because its measurements feed only the profile report — never
@@ -39,6 +44,31 @@ class PhaseProfiler:
         self._seconds: dict[str, float] = {}
         self._calls: dict[str, int] = {}
         self._counters: dict[str, int] = {}
+        #: Wall time the latest step hook returned (start of the next phase).
+        self._mark = 0.0
+        #: ``actor:<name>`` labels, formatted once per actor (HOT004).
+        self._actor_labels: dict[str, str] = {}
+
+    # ------------------------------------------------------------------
+    # Engine step observer
+    # ------------------------------------------------------------------
+    def begin_step(self, *, now: float, step: int) -> None:
+        """Start timing the step's first actor."""
+        self._mark = self.timer()
+
+    def after_actor(self, *, name: str, now: float) -> None:
+        """Charge the wall time since the previous hook to ``actor:<name>``."""
+        elapsed = self.timer() - self._mark
+        label = self._actor_labels.get(name)
+        if label is None:
+            label = self._actor_labels[name] = "actor:" + name
+        self.observe(label, elapsed)
+        self._mark = self.timer()
+
+    def end_step(self, *, now: float, next_due: float | None, fired: int) -> None:
+        """Charge event firing to ``events`` and count the step."""
+        self.observe("events", self.timer() - self._mark)
+        self.count_step()
 
     # ------------------------------------------------------------------
     # Recording (called by the engine / instrumented actors)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ObservabilityError
-from repro.instrument import NullInstrument
 from repro.obs.spans import ActionRecord, DecisionSpan, LedgerStep, MetricSample
 
 
@@ -29,10 +28,9 @@ from repro.obs.spans import ActionRecord, DecisionSpan, LedgerStep, MetricSample
 class Tracer(Protocol):
     """What the platform requires of a decision tracer.
 
-    Any object with these members plugs into
-    :meth:`repro.Simulation.build`'s ``tracer=`` parameter.  All hooks are
-    keyword-only so traces stay self-describing and implementations can
-    evolve without positional breakage.
+    Any object with these members plugs into ``Observe(tracer=...)``.
+    All hooks are keyword-only so traces stay self-describing and
+    implementations can evolve without positional breakage.
     """
 
     #: ``False`` on no-op tracers: instrumented code may skip building
@@ -84,14 +82,15 @@ class Tracer(Protocol):
         ...  # pragma: no cover - protocol stub
 
 
-class NullTracer(NullInstrument):
+class NullTracer:
     """The zero-overhead default: every hook is a no-op.
 
-    ``enabled``/statelessness come from the shared
-    :class:`~repro.instrument.NullInstrument` discipline.
+    Stateless and slot-free, so one shared instance serves every run.
     """
 
     __slots__ = ()
+
+    enabled: bool = False
 
     def begin_tick(
         self, *, now: float, policy: str, digest: str, services: int, nodes: int, replicas: int

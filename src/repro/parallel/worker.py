@@ -35,11 +35,12 @@ def run_shard_payload(payload: Mapping[str, Any], collect_telemetry: bool = Fals
 
         spec = RunSpec.from_dict(payload)
         if collect_telemetry:
+            from repro.instrument import Observe
             from repro.telemetry.registry import MetricRegistry
             from repro.telemetry.snapshot import snapshot_lines
 
             registry = MetricRegistry()
-            simulation = spec.build(telemetry=registry)
+            simulation = spec.build(observe=Observe(telemetry=registry))
             summary = simulation.run(spec.duration)
             telemetry: list[str] | None = snapshot_lines(
                 registry, now=simulation.engine.clock.now

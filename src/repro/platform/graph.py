@@ -293,7 +293,3 @@ class GraphRouter:
             }
             for balancer in self._balancers
         }
-
-    def live_records(self) -> int:
-        """Tier requests currently tracked (roots + internal calls)."""
-        return len(self._records)

@@ -49,7 +49,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import EventKind, ScalingEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.platform.node_manager import NodeManager
-from repro.sanitizer.api import NULL_SANITIZER, Sanitizer
+from repro.sanitizer.api import Sanitizer
 from repro.sim.clock import SimClock
 from repro.telemetry.hub import RunTelemetry
 from repro.units import same_quantity
@@ -90,7 +90,7 @@ class Monitor:
         placement: PlacementStrategy | None = None,
         tracer: Tracer = NULL_TRACER,
         telemetry: RunTelemetry | None = None,
-        sanitizer: Sanitizer = NULL_SANITIZER,
+        sanitizer: Sanitizer | None = None,
     ):
         self.cluster = cluster
         self.client = client
@@ -146,7 +146,7 @@ class Monitor:
         """One full monitor round: view -> decide -> apply."""
         self.log.ticks += 1
         view = self.build_view(now)
-        if self.sanitizer.enabled:
+        if self.sanitizer is not None:
             # Audit the snapshot before the policy plans against it: the
             # view's allocation vectors seed the NodeLedger balances.
             self.sanitizer.check_view(now=now, view=view)

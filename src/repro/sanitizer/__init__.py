@@ -7,7 +7,7 @@ style — zero overhead when off, recording frozen violation evidence when
 on:
 
 * :class:`Sanitizer` — the hook protocol (engine step brackets + monitor
-  view audits), with the shared no-op :data:`NULL_SANITIZER` default;
+  view audits);
 * :class:`SimSanitizer` — the recording implementation: conservation,
   ledger/view consistency, tick-aliasing write-set tracking, monotonic
   time and event-queue ordering;
@@ -16,12 +16,13 @@ on:
 
 Run the whole test suite under the sanitizer with
 ``pytest --simsan`` (the dedicated CI lane), or pass
-``sanitizer=SimSanitizer()`` to :meth:`repro.Simulation.build`.
+``observe=Observe(sanitizer=SimSanitizer())`` to
+:meth:`repro.Simulation.build`.
 See ``docs/dev-tooling.md`` for the full check catalogue and the static
 SAN/UNIT lint rules that enforce SimSan's preconditions.
 """
 
-from repro.sanitizer.api import NULL_SANITIZER, NullSanitizer, Sanitizer
+from repro.sanitizer.api import Sanitizer
 from repro.sanitizer.export import (
     SAN_SCHEMA,
     parse_san_line,
@@ -36,8 +37,6 @@ from repro.sanitizer.simsan import DOMAIN_WRITERS, SimSanitizer
 
 __all__ = [
     "Sanitizer",
-    "NullSanitizer",
-    "NULL_SANITIZER",
     "SimSanitizer",
     "DOMAIN_WRITERS",
     "SanViolation",

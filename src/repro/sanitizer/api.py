@@ -1,71 +1,38 @@
-"""The :class:`Sanitizer` contract and its zero-overhead default.
+"""The :class:`Sanitizer` contract.
 
-Mirrors the :class:`~repro.obs.Tracer` design: a keyword-only hook
-protocol, a shared stateless :class:`NullSanitizer` whose every hook is a
-constant-time no-op, and an ``enabled`` flag the engine and monitor use to
-skip sanitized code paths entirely.  A run built with
-:data:`NULL_SANITIZER` (the default) executes the exact seed hot loop and
-is bit-identical to an unsanitized run — the determinism suite pins this.
+A sanitizer is an engine :class:`~repro.instrument.StepObserver` (it
+brackets every step) that also audits each monitor view.  A run observes
+one through ``Observe(sanitizer=...)``; a run without one executes the
+bare engine loop and skips view audits entirely.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.instrument import NullInstrument
+from repro.instrument import StepObserver
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.cluster.cluster import Cluster
     from repro.core.view import ClusterView
 
 
 @runtime_checkable
-class Sanitizer(Protocol):
+class Sanitizer(StepObserver, Protocol):
     """What the engine and monitor require of a simulation sanitizer.
 
-    Any object with these members plugs into
-    :meth:`repro.Simulation.build`'s ``sanitizer=`` parameter.  All hooks
-    are keyword-only so implementations can evolve without positional
-    breakage (the same convention as :class:`~repro.obs.Tracer`).
+    ``Simulation.build`` binds it to the run's cluster; the three
+    step-observer hooks then bracket every engine step (open, after each
+    actor, close) and :meth:`check_view` audits each monitor view.  Any object with these members plugs into
+    ``Observe(sanitizer=...)``.  All hooks are keyword-only so
+    implementations can evolve without positional breakage (the same
+    convention as :class:`~repro.obs.Tracer`).
     """
 
-    #: ``False`` on no-op sanitizers: the engine keeps its unsanitized hot
-    #: loop and the monitor skips view checks when this is unset.
-    enabled: bool
-
-    def begin_step(self, *, now: float, step: int) -> None:
-        """Open the bracket for one engine step (snapshot baselines)."""
-        ...  # pragma: no cover - protocol stub
-
-    def after_actor(self, *, name: str, now: float) -> None:
-        """One actor finished inside the open step bracket."""
-        ...  # pragma: no cover - protocol stub
-
-    def end_step(self, *, now: float, next_due: float | None) -> None:
-        """Close the bracket after scheduled events fired."""
+    def bind(self, *, cluster: "Cluster") -> None:
+        """Attach the cluster whose invariants this sanitizer audits."""
         ...  # pragma: no cover - protocol stub
 
     def check_view(self, *, now: float, view: "ClusterView") -> None:
         """Audit a freshly built monitor view against live cluster state."""
         ...  # pragma: no cover - protocol stub
-
-
-class NullSanitizer(NullInstrument):
-    """The zero-overhead default: every hook is a no-op."""
-
-    __slots__ = ()
-
-    def begin_step(self, *, now: float, step: int) -> None:
-        """No-op."""
-
-    def after_actor(self, *, name: str, now: float) -> None:
-        """No-op."""
-
-    def end_step(self, *, now: float, next_due: float | None) -> None:
-        """No-op."""
-
-    def check_view(self, *, now: float, view: "ClusterView") -> None:
-        """No-op."""
-
-
-#: Shared default instance — NullSanitizer is stateless, so one is enough.
-NULL_SANITIZER = NullSanitizer()

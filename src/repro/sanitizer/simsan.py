@@ -81,8 +81,6 @@ class SimSanitizer:
         register custom actors which legitimately mutate cluster state.
     """
 
-    enabled = True
-
     def __init__(
         self,
         *,
@@ -156,7 +154,7 @@ class SimSanitizer:
         self._require_open("after_actor")
         self._diff_domains(cluster, phase=name, now=now)
 
-    def end_step(self, *, now: float, next_due: float | None) -> None:
+    def end_step(self, *, now: float, next_due: float | None, fired: int) -> None:
         """Close the bracket: event-phase diff, queue order, conservation."""
         cluster = self._require_cluster("end_step")
         self._require_open("end_step")

@@ -13,6 +13,11 @@ experiment runner registers components in the order documented in
 metrics).  Keeping the ordering explicit — rather than relying on dict
 iteration or priorities — is what makes runs reproducible and the data flow
 auditable.
+
+A step runs one of two loops: the bare loop above, or, when step observers
+are attached (:class:`~repro.instrument.StepObserver`), the same loop with
+every observer's hooks called around the clock advance, each actor and the
+event firing.
 """
 
 from __future__ import annotations
@@ -20,9 +25,7 @@ from __future__ import annotations
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
-from repro.instrument import when_enabled
-from repro.obs.profiler import PhaseProfiler
-from repro.sanitizer.api import Sanitizer
+from repro.instrument import StepObserver
 from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue, ScheduledEvent
 
@@ -36,19 +39,6 @@ class SimActor(Protocol):
         ...  # pragma: no cover - protocol stub
 
 
-class StepCounter(Protocol):
-    """A monotone counter handle (structurally, a telemetry ``Counter``).
-
-    The engine depends only on this shape so :mod:`repro.sim` stays free of
-    any telemetry import; the runner attaches real instruments via
-    :meth:`Engine.attach_counters`.
-    """
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` to the counter."""
-        ...  # pragma: no cover - protocol stub
-
-
 class Engine:
     """Drives actors and scheduled events on a shared clock.
 
@@ -56,49 +46,23 @@ class Engine:
     ----------
     dt:
         Step width in simulated seconds.
-    profiler:
-        Optional :class:`~repro.obs.PhaseProfiler`.  When set, every step
-        times each registered actor (plus clock advance and event firing)
-        individually; when ``None`` (the default) the hot loop contains no
-        timing calls at all.  Profiler timings never feed back into the
-        simulation — they only populate reports.
-    sanitizer:
-        Optional :class:`~repro.sanitizer.Sanitizer`.  A recording
-        sanitizer brackets every step (baseline snapshot, per-actor
-        write-set diff, post-events conservation audit); ``None`` or a
-        disabled sanitizer keeps the exact unsanitized hot loop.  Mutually
-        exclusive with ``profiler`` — sanitized steps are not
-        representative timings.
+    observers:
+        :class:`~repro.instrument.StepObserver` instances (profiler,
+        sanitizer, telemetry step counters) called around every step, in
+        this order.  With none (the default) each step runs the bare loop,
+        which has no instrument check inside it; with any, one observed
+        loop calls every observer's hooks.  Observers only read state, so
+        both loops produce the same run.
     """
 
-    def __init__(
-        self,
-        dt: float = 0.5,
-        profiler: PhaseProfiler | None = None,
-        sanitizer: Sanitizer | None = None,
-    ):
+    __slots__ = ("clock", "events", "observers", "_actors", "_running")
+
+    def __init__(self, dt: float = 0.5, observers: tuple[StepObserver, ...] = ()):
         self.clock = SimClock(dt=dt)
         self.events = EventQueue()
-        self.profiler = profiler
-        self.sanitizer = when_enabled(sanitizer)
-        if self.profiler is not None and self.sanitizer is not None:
-            raise SimulationError(
-                "engine cannot run with both a profiler and a recording sanitizer"
-            )
+        self.observers = tuple(observers)
         self._actors: list[tuple[str, SimActor]] = []
-        self._actor_labels: list[str] = []
         self._running = False
-        self._step_counter: StepCounter | None = None
-        self._event_counter: StepCounter | None = None
-
-    def attach_counters(self, *, steps: StepCounter, events: StepCounter) -> None:
-        """Wire telemetry counters for steps executed and events fired.
-
-        Optional: when never called (the default), the hot loop carries a
-        single ``is None`` check per step and no counter work.
-        """
-        self._step_counter = steps
-        self._event_counter = events
 
     # ------------------------------------------------------------------
     # Wiring
@@ -112,9 +76,6 @@ class Engine:
         if not isinstance(actor, SimActor):
             raise SimulationError(f"actor {name!r} does not implement on_step()")
         self._actors.append((name, actor))
-        # Profiler phase labels are minted at registration so the profiled
-        # step loop never formats strings per step (HOT004).
-        self._actor_labels.append(f"actor:{name}")
 
     @property
     def actor_names(self) -> list[str]:
@@ -139,53 +100,33 @@ class Engine:
         """Run exactly one simulation step."""
         self._running = True
         try:
-            if self.profiler is not None:
-                self._step_profiled(self.profiler)
-            elif self.sanitizer is not None:
-                self._step_sanitized(self.sanitizer)
+            if self.observers:
+                self._step_observed()
             else:
                 self.clock.advance()
                 for _, actor in self._actors:
                     actor.on_step(self.clock)
-                fired = self.events.fire_due(self.clock.now)
-                if self._step_counter is not None:
-                    self._step_counter.inc()
-                    if fired and self._event_counter is not None:
-                        self._event_counter.inc(fired)
+                self.events.fire_due(self.clock.now)
         finally:
             self._running = False
 
-    def _step_profiled(self, profiler: PhaseProfiler) -> None:
-        """One step with per-phase wall-time attribution."""
-        timer = profiler.timer
-        profiler.count_step()
-        self.clock.advance()
-        for (_, actor), label in zip(self._actors, self._actor_labels):
-            start = timer()
-            actor.on_step(self.clock)
-            profiler.observe(label, timer() - start)
-        start = timer()
-        fired = self.events.fire_due(self.clock.now)
-        profiler.observe("events", timer() - start)
-        if self._step_counter is not None:
-            self._step_counter.inc()
-            if fired and self._event_counter is not None:
-                self._event_counter.inc(fired)
-
-    def _step_sanitized(self, sanitizer: Sanitizer) -> None:
-        """One step bracketed by sanitizer checks (observation only)."""
-        self.clock.advance()
-        now = self.clock.now
-        sanitizer.begin_step(now=now, step=self.clock.step)
+    def _step_observed(self) -> None:
+        """One step with every observer's hooks around it."""
+        observers = self.observers
+        clock = self.clock
+        clock.advance()
+        now = clock.now
+        step = clock.step
+        for observer in observers:
+            observer.begin_step(now=now, step=step)
         for name, actor in self._actors:
-            actor.on_step(self.clock)
-            sanitizer.after_actor(name=name, now=now)
+            actor.on_step(clock)
+            for observer in observers:
+                observer.after_actor(name=name, now=now)
         fired = self.events.fire_due(now)
-        sanitizer.end_step(now=now, next_due=self.events.next_due())
-        if self._step_counter is not None:
-            self._step_counter.inc()
-            if fired and self._event_counter is not None:
-                self._event_counter.inc(fired)
+        next_due = self.events.next_due()
+        for observer in observers:
+            observer.end_step(now=now, next_due=next_due, fired=fired)
 
     def run_for(self, duration: float) -> int:
         """Run until at least ``duration`` more simulated seconds pass.

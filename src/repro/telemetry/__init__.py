@@ -4,14 +4,14 @@ The observability layer for *running* experiments, complementing the
 post-hoc summaries in :mod:`repro.metrics` and the decision traces in
 :mod:`repro.obs`:
 
-* :class:`MetricRegistry` / :data:`NULL_REGISTRY` — instrument namespace
-  per run; the null default records nothing at zero cost (the
-  ``NullTracer`` pattern).
+* :class:`MetricRegistry` — instrument namespace per run, passed as
+  ``Observe(telemetry=...)``; a run without one builds no telemetry.
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` and their
   families — the three OpenMetrics instrument kinds, sim-time only,
   fixed declared histogram buckets.
-* :class:`RunTelemetry` — the standard instrument catalogue and the
-  engine's sampling actor (wired by ``Simulation.build(telemetry=...)``).
+* :class:`RunTelemetry` — the standard instrument catalogue, the
+  engine's sampling actor and its step-counting observer (wired by
+  ``Simulation.build(observe=Observe(telemetry=...))``).
 * :class:`SloTracker` / :class:`BurnWindow` / :class:`SloAlert` —
   error-budget accounting with multiwindow burn-rate alerts.
 * :func:`render_openmetrics` / :func:`write_snapshot_jsonl` and friends —
@@ -43,7 +43,7 @@ from repro.telemetry.openmetrics import (
     render_openmetrics,
     write_openmetrics,
 )
-from repro.telemetry.registry import NULL_REGISTRY, MetricRegistry, NullRegistry
+from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.sampling import (
     AdaptiveSamplingController,
     SamplingController,
@@ -78,8 +78,6 @@ __all__ = [
     "MetricFamily",
     "DEFAULT_LATENCY_BUCKETS",
     "MetricRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "RunTelemetry",
     "SloTracker",
     "SloAlert",

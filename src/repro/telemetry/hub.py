@@ -3,19 +3,19 @@
 :class:`RunTelemetry` owns the standard instruments every experiment
 exposes (see ``docs/telemetry.md`` for the catalogue) and runs as the
 **final** engine actor — after the metrics collector — so each sampling
-interval observes the fully settled step.  It is fed by two paths:
+interval observes the fully settled step.  It is fed by three paths:
 
 * **push** — hot-path call sites hand it events as they happen:
   :meth:`observe_request` per finished request,
   :meth:`observe_rejection` per LB admission failure;
 * **pull** — :meth:`on_step` samples cumulative sources (node usage, LB
   totals, generator tallies) on the sampling interval, converting them to
-  gauge sets and counter deltas, then calls ``registry.capture``.
+  gauge sets and counter deltas, then calls ``registry.capture``;
+* **step observer** — :meth:`end_step` counts engine steps and fired
+  events from the engine's observed loop.
 
-When the registry is the :data:`~repro.telemetry.registry.NULL_REGISTRY`
-every instrument handle is a shared no-op and the sampler body is skipped
-(``registry.enabled`` is ``False``), so an un-instrumented run pays one
-attribute check per step.
+``Simulation.build`` creates a hub only for a run observed with a
+registry; an unobserved run has none and pays nothing.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class RunTelemetry:
         #: it decides which nodes each pull pass freshly collects and
         #: charges the observation-cost budget (see docs/telemetry.md).
         self.sampling = sampling if sampling is not None else resolve_sampling(None)
-        #: Mirrors the registry: ``False`` under ``NULL_REGISTRY``, so the
-        #: hub plugs into :func:`repro.instrument.when_enabled` wiring.
-        self.enabled = registry.enabled
         self._sample_every = sample_every
         self._next_sample = 0.0
         self._profiler = profiler
@@ -78,7 +75,7 @@ class RunTelemetry:
         self._prev_offered: dict[str, int] = {}
         self._prev_containers: dict[str, set[str]] = {}
 
-        # --- instrument catalogue (no-ops under NullRegistry) ----------
+        # --- instrument catalogue ------------------------------------
         self.sim_time = registry.gauge(
             "sim_time_seconds", "Simulated time of the latest sample.", unit="seconds"
         )
@@ -86,6 +83,9 @@ class RunTelemetry:
         self.sim_events_fired = registry.counter(
             "sim_events_fired", "Scheduled events fired by the engine's event queue."
         )
+        # Minted at build so both series export from the first capture on.
+        self._steps = self.sim_steps.labels()
+        self._events_fired = self.sim_events_fired.labels()
         self.node_cpu = registry.gauge(
             "node_cpu_utilization_ratio",
             "Measured CPU usage over node capacity (0-1).",
@@ -276,12 +276,25 @@ class RunTelemetry:
             self.app_response_seconds.observe(response, service=request.service)
 
     # ------------------------------------------------------------------
+    # Engine step observer
+    # ------------------------------------------------------------------
+    def begin_step(self, *, now: float, step: int) -> None:
+        """Nothing to do before the actors run."""
+
+    def after_actor(self, *, name: str, now: float) -> None:
+        """Nothing to do between actors."""
+
+    def end_step(self, *, now: float, next_due: float | None, fired: int) -> None:
+        """Count the step and the events it fired."""
+        self._steps.inc()
+        if fired:
+            self._events_fired.inc(fired)
+
+    # ------------------------------------------------------------------
     # Pull path (engine actor)
     # ------------------------------------------------------------------
     def on_step(self, clock: SimClock) -> None:
         """Sample cumulative sources on the interval, then capture rings."""
-        if not self.registry.enabled:
-            return
         if clock.now + 1e-9 < self._next_sample:
             return
         self._next_sample += self._sample_every

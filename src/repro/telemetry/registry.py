@@ -1,16 +1,11 @@
 """The metric registry: one namespace of instrument families per run.
 
-Mirrors the :class:`~repro.obs.tracer.NullTracer` pattern:
-
-* :class:`MetricRegistry` — the recording implementation.  Families are
-  registered idempotently (asking again with the same schema returns the
-  same family; a conflicting re-declaration raises), children accumulate,
-  and :meth:`~MetricRegistry.capture` appends each series' current value to
-  a ring buffer stamped with *simulated* time.
-* :class:`NullRegistry` — the zero-overhead default.  ``enabled`` is
-  ``False`` and every family it hands out is a shared no-op, so
-  instrumented code can hold instrument handles unconditionally and pay
-  nothing when telemetry is off.
+Families are registered idempotently (asking again with the same schema
+returns the same family; a conflicting re-declaration raises), children
+accumulate, and :meth:`~MetricRegistry.capture` appends each series'
+current value to a ring buffer stamped with *simulated* time.  A run
+records telemetry only when one is passed as ``Observe(telemetry=...)``;
+without one it builds no registry and no instrument at all.
 
 Retention is ring-buffered per series: ``MetricRegistry(retention=240)``
 keeps the last 240 capture points of every series, enough for the live
@@ -22,7 +17,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import TelemetryError
-from repro.instrument import NullInstrument
 from repro.telemetry.instruments import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -40,10 +34,6 @@ FAMILY_KINDS = ("counter", "gauge", "histogram")
 
 class MetricRegistry:
     """Registry of metric families for one simulation run."""
-
-    #: ``False`` on :class:`NullRegistry`: callers may skip building
-    #: expensive label values / sampling passes entirely when unset.
-    enabled = True
 
     def __init__(self, *, retention: int = 240) -> None:
         if retention < 2:
@@ -164,157 +154,3 @@ class MetricRegistry:
                     history.append((now, child.value))
                 while len(history) > limit:
                     history.popleft()
-
-
-class _NullCounter(Counter):
-    """Shared no-op counter."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        """No-op."""
-
-
-class _NullGauge(Gauge):
-    """Shared no-op gauge."""
-
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        """No-op."""
-
-    def add(self, delta: float) -> None:
-        """No-op."""
-
-
-class _NullHistogram(Histogram):
-    """Shared no-op histogram."""
-
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        """No-op."""
-
-
-class _NullCounterFamily(CounterFamily):
-    """Counter family whose every child is the shared no-op counter."""
-
-    def __init__(self) -> None:
-        super().__init__("null", "no-op")
-        self._child = _NullCounter()
-
-    def labels(self, *values: str, **named: str) -> Counter:
-        """The shared no-op child, whatever the labels."""
-        return self._child
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """No-op."""
-
-
-class _NullGaugeFamily(GaugeFamily):
-    """Gauge family whose every child is the shared no-op gauge."""
-
-    def __init__(self) -> None:
-        super().__init__("null", "no-op")
-        self._child = _NullGauge()
-
-    def labels(self, *values: str, **named: str) -> Gauge:
-        """The shared no-op child, whatever the labels."""
-        return self._child
-
-    def set(self, value: float, **labels: str) -> None:
-        """No-op."""
-
-
-class _NullHistogramFamily(HistogramFamily):
-    """Histogram family whose every child is the shared no-op histogram."""
-
-    def __init__(self) -> None:
-        super().__init__("null", "no-op")
-        self._child = _NullHistogram(self.buckets)
-
-    def labels(self, *values: str, **named: str) -> Histogram:
-        """The shared no-op child, whatever the labels."""
-        return self._child
-
-    def observe(self, value: float, **labels: str) -> None:
-        """No-op."""
-
-
-class NullRegistry(NullInstrument, MetricRegistry):
-    """The zero-overhead default: hands out shared no-op instruments.
-
-    Registration calls succeed (so instrumented code is written once,
-    unconditionally) but record nothing, hold no per-name state, and
-    :meth:`capture` is a no-op.  ``enabled`` comes from the shared
-    :class:`~repro.instrument.NullInstrument` discipline (``False``), so
-    samplers can skip whole collection passes.
-
-    Null-ness is explicit: ``retention`` is ``0`` (no rings exist, so no
-    fabricated "2 points" leaks into code that inspects registry kind),
-    configuration keywords are rejected outright, and callers that need
-    to branch on registry kind should test
-    ``isinstance(registry, NullInstrument)`` (or just ``registry.enabled``)
-    rather than sniffing attributes.
-    """
-
-    def __init__(self, *, retention: int | None = None) -> None:
-        if retention is not None:
-            raise TelemetryError(
-                "NullRegistry keeps no series rings; retention does not apply "
-                "(configure retention on a recording MetricRegistry instead)"
-            )
-        # Deliberately not chaining to MetricRegistry.__init__: its
-        # retention floor (>= 2) would force this registry to claim ring
-        # capacity it does not have.
-        self._families = {}
-        self.last_capture = -1.0
-        #: No retention at all — nothing is ever captured.
-        self.retention = 0
-        self._null_counter = _NullCounterFamily()
-        self._null_gauge = _NullGaugeFamily()
-        self._null_histogram = _NullHistogramFamily()
-
-    def counter(
-        self,
-        name: str,
-        help: str,
-        *,
-        unit: str = "",
-        labels: tuple[str, ...] = (),
-        volatile: bool = False,
-    ) -> CounterFamily:
-        """The shared no-op counter family."""
-        return self._null_counter
-
-    def gauge(
-        self,
-        name: str,
-        help: str,
-        *,
-        unit: str = "",
-        labels: tuple[str, ...] = (),
-        volatile: bool = False,
-    ) -> GaugeFamily:
-        """The shared no-op gauge family."""
-        return self._null_gauge
-
-    def histogram(
-        self,
-        name: str,
-        help: str,
-        *,
-        unit: str = "",
-        labels: tuple[str, ...] = (),
-        volatile: bool = False,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> HistogramFamily:
-        """The shared no-op histogram family."""
-        return self._null_histogram
-
-    def capture(self, now: float) -> None:
-        """No-op."""
-
-
-#: Shared default instance — NullRegistry is stateless, so one is enough.
-NULL_REGISTRY = NullRegistry()

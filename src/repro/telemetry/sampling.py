@@ -140,7 +140,7 @@ class SamplingController:
         _ = cluster
         self._registry = registry
         self._sample_every = sample_every
-        if self.exports_metrics and registry.enabled:
+        if self.exports_metrics:
             cost = registry.counter(
                 "monitoring_collection_cost_seconds",
                 "Simulated collector CPU charged by the observation-cost model.",
@@ -226,7 +226,7 @@ class SamplingController:
         _ = now
         registry = self._registry
         series = 0
-        if registry is not None and registry.enabled:
+        if registry is not None:
             series = sum(len(family) for family in registry.families())
         budget = self.budget
         budget.charge_capture(self.spec.cost, series)

@@ -19,6 +19,7 @@ trace are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,8 @@ def generate_bitbrains_trace(
     """
     if n_vms < 1:
         raise WorkloadError("n_vms must be >= 1")
-    if duration <= 0 or interval <= 0 or interval > duration:
-        raise WorkloadError("need 0 < interval <= duration")
+    if not 0 < interval <= duration < math.inf:  # written so that NaN fails too
+        raise WorkloadError(f"need 0 < interval <= duration < inf, got {interval=}, {duration=}")
     if rng is None:
         rng = RngStreams(seed).stream(TRACE_STREAM)
     n_samples = int(round(duration / interval))

@@ -7,6 +7,7 @@ snapshots declaratively instead of spinning up a whole simulation.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -37,9 +38,9 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def _simsan_lane(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch):
     """Under ``--simsan``, audit every simulation the test builds.
 
-    Tests that pass their own recording sanitizer (or a profiler, which
-    is mutually exclusive with sanitizing) are left alone; everything
-    else gets a fresh :class:`~repro.sanitizer.SimSanitizer`, and the
+    Builds whose ``Observe`` already carries a sanitizer are left alone;
+    every other build (profiled and telemetry runs included: observers
+    compose) gets a fresh :class:`~repro.sanitizer.SimSanitizer`, and the
     test fails if any of its runs recorded a violation.
     """
     if not request.config.getoption("--simsan"):
@@ -47,16 +48,17 @@ def _simsan_lane(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch
         return
 
     from repro.experiments.runner import Simulation
+    from repro.instrument import Observe
     from repro.sanitizer import SimSanitizer, render_san_report
 
     recorders: list[SimSanitizer] = []
     original = Simulation.build.__func__
 
     def build(cls, **kwargs):
-        supplied = kwargs.get("sanitizer")
-        if kwargs.get("profiler") is None and not getattr(supplied, "enabled", False):
+        observe = kwargs.get("observe", Observe())
+        if observe.sanitizer is None:
             recorder = SimSanitizer()
-            kwargs["sanitizer"] = recorder
+            kwargs["observe"] = dataclasses.replace(observe, sanitizer=recorder)
             recorders.append(recorder)
         return original(cls, **kwargs)
 

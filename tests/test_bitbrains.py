@@ -63,6 +63,10 @@ class TestGeneration:
             generate_bitbrains_trace(n_vms=0)
         with pytest.raises(WorkloadError):
             generate_bitbrains_trace(n_vms=1, duration=10.0, interval=20.0)
+        # Non-finite spans are rejected too, not turned into a ValueError.
+        for duration, interval in ((float("nan"), 30.0), (600.0, float("nan")), (float("inf"), 30.0)):
+            with pytest.raises(WorkloadError):
+                generate_bitbrains_trace(n_vms=1, duration=duration, interval=interval)
 
 
 class TestDataclasses:

@@ -25,6 +25,45 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "hybrid" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "cpu", "--algorithms", "hybrid", "--jobs", "0"],
+            ["run", "cpu", "--algorithms", "hybrid", "--jobs", "-1"],
+            ["reproduce", "--jobs", "0"],
+            ["profile", "--workload", "cpu", "--duration", "-5"],
+        ],
+        ids=["run-jobs-0", "run-jobs-negative", "reproduce-jobs-0", "profile-negative-duration"],
+    )
+    def test_bad_jobs_and_profile_duration_are_usage_errors(self, capsys, argv):
+        # Rejected before anything runs: a usage error, not a traceback.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--interval", "0"],
+            ["--interval", "900", "--duration", "600"],
+            ["--duration", "0"],
+            ["--vms", "0"],
+        ],
+        ids=["interval-0", "interval-past-duration", "duration-0", "vms-0"],
+    )
+    def test_trace_rejects_a_bad_shape(self, capsys, flags):
+        assert main(["trace", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_inspect_rejects_a_missing_dump(self, capsys, tmp_path):
+        assert main(["inspect", str(tmp_path / "missing.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "missing.json" in captured.err
+        assert captured.out == ""
+
     def test_run_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "gpu"])

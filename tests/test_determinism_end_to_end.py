@@ -18,12 +18,12 @@ from repro.core.hyscale_mem import HyScaleCpuMem
 from repro.core.registry import registered_policies
 from repro.experiments.configs import cpu_bound, make_policy
 from repro.experiments.runner import Simulation
+from repro.instrument import Observe
 from repro.metrics.sla import Sla
-from repro.obs import NULL_TRACER, DecisionTracer, Tracer, spans_to_jsonl
-from repro.sanitizer import NULL_SANITIZER, Sanitizer, SimSanitizer
+from repro.obs import DecisionTracer, PhaseProfiler, spans_to_jsonl
+from repro.sanitizer import SimSanitizer
 from repro.sim.rng import RngStreams
 from repro.telemetry import (
-    NULL_REGISTRY,
     MetricRegistry,
     SloTracker,
     parse_openmetrics,
@@ -48,10 +48,7 @@ def _fresh_simulation(
     seed: int,
     *,
     random_placement: bool = False,
-    tracer: Tracer = NULL_TRACER,
-    telemetry: MetricRegistry = NULL_REGISTRY,
-    slo: SloTracker | None = None,
-    sanitizer: Sanitizer = NULL_SANITIZER,
+    observe: Observe = Observe(),
 ) -> Simulation:
     """Build a small but busy experiment entirely from ``seed``."""
     config = SimulationConfig(cluster=ClusterConfig(worker_nodes=4), seed=seed)
@@ -77,10 +74,7 @@ def _fresh_simulation(
         policy=HyScaleCpuMem(),
         workload_label="determinism-probe",
         placement=placement,
-        tracer=tracer,
-        telemetry=telemetry,
-        slo=slo,
-        sanitizer=sanitizer,
+        observe=observe,
     )
 
 
@@ -142,7 +136,7 @@ class TestEndToEndDeterminism:
 
         def trace_once() -> str:
             tracer = DecisionTracer()
-            simulation = _fresh_simulation(seed=7, tracer=tracer)
+            simulation = _fresh_simulation(seed=7, observe=Observe(tracer=tracer))
             simulation.run(90.0)
             return spans_to_jsonl(tracer.spans())
 
@@ -156,7 +150,7 @@ class TestEndToEndDeterminism:
         and an untraced run of the same seed produce identical results."""
         untraced = _run_once(seed=7)
         tracer = DecisionTracer()
-        simulation = _fresh_simulation(seed=7, tracer=tracer)
+        simulation = _fresh_simulation(seed=7, observe=Observe(tracer=tracer))
         summary = simulation.run(90.0)
         traced = (
             summary.to_dict(),
@@ -172,7 +166,7 @@ class TestEndToEndDeterminism:
         def stream_once() -> tuple[str, str]:
             registry = MetricRegistry()
             slo = SloTracker(Sla(response_time_target=5.0, availability_target=0.95))
-            simulation = _fresh_simulation(seed=7, telemetry=registry, slo=slo)
+            simulation = _fresh_simulation(seed=7, observe=Observe(telemetry=registry, slo=slo))
             simulation.run(90.0)
             now = simulation.engine.clock.now
             return (
@@ -207,8 +201,7 @@ class TestEndToEndDeterminism:
             loads=loads,
             policy="hybrid",
             workload_label="telemetry-export",
-            telemetry=registry,
-            slo=slo,
+            observe=Observe(telemetry=registry, slo=slo),
         )
         summary = simulation.run(120.0)
         parse_openmetrics(render_openmetrics(registry))
@@ -230,11 +223,11 @@ class TestEndToEndDeterminism:
 
     def test_telemetry_does_not_perturb_the_run(self):
         """Instrumentation is observation only: a run with a recording
-        registry produces bit-identical results to a NULL_REGISTRY run."""
+        registry produces bit-identical results to an unobserved run."""
         bare = _run_once(seed=7)
         registry = MetricRegistry()
         slo = SloTracker(Sla(response_time_target=5.0, availability_target=0.95))
-        simulation = _fresh_simulation(seed=7, telemetry=registry, slo=slo)
+        simulation = _fresh_simulation(seed=7, observe=Observe(telemetry=registry, slo=slo))
         summary = simulation.run(90.0)
         instrumented = (
             summary.to_dict(),
@@ -276,8 +269,7 @@ class TestEndToEndDeterminism:
                 loads=loads,
                 policy=policy_name,
                 workload_label="sampling-pin",
-                telemetry=registry,
-                **({} if sampling is None else {"sampling": sampling}),
+                observe=Observe(telemetry=registry, sampling=sampling),
             )
             summary = simulation.run(40.0)
             now = simulation.engine.clock.now
@@ -293,30 +285,12 @@ class TestEndToEndDeterminism:
         for name in policies:
             assert fleet_run(name, "full") == fleet_run(name, None), name
 
-    def test_null_sanitizer_run_is_bit_identical_to_the_bare_run(self, request):
-        """``NULL_SANITIZER`` is the default: passing it explicitly keeps
-        the exact unsanitized hot loop (``engine.sanitizer is None``), so
-        the run is the bare run, bit for bit."""
-        bare = _run_once(seed=7)
-        simulation = _fresh_simulation(seed=7, sanitizer=NULL_SANITIZER)
-        if not request.config.getoption("--simsan"):
-            # The --simsan lane swaps a recorder in for the null sanitizer;
-            # the bit-identity below must hold either way.
-            assert simulation.engine.sanitizer is None
-        summary = simulation.run(90.0)
-        nulled = (
-            summary.to_dict(),
-            list(simulation.collector.events.events()),
-            list(simulation.collector.timeline),
-        )
-        assert bare == nulled
-
     def test_sanitizer_does_not_perturb_the_run(self):
         """SimSan is observation only: a sanitized run produces bit-identical
         results to the bare run — and a healthy run has no violations."""
         bare = _run_once(seed=7)
         sanitizer = SimSanitizer()
-        simulation = _fresh_simulation(seed=7, sanitizer=sanitizer)
+        simulation = _fresh_simulation(seed=7, observe=Observe(sanitizer=sanitizer))
         summary = simulation.run(90.0)
         sanitized = (
             summary.to_dict(),
@@ -329,7 +303,7 @@ class TestEndToEndDeterminism:
 
     def test_hot_path_fixes_are_behaviourally_inert(self):
         """The FlowLint HOT fixes (prefetched arrival streams, hoisted
-        sort keys, registration-time profiler labels) must be invisible:
+        sort keys, once-per-actor profiler labels) must be invisible:
         each optimized formulation is pinned to the per-step formulation
         it replaced, and the bit-identity tests above pin the summaries
         themselves."""
@@ -361,11 +335,14 @@ class TestEndToEndDeterminism:
             replicas, key=lambda r: -r.cpu_utilization
         )
 
-        # Profiler phase labels minted at registration equal the strings
-        # the profiled loop used to format every step.
-        simulation = _fresh_simulation(seed=7)
-        engine = simulation.engine
-        assert engine._actor_labels == [f"actor:{name}" for name, _ in engine._actors]
+        # The profiler formats each actor's phase label once, and the
+        # labels equal the strings a per-step format would have built.
+        profiler = PhaseProfiler()
+        simulation = _fresh_simulation(seed=7, observe=Observe(profiler=profiler))
+        simulation.engine.run_steps(2)
+        names = simulation.engine.actor_names
+        assert profiler.phase_names() == (*(f"actor:{name}" for name in names), "events")
+        assert profiler._actor_labels == {name: f"actor:{name}" for name in names}
 
     def test_detflow_pass_is_behaviourally_inert(self):
         """DetFlow (DET101–104 / CON001–003) found no real violations to

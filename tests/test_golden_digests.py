@@ -28,6 +28,7 @@ from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig, SimulationConfig
 from repro.core.registry import registered_policies
 from repro.experiments.runner import Simulation
+from repro.instrument import Observe
 from repro.metrics.sla import Sla
 from repro.obs import DecisionTracer, spans_to_jsonl
 from repro.telemetry import MetricRegistry, SloTracker, render_openmetrics, snapshot_to_jsonl
@@ -146,7 +147,9 @@ def _observed_run(duration: float, **build: object) -> dict[str, str]:
     tracer = DecisionTracer()
     registry = MetricRegistry()
     slo = SloTracker(Sla(response_time_target=5.0, availability_target=0.95))
-    simulation = Simulation.build(tracer=tracer, telemetry=registry, slo=slo, **build)
+    simulation = Simulation.build(
+        observe=Observe(tracer=tracer, telemetry=registry, slo=slo), **build
+    )
     summary = simulation.run(duration)
     now = simulation.engine.clock.now
     events = [{**asdict(e), "kind": e.kind.value} for e in simulation.collector.events.events()]

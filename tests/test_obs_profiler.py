@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.instrument import Observe
 from repro.obs import PhaseProfiler
 from repro.sim.engine import Engine
 
@@ -96,7 +97,7 @@ class TestEngineAttribution:
     def test_engine_times_each_actor(self):
         fake = FakeClock(tick=0.001)
         profiler = PhaseProfiler(timer=fake)
-        engine = Engine(dt=0.5, profiler=profiler)
+        engine = Engine(dt=0.5, observers=(profiler,))
         engine.add_actor("fast", _Sleeper(fake, 1))
         engine.add_actor("slow", _Sleeper(fake, 9))
         engine.run_steps(4)
@@ -110,7 +111,11 @@ class TestEngineAttribution:
 
     def test_engine_without_profiler_has_none(self):
         engine = Engine(dt=0.5)
-        assert engine.profiler is None
+        assert engine.observers == ()
+        # No attribute to set after build: a profiler is attached only
+        # through the observer tuple, where it composes with the rest.
+        with pytest.raises(AttributeError):
+            engine.profiler = PhaseProfiler()
 
     def test_profiling_does_not_change_results(self):
         """Same seed with and without a profiler: identical outputs."""
@@ -118,8 +123,8 @@ class TestEngineAttribution:
         from tests.test_determinism_end_to_end import _fresh_simulation
 
         untraced = _run_once(seed=7)
-        simulation = _fresh_simulation(seed=7)
-        simulation.engine.profiler = PhaseProfiler()
+        profiler = PhaseProfiler()
+        simulation = _fresh_simulation(seed=7, observe=Observe(profiler=profiler))
         summary = simulation.run(90.0)
         profiled = (
             summary.to_dict(),
@@ -127,4 +132,4 @@ class TestEngineAttribution:
             list(simulation.collector.timeline),
         )
         assert untraced == profiled
-        assert simulation.engine.profiler.steps > 0
+        assert profiler.steps == simulation.engine.clock.step > 0

@@ -8,6 +8,7 @@ from repro.cluster.resources import ResourceVector
 from repro.core.policy import NodeLedger
 from repro.core.view import ClusterView, NodeView, ReplicaView, ServiceView
 from repro.errors import ObservabilityError
+from repro.instrument import Observe
 from repro.obs import NULL_TRACER, DecisionTracer, NullTracer, Tracer
 
 
@@ -142,7 +143,7 @@ class TestPolicyWiring:
         from tests.test_determinism_end_to_end import _fresh_simulation  # reuse wiring
 
         tracer = DecisionTracer()
-        simulation = _fresh_simulation(seed=3, tracer=tracer)
+        simulation = _fresh_simulation(seed=3, observe=Observe(tracer=tracer))
         assert simulation.monitor.tracer is tracer
         assert simulation.policy.tracer is tracer
         # Swapping the policy re-points the new one too.
@@ -153,7 +154,7 @@ class TestPolicyWiring:
         from tests.test_determinism_end_to_end import _fresh_simulation
 
         tracer = DecisionTracer()
-        simulation = _fresh_simulation(seed=3, tracer=tracer)
+        simulation = _fresh_simulation(seed=3, observe=Observe(tracer=tracer))
         simulation.run(60.0)
         spans = tracer.spans()
         assert spans, "expected at least one monitor tick"

@@ -1,6 +1,6 @@
 """Tests for SimSan: the simulation sanitizer (``repro.sanitizer``).
 
-Covers the protocol/null-object contract, the violation records and their
+Covers the protocol contract, the violation records and their
 JSONL codec, every runtime check via an injected violation, the engine
 step bracket, and the fault-injection scenarios that must *not* trip the
 sanitizer (crashes, node additions, and OOM kills are legitimate writes).
@@ -13,13 +13,10 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceVector
 from repro.config import ClusterConfig, SimulationConfig
-from repro.errors import SanitizerError, SimulationError
-from repro.instrument import NullInstrument, when_enabled
-from repro.obs.profiler import PhaseProfiler
+from repro.errors import SanitizerError
+from repro.instrument import Observe
 from repro.sanitizer import (
-    NULL_SANITIZER,
     SAN_SCHEMA,
-    NullSanitizer,
     Sanitizer,
     SanViolation,
     SimSanitizer,
@@ -32,7 +29,6 @@ from repro.sanitizer import (
     violations_to_jsonl,
     write_san_jsonl,
 )
-from repro.sim.engine import Engine
 from repro.workloads import CPU_BOUND, MEMORY_BOUND, ConstantLoad, ServiceLoad
 
 from tests.conftest import make_container, make_node_view, make_replica, make_service, make_view
@@ -46,8 +42,13 @@ def build_sim(*, sanitizer=None, policy="hybrid", seed=0, rate=6.0, worker_nodes
     config = SimulationConfig(cluster=ClusterConfig(worker_nodes=worker_nodes), seed=seed)
     specs = [MicroserviceSpec(name="svc", min_replicas=2, max_replicas=8, **spec_kwargs)]
     loads = [ServiceLoad("svc", profile, ConstantLoad(rate))]
-    kwargs = {} if sanitizer is None else {"sanitizer": sanitizer}
-    return Simulation.build(config=config, specs=specs, loads=loads, policy=policy, **kwargs)
+    return Simulation.build(
+        config=config,
+        specs=specs,
+        loads=loads,
+        policy=policy,
+        observe=Observe(sanitizer=sanitizer),
+    )
 
 
 def bound_sanitizer(worker_nodes=1, **kwargs) -> tuple[SimSanitizer, Cluster]:
@@ -61,33 +62,15 @@ def one_step(sanitizer: SimSanitizer, *, now: float, step: int = 1,
              next_due: float | None = None) -> None:
     """Drive one empty, well-formed step bracket."""
     sanitizer.begin_step(now=now, step=step)
-    sanitizer.end_step(now=now, next_due=next_due)
+    sanitizer.end_step(now=now, next_due=next_due, fired=0)
 
 
 # ----------------------------------------------------------------------
-# Protocol + null-object contract
+# Protocol contract
 # ----------------------------------------------------------------------
 class TestProtocol:
     def test_implementations_satisfy_the_protocol(self):
-        assert isinstance(NullSanitizer(), Sanitizer)
         assert isinstance(SimSanitizer(), Sanitizer)
-
-    def test_null_sanitizer_is_disabled_and_stateless(self):
-        assert NULL_SANITIZER.enabled is False
-        assert isinstance(NULL_SANITIZER, NullInstrument)
-        # Every hook is a no-op with no bracket discipline.
-        NULL_SANITIZER.end_step(now=1.0, next_due=0.5)
-        NULL_SANITIZER.after_actor(name="anything", now=1.0)
-        NULL_SANITIZER.begin_step(now=0.0, step=0)
-
-    def test_when_enabled_gates_on_the_flag(self):
-        assert when_enabled(None) is None
-        assert when_enabled(NULL_SANITIZER) is None
-        recording = SimSanitizer()
-        assert when_enabled(recording) is recording
-
-    def test_recording_sanitizer_is_enabled(self):
-        assert SimSanitizer().enabled is True
 
     def test_constructor_validation(self):
         with pytest.raises(SanitizerError):
@@ -207,7 +190,7 @@ class TestBracketDiscipline:
         with pytest.raises(SanitizerError):
             sanitizer.after_actor(name="cluster", now=0.5)
         with pytest.raises(SanitizerError):
-            sanitizer.end_step(now=0.5, next_due=None)
+            sanitizer.end_step(now=0.5, next_due=None, fired=0)
 
     def test_clean_bracket_counts_steps(self):
         sanitizer, _ = bound_sanitizer()
@@ -240,7 +223,7 @@ class TestEventOrderCheck:
     def test_due_event_surviving_fire_due_recorded(self):
         sanitizer, _ = bound_sanitizer()
         sanitizer.begin_step(now=2.0, step=4)
-        sanitizer.end_step(now=2.0, next_due=1.5)
+        sanitizer.end_step(now=2.0, next_due=1.5, fired=0)
         (violation,) = sanitizer.violations()
         assert violation.check == "events"
         assert "next_due" in violation.detail
@@ -395,14 +378,6 @@ class TestRecordingCap:
 # Engine + Simulation integration
 # ----------------------------------------------------------------------
 class TestEngineIntegration:
-    def test_profiler_and_sanitizer_are_mutually_exclusive(self):
-        with pytest.raises(SimulationError):
-            Engine(profiler=PhaseProfiler(), sanitizer=SimSanitizer())
-
-    def test_null_sanitizer_keeps_the_bare_hot_loop(self):
-        engine = Engine(sanitizer=NULL_SANITIZER)
-        assert engine.sanitizer is None
-
     def test_healthy_run_brackets_every_step_with_zero_violations(self):
         sanitizer = SimSanitizer()
         sim = build_sim(sanitizer=sanitizer)

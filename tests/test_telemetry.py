@@ -1,6 +1,6 @@
 """Tests for the streaming telemetry subsystem (``repro.telemetry``).
 
-Covers the instrument primitives, the registry (recording and null), both
+Covers the instrument primitives, the metric registry, both
 exporters with their strict parsers, SLO burn-rate tracking, and the live
 ``top`` renderer.  End-to-end byte-determinism of instrumented runs lives
 in ``tests/test_determinism_end_to_end.py``.
@@ -15,10 +15,8 @@ from repro.errors import TelemetryError
 from repro.metrics.sla import Sla
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
-    NULL_REGISTRY,
     BurnWindow,
     MetricRegistry,
-    NullRegistry,
     SloTracker,
     parse_openmetrics,
     render_openmetrics,
@@ -168,28 +166,6 @@ class TestRegistry:
         registry.capture(10.0)
         with pytest.raises(TelemetryError):
             registry.capture(9.0)
-
-    def test_null_registry_is_inert(self):
-        null = NullRegistry()
-        assert null.enabled is False
-        counter = null.counter("hits", "Hits.")
-        counter.inc()
-        counter.labels("anything", "goes").inc(5.0)
-        gauge = null.gauge("g", "G.")
-        gauge.set(3.0, node="n1")
-        null.histogram("h", "H.").observe(1.0)
-        null.capture(0.0)
-        null.capture(-1.0)  # even backwards time is a no-op
-        assert len(null) == 0
-        assert counter.labels().value == 0.0
-
-    def test_shared_null_registry_instance(self):
-        assert NULL_REGISTRY.enabled is False
-        assert isinstance(NULL_REGISTRY, NullRegistry)
-        # Shared no-op children: no state accumulates across uses.
-        a = NULL_REGISTRY.counter("a", "A.").labels()
-        b = NULL_REGISTRY.counter("b", "B.").labels()
-        assert a is b
 
 
 def _populated_registry() -> MetricRegistry:

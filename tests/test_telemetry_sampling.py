@@ -21,14 +21,12 @@ from repro.config import ClusterConfig, SimulationConfig
 from repro.core.hyscale_mem import HyScaleCpuMem
 from repro.errors import ExperimentError, TelemetryError
 from repro.experiments.runner import Simulation
-from repro.instrument import NullInstrument
+from repro.instrument import Observe
 from repro.telemetry import (
     DEFAULT_COST_MODEL,
-    NULL_REGISTRY,
     AdaptiveSamplingController,
     MetricRegistry,
     MonitorBudget,
-    NullRegistry,
     ObservationCostModel,
     SamplingController,
     SamplingSpec,
@@ -290,14 +288,14 @@ class TestThresholdAwareController:
         controller = ThresholdAwareSamplingController()
         controller.bind(
             cluster=_fake_cluster(0.7, 0.5, 0.7),
-            registry=NULL_REGISTRY,
+            registry=MetricRegistry(),
             sample_every=5.0,
         )
         assert controller._edges == (0.5, 0.7)
 
     def test_empty_fleet_keeps_the_spec_edges(self):
         controller = ThresholdAwareSamplingController()
-        controller.bind(cluster=_fake_cluster(), registry=NULL_REGISTRY, sample_every=5.0)
+        controller.bind(cluster=_fake_cluster(), registry=MetricRegistry(), sample_every=5.0)
         assert controller._edges == (controller.spec.hot_low, controller.spec.hot_high)
 
 
@@ -316,12 +314,6 @@ class TestInstrumentExports:
         assert "monitoring_collection_cost_seconds" in names
         assert "monitoring_nodes_observed" in names
         assert "monitoring_staleness_seconds_max" in names
-
-    def test_null_registry_bind_mints_nothing(self):
-        controller = AdaptiveSamplingController()
-        controller.bind(cluster=_fake_cluster(0.5), registry=NULL_REGISTRY, sample_every=5.0)
-        assert len(NULL_REGISTRY) == 0
-        assert controller._instruments is None
 
     def test_finish_sample_publishes_budget_deltas(self):
         registry = MetricRegistry()
@@ -345,21 +337,7 @@ class TestInstrumentExports:
         assert containers.value == 5.0
 
 
-class TestNullRegistryExplicitNullness:
-    def test_retention_kwarg_is_rejected(self):
-        with pytest.raises(TelemetryError, match="retention does not apply"):
-            NullRegistry(retention=240)
-
-    def test_retention_is_zero_not_fabricated(self):
-        assert NullRegistry().retention == 0
-        assert NULL_REGISTRY.retention == 0
-
-    def test_null_ness_is_the_shared_instrument_discipline(self):
-        assert isinstance(NULL_REGISTRY, NullInstrument)
-        assert not isinstance(MetricRegistry(), NullInstrument)
-
-
-def _fresh_simulation(seed: int, **kwargs) -> Simulation:
+def _fresh_simulation(seed: int, **observe) -> Simulation:
     """A small busy run, mirroring the determinism-suite probe."""
     config = SimulationConfig(cluster=ClusterConfig(worker_nodes=4), seed=seed)
     specs = [
@@ -382,7 +360,7 @@ def _fresh_simulation(seed: int, **kwargs) -> Simulation:
         loads=loads,
         policy=HyScaleCpuMem(),
         workload_label="sampling-probe",
-        **kwargs,
+        observe=Observe(**observe),
     )
 
 
@@ -506,9 +484,8 @@ def _fleet_simulation(policy: str, nodes: int, fill_services: int, replicas: int
         policy="hybrid",
         workload_label="observer-at-scale",
         placement=_RoundRobinPlacement(),
-        telemetry=MetricRegistry(),
         timeline_every=2.0,
-        sampling=policy,
+        observe=Observe(telemetry=MetricRegistry(), sampling=policy),
     )
 
 
