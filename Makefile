@@ -1,33 +1,23 @@
 # Developer entry points.  The offline-friendly install path is documented
 # in README.md ("Install").
 
-.PHONY: install lint analyze test test-simsan bench bench-full profile reproduce examples clean
+.PHONY: install lint test test-simsan bench bench-full profile reproduce examples clean
 
 install:
 	pip install -e . || python setup.py develop
 
-# Static analysis: the in-tree determinism/invariant linter is mandatory;
-# mypy and ruff run when installed (CI always has them, offline dev boxes
-# may not — see docs/dev-tooling.md).
+# Static analysis: the in-tree analyzer (docs/dev-tooling.md) is mandatory
+# and gates its own wall time; mypy and ruff run when installed (CI always
+# has them, offline dev boxes may not).  The analyzer writes the repro.flow/3
+# report, with per-phase timings, that CI uploads as an artifact.
 lint:
-	PYTHONPATH=src python -m repro.devtools.lint src tests benchmarks examples
+	PYTHONPATH=src python -m repro.devtools --report BENCH_static_analysis.json --max-wall 3.4
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks examples; \
 	else echo "ruff not installed; skipping (pip install -e .[dev])"; fi
 	@if command -v mypy >/dev/null 2>&1; then mypy; \
 	else echo "mypy not installed; skipping (pip install -e .[dev])"; fi
 
-# FlowLint + DetFlow (docs/dev-tooling.md): interprocedural call-graph &
-# effect analysis over src/repro — hot-path allocation rules,
-# parallel-safety rules, determinism-taint rules (DET101-104), registry
-# contracts (CON001-004), the ranked repro.flow/2 allocation and
-# tainted-path inventories.  Fails on any violation not covered by
-# .flowlint-baseline.json, and on a blown wall-time budget (--max-wall:
-# 2x the single-parse PR 6 baseline of ~1.7 s); the JSON report (with
-# per-phase timings) is uploaded as a CI artifact.
-analyze:
-	PYTHONPATH=src python -m repro.devtools.flow --report BENCH_static_analysis.json --max-wall 3.4
-
-test: lint analyze
+test: lint
 	pytest tests/
 
 # The sanitized lane: every Simulation built by the suite runs under the

@@ -40,18 +40,6 @@ class ComparisonReport:
         """Algorithm with the lowest user-traffic average response time."""
         return min(self.summaries, key=lambda n: self.summaries[n].user_avg_response_time)
 
-    def most_available(self) -> str:
-        """Algorithm with the fewest failed user requests (ties by name)."""
-        return min(
-            sorted(self.summaries),
-            key=lambda n: self.summaries[n].user_percent_failed,
-        )
-
-    def availability_floor(self) -> float:
-        """Worst user-traffic availability across algorithms (the paper's
-        >= 99.8% check applies to Kubernetes/HyScale on CPU loads)."""
-        return min(s.user_availability for s in self.summaries.values())
-
     def to_table(self) -> str:
         """Printable Figures-6-to-8-style table."""
         return comparison_table(self.summaries, title=self.workload)

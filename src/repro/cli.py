@@ -15,8 +15,7 @@ Examples::
     hyscale-repro reproduce --jobs 4 --cache-dir .sweep-cache  # parallel + resumable
     hyscale-repro section3 --which network
     hyscale-repro trace --vms 50 --duration 600
-    hyscale-repro lint                           # determinism & invariant linter
-    hyscale-repro analyze                        # FlowLint interprocedural analysis
+    hyscale-repro lint                           # the static analyzer (python -m repro.devtools)
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import replace
 
 from repro.analysis.compare import compare_runs
 from repro.core.registry import registered_policies
-from repro.errors import WorkloadError
+from repro.errors import ExperimentError, WorkloadError
 from repro.experiments.configs import (
     ALGORITHMS,
     BURSTS,
@@ -347,7 +346,20 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {args.path} is not a JSON dump: {exc}", file=sys.stderr)
         return 2
-    summaries = {name: RunSummary.from_dict(data) for name, data in payload.items()}
+    if not isinstance(payload, dict):
+        print(
+            f"error: {args.path} is not a `run --json` dump: expected an object mapping run "
+            f"names to summaries, got {type(payload).__name__}",
+            file=sys.stderr,
+        )
+        return 2
+    summaries = {}
+    for name, data in payload.items():
+        try:
+            summaries[name] = RunSummary.from_dict(data)
+        except ExperimentError as exc:
+            print(f"error: {args.path} is not a `run --json` dump: run {name!r}: {exc}", file=sys.stderr)
+            return 2
     workload = next(iter(summaries.values())).workload if summaries else "?"
     baseline = "kubernetes" if "kubernetes" in summaries else next(iter(sorted(summaries)), None)
     if baseline is None:
@@ -411,37 +423,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.lint import main as lint_main
+    from repro.devtools.analyzer import run
 
-    argv = list(args.paths)
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.root is not None:
-        argv += ["--root", args.root]
-    if args.list_rules:
-        argv += ["--list-rules"]
-    if args.flow:
-        argv += ["--flow"]
-    return lint_main(argv)
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.devtools.flow.analyze import main as analyze_main
-
-    argv = list(args.paths)
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.root is not None:
-        argv += ["--root", args.root]
-    if args.report is not None:
-        argv += ["--report", args.report]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv += ["--write-baseline"]
-    if args.list_rules:
-        argv += ["--list-rules"]
-    return analyze_main(argv)
+    return run(args)
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -685,60 +669,14 @@ def build_parser() -> argparse.ArgumentParser:
                              help="also render saved timelines")
     inspect_cmd.set_defaults(func=_cmd_inspect)
 
+    from repro.devtools import add_arguments as add_lint_arguments
+
     lint = sub.add_parser(
         "lint",
-        help="run the determinism & invariant linter (rules in docs/dev-tooling.md)",
+        help="run the static analyzer, as `python -m repro.devtools` (rules in docs/dev-tooling.md)",
     )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=[],
-        help="files or directories to lint (default: src tests benchmarks examples)",
-    )
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--root", default=None, help="repository root for rule scoping")
-    lint.add_argument("--list-rules", action="store_true", help="print the rule catalogue")
-    lint.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the interprocedural FlowLint rules (see `analyze`)",
-    )
+    add_lint_arguments(lint)
     lint.set_defaults(func=_cmd_lint)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="run FlowLint: interprocedural call-graph, hot-path, and "
-        "parallel-safety analysis (rules in docs/dev-tooling.md)",
-    )
-    analyze.add_argument(
-        "paths",
-        nargs="*",
-        default=[],
-        help="files or directories to analyze (default: src/repro)",
-    )
-    analyze.add_argument("--format", choices=("text", "json"), default="text")
-    analyze.add_argument("--root", default=None, help="repository root for logical paths")
-    analyze.add_argument(
-        "--report",
-        metavar="FILE",
-        default=None,
-        help="also write the canonical repro.flow/1 JSON report to FILE",
-    )
-    analyze.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file (default: <root>/.flowlint-baseline.json when present)",
-    )
-    analyze.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept every current finding",
-    )
-    analyze.add_argument(
-        "--list-rules", action="store_true", help="print the flow rule catalogue"
-    )
-    analyze.set_defaults(func=_cmd_analyze)
 
     trace = sub.add_parser("trace", help="print the synthetic Bitbrains aggregate (Figure 9)")
     trace.add_argument("--vms", type=int, default=100)

@@ -125,15 +125,6 @@ class Cluster:
         """Sum of node allocations."""
         return ResourceVector.sum(n.allocated() for n in self.nodes.values())
 
-    def total_usage(self) -> ResourceVector:
-        """Sum of node usage."""
-        return ResourceVector.sum(n.usage() for n in self.nodes.values())
-
-    def nodes_not_hosting(self, service: str) -> list[Node]:
-        """Nodes without a replica of ``service`` — HyScale's horizontal
-        candidates (Section IV-B1)."""
-        return [n for n in self.sorted_nodes() if not n.hosts_service(service)]
-
     # ------------------------------------------------------------------
     # Engine integration
     # ------------------------------------------------------------------

@@ -139,11 +139,5 @@ class Microservice:
             ResourceVector(c.cpu_request, c.mem_limit, c.net_rate) for c in self.active_replicas()
         )
 
-    def total_usage(self) -> ResourceVector:
-        """Sum of active replicas' last-step measured usage."""
-        return ResourceVector.sum(
-            ResourceVector(c.cpu_usage, c.mem_usage, c.net_usage) for c in self.active_replicas()
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Microservice({self.name!r}, replicas={self.replica_count})"

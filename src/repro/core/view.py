@@ -99,14 +99,6 @@ class ServiceView:
         """Memory analogue of :meth:`total_cpu_requested`."""
         return sum(r.mem_limit for r in self.measurable_replicas())
 
-    def total_net_usage(self) -> float:
-        """Network analogue of :meth:`total_cpu_usage`."""
-        return sum(r.net_usage for r in self.measurable_replicas())
-
-    def total_net_requested(self) -> float:
-        """Network analogue of :meth:`total_cpu_requested`."""
-        return sum(r.net_rate for r in self.measurable_replicas())
-
 @dataclass(frozen=True)
 class NodeView:
     """One machine: capacity and what is reserved on it."""

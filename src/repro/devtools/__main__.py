@@ -1,10 +1,10 @@
-"""``python -m repro.devtools`` — alias for ``python -m repro.devtools.lint``."""
+"""``python -m repro.devtools`` — run the static analyzer."""
 
 from __future__ import annotations
 
 import sys
 
-from repro.devtools.lint import main
+from repro.devtools import main
 
 if __name__ == "__main__":
     sys.exit(main())

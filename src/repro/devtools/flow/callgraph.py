@@ -2,7 +2,7 @@
 
 The graph is built in two passes:
 
-1. **Collection** — every module is parsed; classes, methods, top-level
+1. **Collection** — for every parsed module, classes, methods, top-level
    functions, import aliases, dataclass field types, and ``self.attr``
    types (inferred from constructor assignments) are indexed.
 2. **Resolution** — every call site is resolved to zero or more known
@@ -14,19 +14,18 @@ The graph is built in two passes:
    how the engine's actor protocol and the policy registry dispatch.
 
 The fallback makes the graph a sound over-approximation for the
-reachability questions FlowLint asks ("could this run inside a step?");
-precise receiver typing keeps it from collapsing into "everything calls
-everything".
+reachability questions the call-graph rules ask ("could this run inside
+a step?"); precise receiver typing keeps it from collapsing into
+"everything calls everything".
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.devtools.rules import _dotted_name, _import_aliases
+from repro.devtools.source import SourceFile, dotted_name, is_mutable_container
 
 #: Method names never resolved through the name-match fallback: they are
 #: overwhelmingly stdlib container/IO calls, and fallback edges through
@@ -142,47 +141,6 @@ class CallGraph:
         return sum(len(v) for v in self.edges.values())
 
 
-def module_name_for(path: str) -> str | None:
-    """Dotted module name for a repo-relative path inside ``src/repro``."""
-    p = path.replace("\\", "/")
-    for prefix in ("src/repro/", "repro/"):
-        idx = p.find(prefix)
-        if idx == 0 or (idx > 0 and p[idx - 1] == "/"):
-            rest = p[idx + len(prefix) - len("repro/") :]
-            break
-    else:
-        return None
-    if not rest.endswith(".py"):
-        return None
-    rest = rest[: -len(".py")]
-    if rest.endswith("/__init__"):
-        rest = rest[: -len("/__init__")]
-    return rest.replace("/", ".")
-
-
-def _is_mutable_container(node: ast.expr, aliases: Mapping[str, str]) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        dotted = _dotted_name(node.func)
-        if dotted is None:
-            return False
-        head, _, rest = dotted.partition(".")
-        expanded = aliases.get(head, head)
-        full = f"{expanded}.{rest}" if rest else expanded
-        return full in (
-            "list",
-            "dict",
-            "set",
-            "bytearray",
-            "collections.defaultdict",
-            "collections.deque",
-            "collections.OrderedDict",
-            "collections.Counter",
-        )
-    return False
-
-
 def _annotation_class(annotation: ast.expr | None) -> str | None:
     """The (possibly dotted) class name of a simple annotation, if any.
 
@@ -199,7 +157,7 @@ def _annotation_class(annotation: ast.expr | None) -> str | None:
             return None
         return _annotation_class(parsed)
     if isinstance(annotation, (ast.Name, ast.Attribute)):
-        return _dotted_name(annotation)
+        return dotted_name(annotation)
     if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
         return _annotation_class(annotation.left) or _annotation_class(annotation.right)
     if isinstance(annotation, ast.Subscript):
@@ -210,11 +168,12 @@ def _annotation_class(annotation: ast.expr | None) -> str | None:
     return None
 
 
-def _collect_module(name: str, path: str, tree: ast.Module) -> ModuleInfo:
-    """Pass 1 for one module: defs, classes, aliases, module mutables."""
-    info = ModuleInfo(name=name, path=path, tree=tree, aliases=_import_aliases(tree))
+def _collect_module(f: SourceFile, name: str) -> ModuleInfo:
+    """Pass 1 for one module: defs, classes, module mutables."""
+    path = f.path
+    info = ModuleInfo(name=name, path=path, tree=f.tree, aliases=f.aliases)
     mutables: list[tuple[str, int]] = []
-    for node in tree.body:
+    for node in f.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.functions[node.name] = _function_info(name, None, path, node)
         elif isinstance(node, ast.ClassDef):
@@ -222,7 +181,7 @@ def _collect_module(name: str, path: str, tree: ast.Module) -> ModuleInfo:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             value = node.value
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if value is not None and _is_mutable_container(value, info.aliases):
+            if value is not None and is_mutable_container(value, info.aliases):
                 for target in targets:
                     if isinstance(target, ast.Name):
                         mutables.append((target.id, node.lineno))
@@ -256,7 +215,7 @@ def _collect_class(
         module=module,
         path=path,
         lineno=node.lineno,
-        bases=tuple(b for b in (_dotted_name(base) for base in node.bases) if b),
+        bases=tuple(b for b in (dotted_name(base) for base in node.bases) if b),
     )
     for child in node.body:
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -269,28 +228,16 @@ def _collect_class(
     return info
 
 
-def build_call_graph(sources: Iterable[tuple[str, str]]) -> CallGraph:
-    """Build the graph from ``(logical_path, source_text[, tree])`` tuples.
+def build_call_graph(files: Iterable[SourceFile]) -> CallGraph:
+    """Build the graph from the parsed files inside ``src/repro``.
 
-    Paths outside ``src/repro`` (no derivable module name) are skipped, as
-    are files that do not parse — the per-file linter already reports
-    those as ``LINT002``.  A caller that already parsed a file (the
-    ``lint --flow`` shared pass) supplies its :class:`ast.Module` as an
-    optional third element and the source is not parsed again.
+    Files outside the package (no module name) are skipped; each file's
+    tree and import aliases are the ones the pass already computed.
     """
     graph = CallGraph()
-    for item in sorted(sources, key=lambda t: t[0]):
-        path, source = item[0], item[1]
-        tree = item[2] if len(item) > 2 else None
-        module = module_name_for(path)
-        if module is None:
-            continue
-        if tree is None:
-            try:
-                tree = ast.parse(source)
-            except SyntaxError:
-                continue
-        graph.modules[module] = _collect_module(module, path, tree)
+    for f in sorted(files, key=lambda f: f.path):
+        if f.module is not None:
+            graph.modules[f.module] = _collect_module(f, f.module)
 
     by_name: dict[str, list[str]] = {}
     class_by_simple_name: dict[str, list[str]] = {}
@@ -346,7 +293,7 @@ def _infer_attribute_types(graph: CallGraph, class_by_simple_name: Mapping[str, 
                     ):
                         qual = None
                         if isinstance(value, ast.Call):
-                            dotted = _dotted_name(value.func)
+                            dotted = dotted_name(value.func)
                             if dotted is not None:
                                 qual = _resolve_class_name(
                                     dotted, module_info, graph, class_by_simple_name
@@ -451,7 +398,7 @@ class _Resolver:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             qual = None
             if isinstance(value, ast.Call):
-                dotted = _dotted_name(value.func)
+                dotted = dotted_name(value.func)
                 if dotted is not None:
                     qual = _resolve_class_name(
                         dotted, self.module, self.graph, self.class_by_simple_name
@@ -530,7 +477,7 @@ class _Resolver:
         receiver = func.value
 
         # Fully dotted target through imports: repro.units.mb_to_mbit(...).
-        dotted = _dotted_name(func)
+        dotted = dotted_name(func)
         if dotted is not None:
             head, _, rest = dotted.partition(".")
             expanded = self.module.aliases.get(head, head)
@@ -615,13 +562,3 @@ class _Resolver:
         if method.startswith("__") or method in _FALLBACK_STOPLIST:
             return []
         return list(self.graph.functions_named(method))
-
-
-def read_sources(paths: Iterable[Path], root: Path) -> list[tuple[str, str]]:
-    """Load ``(logical_path, source)`` pairs for ``build_call_graph``."""
-    from repro.devtools.lint import iter_python_files, logical_path
-
-    out: list[tuple[str, str]] = []
-    for file in iter_python_files(paths):
-        out.append((logical_path(file, root), file.read_text(encoding="utf-8")))
-    return out

@@ -6,7 +6,7 @@ contributor code enters the engine.  A policy that forgets ``decide``, a
 sampling controller holding module-level mutable state, or an autoscaler
 drawing from the ambient RNG will pass import time and only fail (or
 worse, silently diverge) mid-run.  This pass verifies the contracts
-statically, over the same call graph FlowLint already built:
+statically, over the call graph the pass already built:
 
 * **CON001** — the implementation does not conform to the protocol: it
   misses a required method, leaves an abstract method unimplemented, or
@@ -23,19 +23,10 @@ Implementations are discovered two ways: every concrete subclass of a
 protocol base class (the built-in registries are populated from literal
 tables of such classes), and every ``register_*`` call site whose
 factory argument resolves to a class — including classes that do *not*
-subclass the base, which is itself a CON001.
-
-The application-graph registries — :func:`repro.workloads.registry.
-register_workload` / ``register_app`` and :func:`repro.platform.routing.
-register_routing` — register *factories and enum members*, not protocol
-classes, so the class checks above do not apply.  Their contract is
-checked at the registration call site instead:
-
-* **CON004** — a registration call site is malformed: the name argument
-  is a literal that is empty or not a string, the registered value is a
-  bare literal where a callable / ``RoutingPolicy`` member is required,
-  or the same literal name is registered twice in the tree without
-  ``replace=True`` (an import-time crash, caught statically).
+subclass the base, which is itself a CON001.  The other name tables
+(workloads, apps, routing, profiles) need no static check:
+``NameRegistry.register`` rejects a malformed registration when the
+module defining it is imported.
 """
 
 from __future__ import annotations
@@ -45,8 +36,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.devtools.flow.callgraph import CallGraph, ClassInfo, FunctionInfo
-from repro.devtools.flow.taint import KIND_AMBIENT_RNG, taint_facts_of
-from repro.devtools.rules import _terminal_name
+from repro.devtools.flow.taint import KIND_AMBIENT_RNG, TaintAnalysis
+from repro.devtools.source import Violation, terminal_name
 
 #: Constructor parameter names that count as an injected entropy source.
 RNG_PARAM_NAMES = frozenset({"rng", "rng_streams", "streams", "generator", "seed", "rng_seed"})
@@ -90,59 +81,12 @@ PROTOCOLS: tuple[ProtocolSpec, ...] = (
 
 
 @dataclass(frozen=True)
-class CallSiteSpec:
-    """One call-site registry's contract (name -> value tables).
+class Contracts:
+    """The contract findings and the implementation census, from one discovery."""
 
-    Unlike :class:`ProtocolSpec` registries these hold factories or enum
-    members, so conformance is judged where ``register_*`` is called, not
-    on a class hierarchy.  ``module`` names the module that defines the
-    registration function: when it is absent from the analyzed tree the
-    registry does not exist there and the checks (and census) skip it,
-    mirroring the ``spec.base not in graph.classes`` gate above.
-    """
-
-    registry: str  # short label used in messages ("workload", ...)
-    register_call: str  # bare name of the registration function
-    module: str  # module defining the registration function
-    value_keyword: str  # keyword spelling of the registered value
-    value_contract: str  # human phrasing of what the value must be
-
-
-CALLSITE_REGISTRIES: tuple[CallSiteSpec, ...] = (
-    CallSiteSpec(
-        registry="workload",
-        register_call="register_workload",
-        module="repro.workloads.registry",
-        value_keyword="factory",
-        value_contract="an experiment factory (callable)",
-    ),
-    CallSiteSpec(
-        registry="app",
-        register_call="register_app",
-        module="repro.workloads.registry",
-        value_keyword="factory",
-        value_contract="an application factory (callable)",
-    ),
-    CallSiteSpec(
-        registry="routing",
-        register_call="register_routing",
-        module="repro.platform.routing",
-        value_keyword="policy",
-        value_contract="a RoutingPolicy member",
-    ),
-)
-
-
-@dataclass(frozen=True, order=True)
-class ContractFinding:
-    """One contract violation, attributable to an implementation class."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    cls: str  # implementation class qualname (the baseline key)
-    message: str
+    findings: tuple[Violation, ...]
+    #: Registry label -> number of discovered implementations.
+    census: dict[str, int]
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +144,7 @@ def _ancestors(
 
 def _is_abstractmethod(fn: FunctionInfo) -> bool:
     return any(
-        _terminal_name(dec) == "abstractmethod" for dec in fn.node.decorator_list
+        terminal_name(dec) == "abstractmethod" for dec in fn.node.decorator_list
     )
 
 
@@ -263,11 +207,11 @@ def _registered_class_from_arg(
         return candidates[0] if len(candidates) == 1 else None
 
     if isinstance(arg, (ast.Name, ast.Attribute)):
-        return name_to_class(_terminal_name(arg))
+        return name_to_class(terminal_name(arg))
     if isinstance(arg, ast.Lambda):
         for node in ast.walk(arg.body):
             if isinstance(node, ast.Call):
-                resolved = name_to_class(_terminal_name(node.func))
+                resolved = name_to_class(terminal_name(node.func))
                 if resolved is not None:
                     return resolved
         return None
@@ -275,7 +219,7 @@ def _registered_class_from_arg(
         # A factory-of-factories: ``_interval_factory(KubernetesHpa)``.
         for inner in (*arg.args, *[kw.value for kw in arg.keywords]):
             if isinstance(inner, (ast.Name, ast.Attribute)):
-                resolved = name_to_class(_terminal_name(inner))
+                resolved = name_to_class(terminal_name(inner))
                 if resolved is not None:
                     return resolved
     return None
@@ -304,7 +248,7 @@ def _discover(
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):
                 continue
-            if _terminal_name(node.func) != spec.register_call:
+            if terminal_name(node.func) != spec.register_call:
                 continue
             factory_arg: ast.expr | None = None
             if len(node.args) >= 2:
@@ -332,110 +276,25 @@ def _discover(
     return implementations, strangers
 
 
-def _callsite_args(
-    node: ast.Call, spec: CallSiteSpec
-) -> tuple[ast.expr | None, ast.expr | None, bool]:
-    """(name argument, value argument, replace=True present) of one call."""
-    name_arg: ast.expr | None = node.args[0] if node.args else None
-    value_arg: ast.expr | None = node.args[1] if len(node.args) >= 2 else None
-    replace = False
-    for kw in node.keywords:
-        if kw.arg == "name":
-            name_arg = kw.value
-        elif kw.arg == spec.value_keyword:
-            value_arg = kw.value
-        elif kw.arg == "replace":
-            replace = isinstance(kw.value, ast.Constant) and kw.value.value is True
-    return name_arg, value_arg, replace
-
-
-def _check_callsites(
-    graph: CallGraph, spec: CallSiteSpec
-) -> tuple[dict[str, int], list[ContractFinding]]:
-    """(literal name -> first registration line, CON004 findings).
-
-    Only literal arguments are judged — a computed name or factory is a
-    legitimate dynamic registration this pass cannot see through.
-    """
-    registered: dict[str, int] = {}
-    out: list[ContractFinding] = []
-    for module_name in sorted(graph.modules):
-        info = graph.modules[module_name]
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if _terminal_name(node.func) != spec.register_call:
-                continue
-            name_arg, value_arg, replace = _callsite_args(node, spec)
-
-            def finding(message: str) -> ContractFinding:
-                label = "<dynamic>"
-                if isinstance(name_arg, ast.Constant):
-                    label = repr(name_arg.value)
-                return ContractFinding(
-                    path=info.path,
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                    rule="CON004",
-                    cls=f"{module_name}:{spec.register_call}({label})",
-                    message=message,
-                )
-
-            literal_name: str | None = None
-            if isinstance(name_arg, ast.Constant):
-                if not isinstance(name_arg.value, str) or not name_arg.value:
-                    out.append(
-                        finding(
-                            f"{spec.registry} registration name must be a "
-                            f"non-empty string, got {name_arg.value!r}"
-                        )
-                    )
-                else:
-                    literal_name = name_arg.value
-            if isinstance(value_arg, ast.Constant):
-                out.append(
-                    finding(
-                        f"{spec.registry} {spec.value_keyword} must be "
-                        f"{spec.value_contract}, got the literal "
-                        f"{value_arg.value!r}"
-                    )
-                )
-            if literal_name is not None:
-                if literal_name in registered and not replace:
-                    out.append(
-                        finding(
-                            f"{spec.registry} {literal_name!r} is registered "
-                            f"twice (first at line {registered[literal_name]}) "
-                            "without replace=True; the second registration "
-                            "raises at import time"
-                        )
-                    )
-                else:
-                    registered.setdefault(literal_name, node.lineno)
-    return registered, out
-
-
 # ----------------------------------------------------------------------
 # The checks
 # ----------------------------------------------------------------------
+def _finding(cls: ClassInfo, rule: str, line: int, message: str, col: int = 1) -> Violation:
+    return Violation(cls.path, line, col, rule, message, function=cls.qualname)
+
+
 def _check_con001(
     graph: CallGraph,
     spec: ProtocolSpec,
     cls: ClassInfo,
     stranger: bool,
     by_simple: dict[str, tuple[str, ...]],
-) -> list[ContractFinding]:
-    out: list[ContractFinding] = []
-
-    def finding(line: int, message: str) -> ContractFinding:
-        return ContractFinding(
-            path=cls.path, line=line, col=1, rule="CON001", cls=cls.qualname, message=message
-        )
-
+) -> list[Violation]:
+    out: list[Violation] = []
     if stranger:
         out.append(
-            finding(
-                cls.lineno,
+            _finding(
+                cls, "CON001", cls.lineno,
                 f"`{cls.name}` is registered as a {spec.registry} but does "
                 f"not subclass `{spec.base}`",
             )
@@ -446,16 +305,16 @@ def _check_con001(
         resolved = _resolve_method(graph, cls, name, by_simple)
         if resolved is None:
             out.append(
-                finding(
-                    cls.lineno,
+                _finding(
+                    cls, "CON001", cls.lineno,
                     f"{spec.registry} `{cls.name}` is missing required "
                     f"method `{name}` (protocol `{spec.base}`)",
                 )
             )
         elif _is_abstractmethod(resolved):
             out.append(
-                finding(
-                    cls.lineno,
+                _finding(
+                    cls, "CON001", cls.lineno,
                     f"{spec.registry} `{cls.name}` never implements abstract "
                     f"method `{name}` declared by `{resolved.qualname}`",
                 )
@@ -477,8 +336,8 @@ def _check_con001(
                     and name not in spec.required  # already reported above
                 ):
                     out.append(
-                        finding(
-                            cls.lineno,
+                        _finding(
+                            cls, "CON001", cls.lineno,
                             f"{spec.registry} `{cls.name}` never implements "
                             f"abstract method `{name}` declared by "
                             f"`{resolved.qualname}`",
@@ -497,48 +356,33 @@ def _check_con001(
             base_def = info.methods[name]
             if _positional_arity(own) < _positional_arity(base_def):
                 out.append(
-                    ContractFinding(
-                        path=cls.path,
-                        line=own.lineno,
-                        col=1,
-                        rule="CON001",
-                        cls=cls.qualname,
-                        message=(
-                            f"`{cls.name}.{name}` takes {_positional_arity(own)} "
-                            f"positional parameter(s) but the protocol definition "
-                            f"`{base_def.qualname}` takes {_positional_arity(base_def)}; "
-                            "callers pass the protocol arity"
-                        ),
+                    _finding(
+                        cls, "CON001", own.lineno,
+                        f"`{cls.name}.{name}` takes {_positional_arity(own)} "
+                        f"positional parameter(s) but the protocol definition "
+                        f"`{base_def.qualname}` takes {_positional_arity(base_def)}; "
+                        "callers pass the protocol arity",
                     )
                 )
             break  # nearest definition wins
     return out
 
 
-def _check_con002(graph: CallGraph, spec: ProtocolSpec, cls: ClassInfo) -> list[ContractFinding]:
+def _check_con002(graph: CallGraph, spec: ProtocolSpec, cls: ClassInfo) -> list[Violation]:
     module = graph.modules.get(cls.module)
     if module is None:
         return []
-    out: list[ContractFinding] = []
-    for name, line in module.module_mutables:
-        if name.startswith(_CON002_EXEMPT_PREFIX):
-            continue
-        out.append(
-            ContractFinding(
-                path=cls.path,
-                line=line,
-                col=1,
-                rule="CON002",
-                cls=cls.qualname,
-                message=(
-                    f"module-level mutable `{name}` in the module defining "
-                    f"{spec.registry} `{cls.name}`; registered implementations "
-                    "must keep state on the instance (module state is "
-                    "per-process under the sweep pool)"
-                ),
-            )
+    return [
+        _finding(
+            cls, "CON002", line,
+            f"module-level mutable `{name}` in the module defining "
+            f"{spec.registry} `{cls.name}`; registered implementations "
+            "must keep state on the instance (module state is "
+            "per-process under the sweep pool)",
         )
-    return out
+        for name, line in module.module_mutables
+        if not name.startswith(_CON002_EXEMPT_PREFIX)
+    ]
 
 
 def _check_con003(
@@ -546,77 +390,41 @@ def _check_con003(
     spec: ProtocolSpec,
     cls: ClassInfo,
     by_simple: dict[str, tuple[str, ...]],
-) -> list[ContractFinding]:
+    taint: TaintAnalysis,
+) -> list[Violation]:
     ctor = _resolve_method(graph, cls, "__init__", by_simple)
-    injectable = ctor is not None and any(p in RNG_PARAM_NAMES for p in ctor.params)
-    if injectable:
+    if ctor is not None and any(p in RNG_PARAM_NAMES for p in ctor.params):
         return []
-    out: list[ContractFinding] = []
-    for name in sorted(cls.methods):
-        facts = taint_facts_of(graph, cls.methods[name])
-        for source in facts.sources:
-            if source.kind != KIND_AMBIENT_RNG:
-                continue
-            out.append(
-                ContractFinding(
-                    path=cls.path,
-                    line=source.line,
-                    col=source.col,
-                    rule="CON003",
-                    cls=cls.qualname,
-                    message=(
-                        f"{spec.registry} `{cls.name}.{name}` draws from the "
-                        f"ambient RNG ({source.detail}) with no "
-                        "constructor-injectable generator "
-                        f"({'/'.join(sorted(RNG_PARAM_NAMES))}); same-seed "
-                        "runs cannot reproduce its decisions"
-                    ),
-                )
-            )
-    return out
+    return [
+        _finding(
+            cls, "CON003", source.line,
+            f"{spec.registry} `{cls.name}.{name}` draws from the "
+            f"ambient RNG ({source.detail}) with no "
+            "constructor-injectable generator "
+            f"({'/'.join(sorted(RNG_PARAM_NAMES))}); same-seed "
+            "runs cannot reproduce its decisions",
+            col=source.col,
+        )
+        for name in sorted(cls.methods)
+        for source in taint.facts[cls.methods[name].qualname].sources
+        if source.kind == KIND_AMBIENT_RNG
+    ]
 
 
-def check_contracts(graph: CallGraph) -> tuple[ContractFinding, ...]:
-    """Run CON001–004 over every discovered registry implementation."""
+def check_contracts(graph: CallGraph, taint: TaintAnalysis) -> Contracts:
+    """Run CON001–003 over every discovered registry implementation and
+    count the implementations per registry, from one discovery each."""
     by_simple = _class_by_simple_name(graph)
-    findings: set[ContractFinding] = set()
+    findings: set[Violation] = set()
+    census: dict[str, int] = {}
     for spec in PROTOCOLS:
         if spec.base not in graph.classes:
             continue  # protocol not in the analyzed tree (partial fixture)
         implementations, strangers = _discover(graph, spec, by_simple)
-        stranger_set = set(strangers)
+        census[spec.registry] = len(implementations)
         for qualname in sorted(implementations):
             cls = graph.classes[qualname]
-            findings.update(
-                _check_con001(graph, spec, cls, qualname in stranger_set, by_simple)
-            )
+            findings.update(_check_con001(graph, spec, cls, qualname in strangers, by_simple))
             findings.update(_check_con002(graph, spec, cls))
-            findings.update(_check_con003(graph, spec, cls, by_simple))
-    for callsite_spec in CALLSITE_REGISTRIES:
-        if callsite_spec.module not in graph.modules:
-            continue  # registry not in the analyzed tree (partial fixture)
-        _, callsite_findings = _check_callsites(graph, callsite_spec)
-        findings.update(callsite_findings)
-    return tuple(sorted(findings))
-
-
-def contract_summary(graph: CallGraph) -> dict[str, int]:
-    """Registry label -> number of discovered implementations.
-
-    Call-site registries (workload/app/routing) count distinct literal
-    names registered anywhere in the tree; like the protocol registries
-    they appear only when their defining module is part of the analysis.
-    """
-    by_simple = _class_by_simple_name(graph)
-    out: dict[str, int] = {}
-    for spec in PROTOCOLS:
-        if spec.base not in graph.classes:
-            continue
-        implementations, _ = _discover(graph, spec, by_simple)
-        out[spec.registry] = len(implementations)
-    for callsite_spec in CALLSITE_REGISTRIES:
-        if callsite_spec.module not in graph.modules:
-            continue
-        registered, _ = _check_callsites(graph, callsite_spec)
-        out[callsite_spec.registry] = len(registered)
-    return dict(sorted(out.items()))
+            findings.update(_check_con003(graph, spec, cls, by_simple, taint))
+    return Contracts(findings=tuple(sorted(findings)), census=dict(sorted(census.items())))

@@ -13,16 +13,13 @@ AST:
   scan a tuple or frozenset would do in O(1);
 * **attribute chains** — pure ``a.b.c`` read chains and how often each
   repeats, the "resolve the same deep attribute every iteration" pattern;
-* **global writes** — ``global`` rebinding and ``os.environ`` mutation;
-* **set iterations** — iteration over statically-certain ``set`` values
-  (the unordered-order hazard, interprocedurally scoped by PAR003);
-* **unit signature** — the unit class (via :mod:`repro.devtools.rules`
-  suffix tables) of each positional parameter and of the return value,
-  which powers the interprocedural UNIT002 upgrade.
+* **global writes** — ``global`` rebinding and ``os.environ`` mutation.
 
 These summaries are pure data: the rule families in
 :mod:`repro.devtools.flow.rules` combine them with reachability to decide
-what is actually a violation.
+what is actually a violation.  :func:`unit_signature` gives the unit
+classes of a def's parameters and return value, which UNIT002 reads at
+each call site.
 """
 
 from __future__ import annotations
@@ -31,13 +28,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.devtools.flow.callgraph import FunctionInfo
-from repro.devtools.rules import (
-    _dotted_name,
-    _is_set_expr,
-    _local_set_names,
-    _terminal_name,
-    _unit_class_of_name,
-)
+from repro.devtools.source import dotted_name, terminal_name, unit_class_of_name
 
 #: Allocation kinds considered *hoistable* when every element is constant.
 CONSTANT_HOISTABLE = frozenset({"list-literal", "dict-literal", "set-literal"})
@@ -89,15 +80,6 @@ class GlobalWrite:
     target: str  # e.g. ``global counter`` name or ``os.environ``
 
 
-@dataclass(frozen=True, order=True)
-class SetIteration:
-    """One iteration over a statically-certain set value."""
-
-    line: int
-    col: int
-    context: str
-
-
 @dataclass(frozen=True)
 class EffectSummary:
     """Everything the effect pass learned about one function."""
@@ -109,11 +91,6 @@ class EffectSummary:
     #: Pure attribute read chain (``a.b.c``) -> (count, first line, depth).
     attr_chains: dict[str, tuple[int, int, int]] = field(default_factory=dict)
     global_writes: tuple[GlobalWrite, ...] = ()
-    set_iterations: tuple[SetIteration, ...] = ()
-    #: Positional parameter name -> unit class (``None`` entries omitted).
-    param_units: dict[str, str] = field(default_factory=dict)
-    #: Unit class of the return value when every return agrees, else None.
-    return_unit: str | None = None
 
 
 def _bound_names(fn: ast.AST) -> set[str]:
@@ -179,7 +156,7 @@ def _error_path_nodes(fn: ast.AST) -> set[int]:
         elif isinstance(node, ast.ExceptHandler):
             roots.append(node)
         elif isinstance(node, ast.Call):
-            dotted = _dotted_name(node.func)
+            dotted = dotted_name(node.func)
             if dotted in ("warnings.warn", "warn"):
                 roots.append(node)
         elif isinstance(node, ast.Assert):
@@ -222,7 +199,7 @@ def _chain_of(node: ast.expr) -> tuple[str, int] | None:
         current = current.value
     if hops == 0 or not isinstance(current, ast.Name):
         return None
-    dotted = _dotted_name(node)
+    dotted = dotted_name(node)
     if dotted is None:
         return None
     return dotted, hops
@@ -238,12 +215,10 @@ class _EffectVisitor(ast.NodeVisitor):
         self.kwarg = _keyword_arg_nodes(fn.node)
         self.enclosing = _bound_names(fn.node)
         self.replication = _replication_operands(fn.node)
-        self.set_names = _local_set_names(fn.node)
         self.allocations: list[AllocationSite] = []
         self.memberships: list[MembershipSite] = []
         self.attr_chains: dict[str, tuple[int, int, int]] = {}
         self.global_writes: list[GlobalWrite] = []
-        self.set_iterations: list[SetIteration] = []
         self._top = True
 
     # -- plumbing ------------------------------------------------------
@@ -270,11 +245,9 @@ class _EffectVisitor(ast.NodeVisitor):
 
     # -- structure -----------------------------------------------------
     def visit_For(self, node: ast.For) -> None:
-        self._flag_set_iter(node.iter, "for-loop")
         self._in_loop(node)
 
     def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._flag_set_iter(node.iter, "for-loop")
         self._in_loop(node)
 
     def visit_While(self, node: ast.While) -> None:
@@ -282,9 +255,6 @@ class _EffectVisitor(ast.NodeVisitor):
 
     def _visit_comp(self, node: ast.AST, kind: str) -> None:
         self._site(node, kind)
-        for gen in getattr(node, "generators", []):
-            if kind != "setcomp":
-                self._flag_set_iter(gen.iter, "comprehension")
         self._in_loop(node)
 
     def visit_ListComp(self, node: ast.ListComp) -> None:
@@ -340,7 +310,7 @@ class _EffectVisitor(ast.NodeVisitor):
             and isinstance(node.func.value, (ast.Constant, ast.Name))
         ):
             self._site(node, "str-format")
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted in ("os.putenv", "os.unsetenv"):
             self.global_writes.append(
                 GlobalWrite(node.lineno, node.col_offset + 1, dotted)
@@ -409,48 +379,40 @@ class _EffectVisitor(ast.NodeVisitor):
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if isinstance(node.ctx, (ast.Store, ast.Del)):
-            dotted = _dotted_name(node.value)
+            dotted = dotted_name(node.value)
             if dotted in ("os.environ", "environ"):
                 self.global_writes.append(
                     GlobalWrite(node.lineno, node.col_offset + 1, "os.environ")
                 )
         self.generic_visit(node)
 
-    # -- sets ----------------------------------------------------------
-    def _flag_set_iter(self, iterable: ast.expr, context: str) -> None:
-        if _is_set_expr(iterable, self.set_names):
-            self.set_iterations.append(
-                SetIteration(
-                    line=getattr(iterable, "lineno", self.fn.lineno),
-                    col=getattr(iterable, "col_offset", 0) + 1,
-                    context=context,
-                )
-            )
 
-
-def _unit_signature(fn: FunctionInfo) -> tuple[dict[str, str], str | None]:
-    """(parameter units, return unit) from suffix conventions."""
+def unit_signature(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> tuple[tuple[str, ...], dict[str, str], str | None]:
+    """(positional parameters sans ``self``/``cls``, their unit classes, the
+    return value's unit class when every ``return`` agrees) from suffix
+    conventions."""
+    params = tuple(a.arg for a in (*fn.args.posonlyargs, *fn.args.args))
+    if params and params[0] in ("self", "cls"):
+        params = params[1:]
     param_units: dict[str, str] = {}
-    for name in fn.params:
-        unit = _unit_class_of_name(name)
+    for name in params:
+        unit = unit_class_of_name(name)
         if unit is not None:
             param_units[name] = unit
     return_units: set[str | None] = set()
-    for node in ast.walk(fn.node):
+    for node in ast.walk(fn):
         if isinstance(node, ast.Return) and node.value is not None:
-            name = _terminal_name(node.value)
-            return_units.add(None if name is None else _unit_class_of_name(name))
-    if len(return_units) == 1:
-        (only,) = return_units
-        return param_units, only
-    return param_units, None
+            name = terminal_name(node.value)
+            return_units.add(None if name is None else unit_class_of_name(name))
+    return params, param_units, return_units.pop() if len(return_units) == 1 else None
 
 
 def effects_of(fn: FunctionInfo) -> EffectSummary:
     """Compute the effect summary of one function."""
     visitor = _EffectVisitor(fn)
     visitor.visit(fn.node)
-    param_units, return_unit = _unit_signature(fn)
     return EffectSummary(
         qualname=fn.qualname,
         path=fn.path,
@@ -458,7 +420,4 @@ def effects_of(fn: FunctionInfo) -> EffectSummary:
         memberships=tuple(sorted(visitor.memberships)),
         attr_chains=visitor.attr_chains,
         global_writes=tuple(sorted(visitor.global_writes)),
-        set_iterations=tuple(sorted(visitor.set_iterations)),
-        param_units=param_units,
-        return_unit=return_unit,
     )

@@ -1,37 +1,30 @@
-"""The FlowLint rule families: HOT, PAR, and interprocedural UNIT002.
+"""The call-graph rules: HOT, PAR, DET1xx and CON.
 
-Each rule consumes the call graph, the reachability sets, and the
-per-function effect summaries, and emits :class:`FlowViolation` records
-(a :class:`~repro.devtools.violations.Violation` plus the qualname of the
-offending function — the key the baseline suppresses on).
+Each rule runs once per ``src/repro`` file, like every other rule, and
+judges that file's functions by what the :class:`~repro.devtools.rules.Program`
+knows about them: which root sets reach them, their effect summaries,
+the determinism-taint paths that start in them, and the registry
+contracts of the classes they define.  Findings name the function they
+are attributed to.
 
 The HOT rules deliberately flag only the *mechanically fixable* subset of
 per-step costs — hoistable constant literals, per-step callable
 construction, O(n) list membership, repeated deep attribute resolution,
 and hot-path string formatting.  The complete allocation census (every
 comprehension and literal, fixable or inherent) goes into the ranked
-``repro.flow/1`` inventory instead, so "zero unbaselined violations" is
-an achievable bar while the vectorization work-list stays exhaustive.
+hot-path inventory of the report instead, so "zero violations" is an
+achievable bar while the vectorization work-list stays exhaustive.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Iterator
 
-from repro.devtools.flow.callgraph import CallGraph, FunctionInfo
-from repro.devtools.flow.contracts import ContractFinding
-from repro.devtools.flow.effects import (
-    CLOSURE_KINDS,
-    CONSTANT_HOISTABLE,
-    FORMAT_KINDS,
-    EffectSummary,
-)
-from repro.devtools.flow.reachability import Roots
-from repro.devtools.flow.taint import TaintAnalysis, ambient_rng_sites
-from repro.devtools.rules import _terminal_name, _unit_class_of_name
-from repro.devtools.violations import Violation
+from repro.devtools.flow.callgraph import FunctionInfo
+from repro.devtools.flow.effects import CLOSURE_KINDS, CONSTANT_HOISTABLE, FORMAT_KINDS
+from repro.devtools.rules import Program, Rule
+from repro.devtools.source import SourceFile, Violation, module_name_for
 
 #: Attribute chains must be at least this deep to count for HOT003.
 HOT003_MIN_HOPS = 2
@@ -39,163 +32,80 @@ HOT003_MIN_HOPS = 2
 HOT003_MIN_COUNT = 4
 
 
-@dataclass(frozen=True, order=True)
-class FlowViolation:
-    """One flow finding, attributable to a specific function."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    function: str
-    message: str
-
-    def to_violation(self) -> Violation:
-        """The plain per-file violation record (for rendering)."""
-        return Violation(
-            path=self.path,
-            line=self.line,
-            col=self.col,
-            rule=self.rule,
-            message=f"{self.message} [{self.function}]",
-        )
+def _in_package(path: str) -> bool:
+    return module_name_for(path) is not None
 
 
-@dataclass
-class FlowContext:
-    """Everything a flow rule needs to run."""
-
-    graph: CallGraph
-    roots: Roots
-    step_reachable: frozenset[str]
-    worker_reachable: frozenset[str]
-    merge_reachable: frozenset[str]
-    effects: dict[str, EffectSummary] = field(default_factory=dict)
-    #: DetFlow inputs (None/empty when only the HOT/PAR families run).
-    taint: TaintAnalysis | None = None
-    contracts: tuple[ContractFinding, ...] = ()
-
-    def function(self, qualname: str) -> FunctionInfo:
-        """The definition record for a qualname (must exist)."""
-        return self.graph.functions[qualname]
+def _finding(fn: FunctionInfo, rule: str, line: int, col: int, message: str) -> Violation:
+    return Violation(fn.path, line, col, rule, message, function=fn.qualname)
 
 
-@dataclass(frozen=True)
-class FlowRule:
-    """One interprocedural rule."""
-
-    id: str
-    summary: str
-    check: Callable[[FlowContext], list[FlowViolation]]
-
-
-def _fv(
-    fn: FunctionInfo, rule: str, line: int, col: int, message: str
-) -> FlowViolation:
-    return FlowViolation(
-        path=fn.path, line=line, col=col, rule=rule, function=fn.qualname, message=message
-    )
+def _reached(f: SourceFile, p: Program, reachable: frozenset[str]) -> Iterator[FunctionInfo]:
+    return (fn for fn in p.functions_of(f) if fn.qualname in reachable)
 
 
 # ----------------------------------------------------------------------
 # HOT001 — fixable per-step allocation (hoistable literal / closure)
 # ----------------------------------------------------------------------
-def _hot001_check(ctx: FlowContext) -> list[FlowViolation]:
+def _hot001_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """HOT001: a constant-only container literal or a capture-free
     lambda/nested-``def`` inside step-reachable code allocates a fresh
     object every simulated step for a value that never changes; hoist it
     to module or ``__init__`` scope.  (Closures that capture locals are
     not flagged — they cannot be hoisted without restructuring — but they
     still appear in the hot-path inventory.)"""
-    out: list[FlowViolation] = []
-    for qualname in sorted(ctx.step_reachable):
-        summary = ctx.effects.get(qualname)
-        if summary is None:
-            continue
-        fn = ctx.function(qualname)
-        for site in summary.allocations:
+    for fn in _reached(f, p, p.step_reachable):
+        for site in p.effects[fn.qualname].allocations:
             if site.error_path:
                 continue
             if site.kind in CONSTANT_HOISTABLE and site.constant:
-                out.append(
-                    _fv(
-                        fn,
-                        "HOT001",
-                        site.line,
-                        site.col,
-                        f"constant {site.kind} rebuilt in step-reachable code; "
-                        "hoist to module scope (allocates every Engine.step)",
-                    )
+                yield _finding(
+                    fn, "HOT001", site.line, site.col,
+                    f"constant {site.kind} rebuilt in step-reachable code; "
+                    "hoist to module scope (allocates every Engine.step)",
                 )
             elif site.kind in CLOSURE_KINDS and not site.captures:
-                out.append(
-                    _fv(
-                        fn,
-                        "HOT001",
-                        site.line,
-                        site.col,
-                        f"{site.kind} constructed in step-reachable code; a fresh "
-                        "function object is allocated every Engine.step — hoist "
-                        "or bind once in __init__",
-                    )
+                yield _finding(
+                    fn, "HOT001", site.line, site.col,
+                    f"{site.kind} constructed in step-reachable code; a fresh "
+                    "function object is allocated every Engine.step — hoist "
+                    "or bind once in __init__",
                 )
-    return out
 
 
 # ----------------------------------------------------------------------
 # HOT002 — O(n) list membership on the step path
 # ----------------------------------------------------------------------
-def _hot002_check(ctx: FlowContext) -> list[FlowViolation]:
+def _hot002_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """HOT002: ``x in [a, b, ...]`` / ``x in list(...)`` scans linearly on
     every evaluation; in step-reachable code use a tuple of constants
     (cheap, no alloc) or a precomputed ``frozenset`` for O(1) tests."""
-    out: list[FlowViolation] = []
-    for qualname in sorted(ctx.step_reachable):
-        summary = ctx.effects.get(qualname)
-        if summary is None:
-            continue
-        fn = ctx.function(qualname)
-        for site in summary.memberships:
-            out.append(
-                _fv(
-                    fn,
-                    "HOT002",
-                    site.line,
-                    site.col,
-                    f"O(n) membership test against {site.detail} in "
-                    "step-reachable code; use a frozenset or tuple constant",
-                )
+    for fn in _reached(f, p, p.step_reachable):
+        for site in p.effects[fn.qualname].memberships:
+            yield _finding(
+                fn, "HOT002", site.line, site.col,
+                f"O(n) membership test against {site.detail} in "
+                "step-reachable code; use a frozenset or tuple constant",
             )
-    return out
 
 
 # ----------------------------------------------------------------------
 # HOT003 — repeated deep attribute chains on the step path
 # ----------------------------------------------------------------------
-def _hot003_check(ctx: FlowContext) -> list[FlowViolation]:
+def _hot003_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """HOT003: resolving the same ``a.b.c`` chain many times in one
     step-reachable function pays repeated dict lookups; read it into a
     local once."""
-    out: list[FlowViolation] = []
-    for qualname in sorted(ctx.step_reachable):
-        summary = ctx.effects.get(qualname)
-        if summary is None:
-            continue
-        fn = ctx.function(qualname)
-        for chain in sorted(summary.attr_chains):
-            count, line, hops = summary.attr_chains[chain]
+    for fn in _reached(f, p, p.step_reachable):
+        chains = p.effects[fn.qualname].attr_chains
+        for chain in sorted(chains):
+            count, line, hops = chains[chain]
             if hops >= HOT003_MIN_HOPS and count >= HOT003_MIN_COUNT:
-                out.append(
-                    _fv(
-                        fn,
-                        "HOT003",
-                        line,
-                        1,
-                        f"attribute chain `{chain}` resolved {count}x in a "
-                        "step-reachable function; bind it to a local",
-                    )
+                yield _finding(
+                    fn, "HOT003", line, 1,
+                    f"attribute chain `{chain}` resolved {count}x in a "
+                    "step-reachable function; bind it to a local",
                 )
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -207,15 +117,15 @@ def _returns_str(fn: FunctionInfo) -> bool:
     return isinstance(returns, ast.Name) and returns.id == "str"
 
 
-def _is_exception_method(ctx: FlowContext, qualname: str) -> bool:
+def _is_exception_method(p: Program, qualname: str) -> bool:
     """The function is a method of an Error/Exception class."""
-    cls = ctx.graph.class_of(qualname)
+    cls = p.graph.class_of(qualname)
     if cls is None:
         return False
     return any(b.rsplit(".", 1)[-1].endswith(("Error", "Exception")) for b in cls.bases)
 
 
-def _hot004_check(ctx: FlowContext) -> list[FlowViolation]:
+def _hot004_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """HOT004: f-strings / ``str.format`` / ``%``-formatting in
     step-reachable code build a fresh string every step — the usual
     offenders are lookup keys and labels; precompute or cache them.
@@ -224,395 +134,159 @@ def _hot004_check(ctx: FlowContext) -> list[FlowViolation]:
     annotated return type is ``str`` (their output *is* the string), and
     keyword-argument payloads (``detail=f"..."`` on an event record only
     formats when the event fires, and the text is the data)."""
-    out: list[FlowViolation] = []
-    for qualname in sorted(ctx.step_reachable):
-        summary = ctx.effects.get(qualname)
-        if summary is None:
+    for fn in _reached(f, p, p.step_reachable):
+        if _returns_str(fn) or _is_exception_method(p, fn.qualname):
             continue
-        fn = ctx.function(qualname)
-        if _returns_str(fn) or _is_exception_method(ctx, qualname):
-            continue
-        for site in summary.allocations:
+        for site in p.effects[fn.qualname].allocations:
             if site.kind in FORMAT_KINDS and not site.error_path and not site.payload:
-                out.append(
-                    _fv(
-                        fn,
-                        "HOT004",
-                        site.line,
-                        site.col,
-                        f"string formatting ({site.kind}) in step-reachable "
-                        "code; precompute or cache the formatted value",
-                    )
+                yield _finding(
+                    fn, "HOT004", site.line, site.col,
+                    f"string formatting ({site.kind}) in step-reachable "
+                    "code; precompute or cache the formatted value",
                 )
-    return out
 
 
 # ----------------------------------------------------------------------
 # PAR001 — module-level mutable state reachable from workers
 # ----------------------------------------------------------------------
-def _par001_check(ctx: FlowContext) -> list[FlowViolation]:
+def _par001_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """PAR001: a module-level mutable container referenced by
     worker-reachable code is silently per-process under
     ``ProcessPoolExecutor`` — writes made in a worker never reach the
-    parent, and fork/spawn start methods disagree about its contents."""
-    out: list[FlowViolation] = []
-    seen: set[tuple[str, str]] = set()
-    for qualname in sorted(ctx.worker_reachable):
-        fn = ctx.graph.functions.get(qualname)
-        if fn is None:
-            continue
-        module = ctx.graph.modules.get(fn.module)
-        if module is None or not module.module_mutables:
-            continue
-        mutable_lines = dict(module.module_mutables)
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Name) and node.id in mutable_lines:
-                key = (node.id, fn.qualname)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(
-                    _fv(
-                        fn,
-                        "PAR001",
-                        mutable_lines[node.id],
-                        1,
-                        f"module-level mutable `{node.id}` referenced by "
-                        f"worker-reachable `{fn.name}`; per-process state "
-                        "diverges across pool workers — pass it through the "
-                        "shard payload instead",
-                    )
-                )
-    return out
+    parent, and fork/spawn start methods disagree about its contents.
+    The finding points at the container's definition, where a marker
+    can justify a table that is written only at import."""
+    module = p.graph.modules.get(f.module or "")
+    mutable_lines = dict(module.module_mutables) if module is not None else {}
+    if not mutable_lines:
+        return
+    for fn in _reached(f, p, p.worker_reachable):
+        named = sorted({n.id for n in ast.walk(fn.node) if isinstance(n, ast.Name) and n.id in mutable_lines})
+        for name in named:
+            yield _finding(
+                fn, "PAR001", mutable_lines[name], 1,
+                f"module-level mutable `{name}` referenced by "
+                f"worker-reachable `{fn.name}`; per-process state "
+                "diverges across pool workers — pass it through the "
+                "shard payload instead",
+            )
 
 
 # ----------------------------------------------------------------------
 # PAR002 — global / os.environ writes in worker-reachable code
 # ----------------------------------------------------------------------
-def _par002_check(ctx: FlowContext) -> list[FlowViolation]:
+def _par002_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """PAR002: ``global`` rebinding or ``os.environ`` mutation inside
     worker-reachable code mutates only that worker's process; the parent
     and sibling shards never observe it, so results depend on pool
     scheduling."""
-    out: list[FlowViolation] = []
-    for qualname in sorted(ctx.worker_reachable):
-        summary = ctx.effects.get(qualname)
-        if summary is None:
-            continue
-        fn = ctx.function(qualname)
-        for write in summary.global_writes:
-            out.append(
-                _fv(
-                    fn,
-                    "PAR002",
-                    write.line,
-                    write.col,
-                    f"write to process-global `{write.target}` in "
-                    "worker-reachable code; workers cannot share it — return "
-                    "the value through the shard result instead",
-                )
+    for fn in _reached(f, p, p.worker_reachable):
+        for write in p.effects[fn.qualname].global_writes:
+            yield _finding(
+                fn, "PAR002", write.line, write.col,
+                f"write to process-global `{write.target}` in "
+                "worker-reachable code; workers cannot share it — return "
+                "the value through the shard result instead",
             )
-    return out
 
 
 # ----------------------------------------------------------------------
-# PAR003 — unordered set iteration feeding merged sweep output
-# ----------------------------------------------------------------------
-def _par003_check(ctx: FlowContext) -> list[FlowViolation]:
-    """PAR003: iterating a ``set`` while combining shard results makes the
-    merged sweep output order depend on hash seeding and insertion
-    history; iterate ``sorted(...)`` so merged artifacts are
-    byte-identical across runs."""
-    out: list[FlowViolation] = []
-    for qualname in sorted(ctx.merge_reachable):
-        summary = ctx.effects.get(qualname)
-        if summary is None:
-            continue
-        fn = ctx.function(qualname)
-        for site in summary.set_iterations:
-            out.append(
-                _fv(
-                    fn,
-                    "PAR003",
-                    site.line,
-                    site.col,
-                    f"unordered set iteration ({site.context}) feeds merged "
-                    "sweep output; iterate sorted(...) for stable merges",
-                )
-            )
-    return out
-
-
-# ----------------------------------------------------------------------
-# UNIT002 (interprocedural) — unit suffixes across call boundaries
-# ----------------------------------------------------------------------
-def _callee_for_call(
-    ctx: FlowContext, caller: FunctionInfo, call: ast.Call
-) -> FunctionInfo | None:
-    """The unique resolved callee whose bare name matches this call site."""
-    name = _terminal_name(call.func)
-    if name is None:
-        return None
-    matches = [
-        q for q in ctx.graph.callees(caller.qualname) if q.rsplit(".", 1)[-1] == name
-    ]
-    if len(matches) != 1:
-        return None
-    return ctx.graph.functions.get(matches[0])
-
-
-def _positional_params(callee: FunctionInfo) -> tuple[str, ...]:
-    params = callee.params
-    if params and params[0] in ("self", "cls"):
-        return params[1:]
-    return params
-
-
-def _unit002_check(ctx: FlowContext) -> list[FlowViolation]:
-    """UNIT002 (interprocedural): a value whose name carries one unit
-    suffix crossing into a parameter (or out of a return) that carries a
-    different suffix is a unit bug the single-statement rule cannot see;
-    convert explicitly via ``repro.units``."""
-    out: list[FlowViolation] = []
-    for qualname in sorted(ctx.graph.functions):
-        fn = ctx.graph.functions[qualname]
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                callee = _callee_for_call(ctx, fn, node)
-                if callee is None:
-                    continue
-                callee_summary = ctx.effects.get(callee.qualname)
-                if callee_summary is None or not callee_summary.param_units:
-                    continue
-                params = _positional_params(callee)
-                for index, arg in enumerate(node.args):
-                    if isinstance(arg, ast.Starred) or index >= len(params):
-                        break
-                    expected = callee_summary.param_units.get(params[index])
-                    if expected is None:
-                        continue
-                    arg_name = _terminal_name(arg)
-                    actual = None if arg_name is None else _unit_class_of_name(arg_name)
-                    if actual is not None and actual != expected:
-                        out.append(
-                            _fv(
-                                fn,
-                                "UNIT002",
-                                node.lineno,
-                                node.col_offset + 1,
-                                f"`{arg_name}` ({actual}) passed to parameter "
-                                f"`{params[index]}` ({expected}) of "
-                                f"`{callee.name}`; convert via repro.units",
-                            )
-                        )
-                for keyword in node.keywords:
-                    if keyword.arg is None:
-                        continue
-                    expected = callee_summary.param_units.get(keyword.arg)
-                    if expected is None:
-                        continue
-                    arg_name = _terminal_name(keyword.value)
-                    actual = None if arg_name is None else _unit_class_of_name(arg_name)
-                    if actual is not None and actual != expected:
-                        out.append(
-                            _fv(
-                                fn,
-                                "UNIT002",
-                                node.lineno,
-                                node.col_offset + 1,
-                                f"`{arg_name}` ({actual}) passed to parameter "
-                                f"`{keyword.arg}` ({expected}) of "
-                                f"`{callee.name}`; convert via repro.units",
-                            )
-                        )
-            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
-                    continue
-                target_unit = _unit_class_of_name(node.targets[0].id)
-                if target_unit is None:
-                    continue
-                callee = _callee_for_call(ctx, fn, node.value)
-                if callee is None:
-                    continue
-                callee_summary = ctx.effects.get(callee.qualname)
-                return_unit = None if callee_summary is None else callee_summary.return_unit
-                if return_unit is not None and return_unit != target_unit:
-                    out.append(
-                        _fv(
-                            fn,
-                            "UNIT002",
-                            node.lineno,
-                            node.col_offset + 1,
-                            f"`{callee.name}` returns {return_unit} but is "
-                            f"assigned to `{node.targets[0].id}` "
-                            f"({target_unit}); convert via repro.units",
-                        )
-                    )
-    return out
-
-
-# ----------------------------------------------------------------------
-# DET101/103/104 — tainted paths into canonical sinks (DetFlow)
+# DET101/103/104 — tainted paths into canonical sinks
 # ----------------------------------------------------------------------
 def _chain_text(chain: tuple[str, ...]) -> str:
     return " -> ".join(part.rsplit(".", 2)[-1] for part in chain)
 
 
-def _tainted_path_check(ctx: FlowContext, rule: str) -> list[FlowViolation]:
-    if ctx.taint is None:
-        return []
-    out: list[FlowViolation] = []
-    seen: set[tuple[str, str]] = set()
-    for path in ctx.taint.paths:
-        if path.rule != rule:
+def _tainted_paths(f: SourceFile, p: Program, rule: str) -> Iterator[Violation]:
+    seen: set[str] = set()
+    for path in p.taint.paths:
+        if path.rule != rule or path.source_path != f.path or path.source_function in seen:
             continue
-        key = (rule, path.source_function)
-        if key in seen:
-            continue  # one violation per source function; extra sinks ride
-        seen.add(key)
-        out.append(
-            FlowViolation(
-                path=path.source_path,
-                line=path.source_line,
-                col=path.source_col,
-                rule=rule,
-                function=path.source_function,
-                message=(
-                    f"{path.kind} source ({path.source_detail}) reaches "
-                    f"canonical sink `{path.sink}` [{path.sink_family}] via "
-                    f"{_chain_text(path.chain)}"
-                ),
-            )
+        seen.add(path.source_function)  # one finding per source function; extra sinks ride
+        yield Violation(
+            path.source_path, path.source_line, path.source_col, rule,
+            f"{path.kind} source ({path.source_detail}) reaches "
+            f"canonical sink `{path.sink}` [{path.sink_family}] via "
+            f"{_chain_text(path.chain)}",
+            function=path.source_function,
         )
-    return out
 
 
-def _det101_check(ctx: FlowContext) -> list[FlowViolation]:
+def _det101_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """DET101: a nondeterministic *value* (wall clock, ambient RNG, uuid,
     object identity, environment read, filesystem enumeration) flows into
     a canonical codec or key derivation; the artifact's bytes then depend
     on host state rather than the seed."""
-    return _tainted_path_check(ctx, "DET101")
+    return _tainted_paths(f, p, "DET101")
 
 
-def _det102_check(ctx: FlowContext) -> list[FlowViolation]:
-    """DET102: ambient RNG inside step- or worker-reachable code — even
-    when no catalogued sink is reachable — because anything the engine or
-    a pool worker executes must draw from the injected
-    :class:`~repro.sim.rng.RngStreams` to keep same-seed runs identical."""
-    if ctx.taint is None:
-        return []
-    out: list[FlowViolation] = []
-    reachable = ctx.step_reachable | ctx.worker_reachable
-    for qualname, source in ambient_rng_sites(ctx.taint, reachable):
-        fn = ctx.graph.functions.get(qualname)
-        if fn is None:
-            continue
-        where = "step" if qualname in ctx.step_reachable else "worker"
-        out.append(
-            _fv(
-                fn,
-                "DET102",
-                source.line,
-                source.col,
-                f"ambient RNG ({source.detail}) in {where}-reachable code; "
-                "draw from the injected RngStreams instead",
-            )
-        )
-    return out
-
-
-def _det103_check(ctx: FlowContext) -> list[FlowViolation]:
+def _det103_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """DET103: unordered ``set`` iteration feeds a canonical sink with no
-    sort barrier anywhere on the path — the interprocedural upgrade of
-    PAR003, applied to every artifact codec rather than just merges."""
-    return _tainted_path_check(ctx, "DET103")
+    sort barrier anywhere on the path."""
+    return _tainted_paths(f, p, "DET103")
 
 
-def _det104_check(ctx: FlowContext) -> list[FlowViolation]:
+def _det104_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """DET104: float accumulation whose order depends on an unordered
     collection, on a sink path; float addition does not commute in
     rounding, so the artifact bytes depend on hash seeding."""
-    return _tainted_path_check(ctx, "DET104")
+    return _tainted_paths(f, p, "DET104")
 
 
 # ----------------------------------------------------------------------
-# CON001–003 — registry contracts (DetFlow)
+# CON001–003 — registry contracts
 # ----------------------------------------------------------------------
-def _contract_check(ctx: FlowContext, rule: str) -> list[FlowViolation]:
-    return [
-        FlowViolation(
-            path=f.path,
-            line=f.line,
-            col=f.col,
-            rule=f.rule,
-            function=f.cls,
-            message=f.message,
-        )
-        for f in ctx.contracts
-        if f.rule == rule
-    ]
+def _contract_findings(f: SourceFile, p: Program, rule: str) -> Iterator[Violation]:
+    return (v for v in p.contracts.findings if v.rule == rule and v.path == f.path)
 
 
-def _con001_check(ctx: FlowContext) -> list[FlowViolation]:
+def _con001_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """CON001: a registered implementation does not conform to its
     registry's protocol (missing/abstract required method, not a subclass,
     or an override narrower than the protocol signature)."""
-    return _contract_check(ctx, "CON001")
+    return _contract_findings(f, p, "CON001")
 
 
-def _con002_check(ctx: FlowContext) -> list[FlowViolation]:
+def _con002_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """CON002: module-level mutable state in a module defining a
     registered implementation; such state is per-process under the sweep
     pool and leaks between runs in one process."""
-    return _contract_check(ctx, "CON002")
+    return _contract_findings(f, p, "CON002")
 
 
-def _con003_check(ctx: FlowContext) -> list[FlowViolation]:
+def _con003_check(f: SourceFile, p: Program) -> Iterator[Violation]:
     """CON003: a registered implementation draws from the ambient RNG and
     its constructor accepts no injectable generator, so its decisions
     cannot be reproduced from the run seed."""
-    return _contract_check(ctx, "CON003")
+    return _contract_findings(f, p, "CON003")
 
 
-def _con004_check(ctx: FlowContext) -> list[FlowViolation]:
-    """CON004: a workload/app/routing registration call site is malformed
-    (empty or non-string literal name, literal where a factory or
-    ``RoutingPolicy`` member is required, or a duplicate literal name
-    without ``replace=True`` — an import-time crash caught statically)."""
-    return _contract_check(ctx, "CON004")
-
-
-FLOW_RULES: tuple[FlowRule, ...] = (
-    FlowRule("HOT001", "fixable per-step allocation (hoistable literal / closure)", _hot001_check),
-    FlowRule("HOT002", "O(n) list membership on the step path", _hot002_check),
-    FlowRule("HOT003", "repeated deep attribute chains on the step path", _hot003_check),
-    FlowRule("HOT004", "string formatting on the step path", _hot004_check),
-    FlowRule("PAR001", "module-level mutable state reachable from workers", _par001_check),
-    FlowRule("PAR002", "global / os.environ writes in worker-reachable code", _par002_check),
-    FlowRule("PAR003", "unordered set iteration feeding merged sweep output", _par003_check),
-    FlowRule("UNIT002", "unit suffixes tracked across call boundaries", _unit002_check),
-    FlowRule("DET101", "tainted value reaches a canonical sink", _det101_check),
-    FlowRule("DET102", "ambient RNG reachable from Engine.step/worker roots", _det102_check),
-    FlowRule("DET103", "unordered iteration feeds a sink without a sort barrier", _det103_check),
-    FlowRule("DET104", "float accumulation order depends on an unordered collection on a sink path", _det104_check),
-    FlowRule("CON001", "registered implementation violates its registry protocol", _con001_check),
-    FlowRule("CON002", "module-level mutable state in a registered implementation's module", _con002_check),
-    FlowRule("CON003", "registered implementation draws ambient RNG without injectable generator", _con003_check),
-    FlowRule("CON004", "malformed workload/app/routing registration call site", _con004_check),
+GRAPH_RULES: tuple[Rule, ...] = (
+    Rule("HOT001", "fixable per-step allocation (hoistable literal / closure)", _in_package, _hot001_check),
+    Rule("HOT002", "O(n) list membership on the step path", _in_package, _hot002_check),
+    Rule("HOT003", "repeated deep attribute chains on the step path", _in_package, _hot003_check),
+    Rule("HOT004", "string formatting on the step path", _in_package, _hot004_check),
+    Rule("PAR001", "module-level mutable state reachable from workers", _in_package, _par001_check),
+    Rule("PAR002", "global / os.environ writes in worker-reachable code", _in_package, _par002_check),
+    Rule("DET101", "tainted value reaches a canonical sink", _in_package, _det101_check),
+    Rule("DET103", "unordered iteration feeds a sink without a sort barrier", _in_package, _det103_check),
+    Rule(
+        "DET104",
+        "float accumulation order depends on an unordered collection on a sink path",
+        _in_package,
+        _det104_check,
+    ),
+    Rule("CON001", "registered implementation violates its registry protocol", _in_package, _con001_check),
+    Rule(
+        "CON002",
+        "module-level mutable state in a registered implementation's module",
+        _in_package,
+        _con002_check,
+    ),
+    Rule(
+        "CON003",
+        "registered implementation draws ambient RNG without injectable generator",
+        _in_package,
+        _con003_check,
+    ),
 )
-
-
-def flow_rule_catalog() -> dict[str, str]:
-    """Rule id -> summary for the flow catalogue."""
-    return {rule.id: rule.summary for rule in FLOW_RULES}
-
-
-def run_flow_rules(
-    ctx: FlowContext, rules: tuple[FlowRule, ...] = FLOW_RULES
-) -> list[FlowViolation]:
-    """Run the rule families and return sorted, deduplicated findings."""
-    out: set[FlowViolation] = set()
-    for rule in rules:
-        out.update(rule.check(ctx))
-    return sorted(out)

@@ -1,14 +1,14 @@
-"""DetFlow: interprocedural determinism-taint analysis.
+"""Interprocedural determinism-taint analysis.
 
 The repo's headline guarantee is that same-seed runs are byte-identical
-across shard counts and ``--jobs``.  The per-file rules
-(DET001–003) catch nondeterminism *sources* statement-by-statement, and
-the end-to-end byte pins catch whatever actually fired — but neither can
-say *which source can reach which artifact*.  This pass can: it
-propagates taint from a catalogued set of nondeterminism **sources**
-along the FlowLint call graph down to the catalogued **sinks** (the
-canonical codecs and key-derivation functions whose output must be
-byte-stable), killing taint at catalogued **sanitizers**.
+across shard counts and ``--jobs``.  The file rules (DET001–003) catch
+nondeterminism *sources* statement-by-statement, and the end-to-end byte
+pins catch whatever actually fired — but neither can say *which source
+can reach which artifact*.  This pass can: it propagates taint from a
+catalogued set of nondeterminism **sources** along the call graph to
+the catalogued **sinks** (the canonical codecs and key-derivation
+functions whose output must be byte-stable), killing taint at
+catalogued **sanitizers**.
 
 The model is function-granularity and kind-aware:
 
@@ -25,15 +25,12 @@ The model is function-granularity and kind-aware:
   the sink is tainted.
 
 Every tainted path carries a full source→sink witness chain, ranked in
-the ``repro.flow/2`` report.  The rule mapping:
+the ``repro.flow/3`` report.  The rule mapping:
 
 * **DET101** — a wall-clock / ambient-RNG / uuid / object-identity /
   environment read reaches a canonical sink;
-* **DET102** — ambient RNG in step- or worker-reachable code (no sink
-  needed: anything the engine or a pool worker runs must draw from the
-  injected :class:`~repro.sim.rng.RngStreams`);
 * **DET103** — unordered ``set`` iteration feeding a sink without a sort
-  barrier (the interprocedural upgrade of PAR003 on sink paths);
+  barrier;
 * **DET104** — float accumulation whose order depends on an unordered
   collection, on a sink path (float addition does not commute in
   rounding).
@@ -44,15 +41,17 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.devtools.flow.callgraph import CallGraph, FunctionInfo
-from repro.devtools.rules import (
+from repro.devtools.source import (
+    RNG_CONSTRUCTORS,
+    RNG_SAFE,
     WALL_CLOCK_CALLS,
-    _canonical_call_name,
-    _is_set_expr,
-    _local_set_names,
-    _terminal_name,
+    canonical_name,
+    is_set_expr,
+    local_set_names,
+    terminal_name,
 )
 
 # ----------------------------------------------------------------------
@@ -77,16 +76,6 @@ ORDER_KINDS = frozenset({KIND_FS_ENUM, KIND_UNORDERED_ITER, KIND_FLOAT_ACCUM})
 SAN_SORT = "sort-barrier"
 SAN_CANONICAL_JSON = "canonical-json"
 SAN_RNG_STREAM = "rng-stream"
-
-#: ``numpy.random`` members that *construct* generators: calling them
-#: with an explicit seed/entropy argument is the injected-generator
-#: discipline (``default_rng(SeedSequence(...))``), not an ambient draw.
-_RNG_CONSTRUCTORS = frozenset(
-    {"default_rng", "Generator", "PCG64", "MT19937", "Philox", "SFC64", "BitGenerator"}
-)
-
-#: ``numpy.random`` members that are never entropy sources.
-_RNG_SAFE = frozenset({"SeedSequence"})
 
 #: Environment-read calls (value depends on the host environment).
 _ENV_READ_CALLS = frozenset({"os.getenv"})
@@ -132,8 +121,8 @@ SINKS: dict[str, str] = {
     "repro.metrics.summary.RunSummary.to_dict": "summary",
     "repro.metrics.summary.RunSummary.to_json": "summary",
     "repro.analysis.timeline.render_timeline": "timeline",
-    # the flow report itself eats its own dog food
-    "repro.devtools.flow.report.render_flow_json": "repro.flow/2",
+    # the analyzer's own report eats its own dog food
+    "repro.devtools.analyzer.render_json": "repro.flow/3",
 }
 
 #: Rule id per source kind for tainted-path findings.
@@ -180,11 +169,6 @@ class TaintFacts:
     returns_sanitized: bool = False
 
 
-def _module_aliases(graph: CallGraph, fn: FunctionInfo) -> dict[str, str]:
-    info = graph.modules.get(fn.module)
-    return dict(info.aliases) if info is not None else {}
-
-
 def _is_sorted_call(node: ast.expr) -> bool:
     return (
         isinstance(node, ast.Call)
@@ -197,7 +181,7 @@ def _is_canonical_json_call(node: ast.expr, aliases: Mapping[str, str]) -> bool:
     """``json.dumps(..., sort_keys=True)`` or a ``canonical_json`` call."""
     if not isinstance(node, ast.Call):
         return False
-    name = _canonical_call_name(node, dict(aliases))
+    name = canonical_name(node.func, dict(aliases))
     if name == "json.dumps":
         for kw in node.keywords:
             if (
@@ -207,7 +191,7 @@ def _is_canonical_json_call(node: ast.expr, aliases: Mapping[str, str]) -> bool:
             ):
                 return True
         return False
-    return _terminal_name(node.func) == "canonical_json"
+    return terminal_name(node.func) == "canonical_json"
 
 
 def _is_order_barrier(node: ast.expr, aliases: Mapping[str, str]) -> bool:
@@ -256,7 +240,7 @@ class _TaintScanner(ast.NodeVisitor):
         self.aliases = aliases
         self.barrier = _barrier_arg_nodes(fn.node, aliases)
         self.membership_only = _membership_only_nodes(fn.node)
-        self.set_names = _local_set_names(fn.node)
+        self.set_names = local_set_names(list(ast.walk(fn.node)))
         self.sources: list[TaintSource] = []
         self.killed: list[TaintSource] = []
         self.sanitizers: dict[str, int] = {}
@@ -299,8 +283,8 @@ class _TaintScanner(ast.NodeVisitor):
 
     # -- calls: sources, sanitizers, wrapped-callee accounting ---------
     def visit_Call(self, node: ast.Call) -> None:
-        name = _canonical_call_name(node, self.aliases)
-        terminal = _terminal_name(node.func)
+        name = canonical_name(node.func, self.aliases)
+        terminal = terminal_name(node.func)
 
         if _is_sorted_call(node):
             self._sanitizer(SAN_SORT)
@@ -328,9 +312,9 @@ class _TaintScanner(ast.NodeVisitor):
             self._source(node, KIND_AMBIENT_RNG, name)
         elif name.startswith("numpy.random."):
             member = name.split(".")[2]
-            if member in _RNG_SAFE:
+            if member in RNG_SAFE:
                 return
-            if member in _RNG_CONSTRUCTORS and (node.args or node.keywords):
+            if member in RNG_CONSTRUCTORS and (node.args or node.keywords):
                 return  # seeded/injected construction, not an ambient draw
             self._source(node, KIND_AMBIENT_RNG, name)
         elif name.startswith("uuid."):
@@ -356,18 +340,18 @@ class _TaintScanner(ast.NodeVisitor):
                 self._source(node, KIND_FLOAT_ACCUM, f"{name}(<set>)")
 
     def _iterates_a_set(self, node: ast.expr) -> bool:
-        if _is_set_expr(node, self.set_names):
+        if is_set_expr(node, self.set_names):
             return True
         if isinstance(node, ast.GeneratorExp):
             return any(
-                _is_set_expr(gen.iter, self.set_names) for gen in node.generators
+                is_set_expr(gen.iter, self.set_names) for gen in node.generators
             )
         return False
 
     # -- environment subscript reads -----------------------------------
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if isinstance(node.ctx, ast.Load):
-            target = _canonical_call_name_of_expr(node.value, self.aliases)
+            target = canonical_name(node.value, self.aliases)
             if target == "os.environ":
                 self._source(node, KIND_ENV_READ, "os.environ[...]")
         self.generic_visit(node)
@@ -375,7 +359,7 @@ class _TaintScanner(ast.NodeVisitor):
     # -- unordered iteration & float accumulation ----------------------
     def visit_For(self, node: ast.For) -> None:
         self._flag_set_iter(node.iter)
-        if _is_set_expr(node.iter, self.set_names) and isinstance(node.target, ast.Name):
+        if is_set_expr(node.iter, self.set_names) and isinstance(node.target, ast.Name):
             loop_var = node.target.id
             for child in node.body:
                 for sub in ast.walk(child):
@@ -407,7 +391,7 @@ class _TaintScanner(ast.NodeVisitor):
     visit_GeneratorExp = _visit_comp
 
     def _flag_set_iter(self, iterable: ast.expr) -> None:
-        if _is_set_expr(iterable, self.set_names):
+        if is_set_expr(iterable, self.set_names):
             self._source(iterable, KIND_UNORDERED_ITER, "set iteration")
 
     # -- result --------------------------------------------------------
@@ -430,22 +414,10 @@ class _TaintScanner(ast.NodeVisitor):
         )
 
 
-def _canonical_call_name_of_expr(node: ast.expr, aliases: Mapping[str, str]) -> str | None:
-    """Canonical dotted name of a plain expression (alias-expanded)."""
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    head = aliases.get(current.id, current.id)
-    return ".".join([head, *reversed(parts)]) if parts else head
-
-
 def taint_facts_of(graph: CallGraph, fn: FunctionInfo) -> TaintFacts:
     """Scan one function for sources, sanitizers, and barriers."""
-    scanner = _TaintScanner(fn, _module_aliases(graph, fn))
+    info = graph.modules.get(fn.module)
+    scanner = _TaintScanner(fn, dict(info.aliases) if info is not None else {})
     scanner.visit(fn.node)
     return scanner.facts()
 
@@ -692,18 +664,3 @@ def analyze_taint(graph: CallGraph) -> TaintAnalysis:
         sinks_present=sinks_present,
         sanitizer_applications=dict(sorted(applications.items())),
     )
-
-
-def ambient_rng_sites(
-    analysis: TaintAnalysis, reachable: Iterable[str]
-) -> list[tuple[str, TaintSource]]:
-    """(function, source) for every ambient-RNG source in ``reachable``."""
-    out: list[tuple[str, TaintSource]] = []
-    for qualname in sorted(set(reachable)):
-        f = analysis.facts.get(qualname)
-        if f is None:
-            continue
-        for source in f.sources:
-            if source.kind == KIND_AMBIENT_RNG:
-                out.append((qualname, source))
-    return out

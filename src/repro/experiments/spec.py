@@ -81,7 +81,7 @@ SEED_MODES = ("per_shard", "shared")
 # ----------------------------------------------------------------------
 #: Pattern class -> (type tag, constructor-field names).  ``ConstantLoad``
 #: and ``CompositeLoad`` are handled explicitly (private field / recursion).
-_PATTERN_FIELDS: dict[type, tuple[str, tuple[str, ...]]] = {
+_PATTERN_FIELDS: dict[type, tuple[str, tuple[str, ...]]] = {  # lint: disable=PAR001(static codec table mapping pattern class to field names, defined once at import and never written; workers rebuild the identical table on import)
     LowBurstLoad: ("low_burst", ("base", "amplitude", "period", "phase")),
     HighBurstLoad: ("high_burst", ("base", "peak", "period", "duty", "phase", "ramp")),
     DiurnalLoad: ("diurnal", ("trough", "peak", "day_length", "peak_at", "phase")),
@@ -89,7 +89,7 @@ _PATTERN_FIELDS: dict[type, tuple[str, tuple[str, ...]]] = {
     TraceLoad: ("trace", ("times", "rates", "loop")),
 }
 
-_PATTERN_TAGS: dict[str, type] = {tag: cls for cls, (tag, _) in _PATTERN_FIELDS.items()}
+_PATTERN_TAGS: dict[str, type] = {tag: cls for cls, (tag, _) in _PATTERN_FIELDS.items()}  # lint: disable=PAR001(derived from _PATTERN_FIELDS at import time and never written afterwards; identical in every worker process)
 
 
 def pattern_to_dict(pattern: LoadPattern) -> dict:

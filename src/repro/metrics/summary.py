@@ -8,7 +8,8 @@ failed, and the removal/connection breakdown — plus distributional extras
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any
 
 import numpy as np
 
@@ -154,13 +155,6 @@ class RunSummary:
         if self.total_requests == 0:
             return 1.0
         return 1.0 - self.failed / self.total_requests
-
-    def speedup_over(self, baseline: "RunSummary") -> float:
-        """Response-time speedup of *this* run relative to ``baseline``
-        (>1 means this run is faster), the paper's headline metric."""
-        if self.avg_response_time <= 0:
-            raise ExperimentError("cannot compute speedup: zero response time")
-        return baseline.avg_response_time / self.avg_response_time
 
     # ------------------------------------------------------------------
     # User-traffic view (what comparisons should rank on)
@@ -324,18 +318,22 @@ class RunSummary:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "RunSummary":
-        """Rebuild a summary saved with :meth:`to_dict`."""
-        data = dict(payload)
-        data["services"] = tuple(ServiceSummary(**s) for s in data.get("services", ()))
-        data["timeline"] = tuple(TimelinePoint(**p) for p in data.get("timeline", ()))
-        app_data = data.get("app")
-        if app_data is not None:
-            app_data = dict(app_data)
-            app_data["services"] = tuple(
-                ServiceSummary(**s) for s in app_data.get("services", ())
-            )
-            data["app"] = AppSummary(**app_data)
+    def from_dict(cls, payload: Any) -> "RunSummary":
+        """Rebuild a summary saved with :meth:`to_dict`.
+
+        Anything else raises :class:`~repro.errors.ExperimentError` naming
+        the offending field: a payload that is not an object, a missing or
+        unknown field, or a malformed ``services``/``timeline``/``app``
+        entry.  Fields added with defaults (the percentile and cost fields)
+        may be absent, so older dumps still load.
+        """
+        data = _fields_of(cls, payload, "run summary")
+        data["services"] = _records(ServiceSummary, data.get("services", ()), "services")
+        data["timeline"] = _records(TimelinePoint, data.get("timeline", ()), "timeline")
+        if data.get("app") is not None:
+            app = _fields_of(AppSummary, data["app"], "app")
+            app["services"] = _records(ServiceSummary, app.get("services", ()), "app.services")
+            data["app"] = AppSummary(**app)
         return cls(**data)
 
     @classmethod
@@ -361,3 +359,26 @@ class RunSummary:
             "scale_downs": self.horizontal_scale_downs,
             "vertical_ops": self.vertical_scale_ops,
         }
+
+
+def _fields_of(cls: type[Any], payload: Any, where: str) -> dict[str, Any]:
+    """``payload`` as keyword arguments of dataclass ``cls``, or an error
+    naming the first missing or unknown field."""
+    if not isinstance(payload, dict):
+        raise ExperimentError(f"{where} must be a JSON object, got {type(payload).__name__}")
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ExperimentError(f"{where} has unknown field {unknown[0]!r}")
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    missing = [name for name in required if name not in payload]
+    if missing:
+        raise ExperimentError(f"{where} is missing field {missing[0]!r}")
+    return dict(payload)
+
+
+def _records(cls: type[Any], payload: Any, where: str) -> tuple[Any, ...]:
+    """A JSON list of ``cls`` records, each checked by :func:`_fields_of`."""
+    if not isinstance(payload, (list, tuple)):
+        raise ExperimentError(f"{where} must be a JSON list, got {type(payload).__name__}")
+    return tuple(cls(**_fields_of(cls, item, f"{where}[{i}]")) for i, item in enumerate(payload))

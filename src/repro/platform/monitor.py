@@ -68,7 +68,7 @@ class MonitorLog:
 
 
 #: Telemetry label value per applied action type (``scaling_actions{kind=}``).
-_ACTION_KINDS: dict[type, str] = {
+_ACTION_KINDS: dict[type, str] = {  # lint: disable=PAR001(maps action types to fixed telemetry label strings; a constant dispatch table written only at import)
     VerticalScale: "vertical",
     AddReplica: "scale_up",
     RemoveReplica: "scale_down",

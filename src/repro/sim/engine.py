@@ -89,10 +89,6 @@ class Engine:
         """Schedule ``callback`` at absolute simulated time ``due``."""
         return self.events.schedule_at(due, callback, label=label)
 
-    def call_after(self, delay: float, callback: Callable[[], None], label: str = "") -> ScheduledEvent:
-        """Schedule ``callback`` ``delay`` seconds from now."""
-        return self.events.schedule_after(self.clock.now, delay, callback, label=label)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

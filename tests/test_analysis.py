@@ -98,15 +98,10 @@ class TestComparisonReport:
     def test_fastest_and_most_available(self):
         report = compare_runs("w", self.runs())
         assert report.fastest() == "hybridmem"
-        assert report.most_available() == "hybridmem"
 
     def test_speedups_vs_baseline(self):
         report = compare_runs("w", self.runs())
         assert report.speedups()["hybrid"] == pytest.approx(2.0 / 1.4)
-
-    def test_availability_floor(self):
-        report = compare_runs("w", self.runs())
-        assert report.availability_floor() == pytest.approx(0.90)
 
     def test_table_renders(self):
         text = compare_runs("w", self.runs()).to_table()

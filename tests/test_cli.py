@@ -64,6 +64,23 @@ class TestParser:
         assert captured.err.startswith("error:") and "missing.json" in captured.err
         assert captured.out == ""
 
+    def test_inspect_rejects_a_json_list(self, capsys, tmp_path):
+        dump = tmp_path / "list.json"
+        dump.write_text("[]")
+        assert main(["inspect", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "got list" in captured.err
+        assert captured.out == ""
+
+    def test_inspect_rejects_a_summary_with_missing_fields(self, capsys, tmp_path):
+        dump = tmp_path / "partial.json"
+        dump.write_text('{"hybrid": {"algorithm": "x"}}')
+        assert main(["inspect", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "'hybrid'" in captured.err and "missing field 'workload'" in captured.err
+        assert captured.out == ""
+
     def test_run_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "gpu"])
@@ -459,11 +476,12 @@ class TestTelemetryCommands:
 
 
 class TestLintAndAnalyzeCommands:
-    """Exit-code contract (0 clean / 1 violations / 2 usage error),
-    the ``catalogue_version`` report field, and the ``analyze`` verb."""
+    """Exit-code contract (0 clean / 1 violations / 2 usage error), the
+    ``catalogue_version`` report field, and the one ``lint`` verb, which
+    also runs the call-graph rules the retired ``analyze`` verb ran."""
 
-    #: Worker fixture: clean under the per-file rules, but its
-    #: ``os.environ`` write is a PAR002 for the interprocedural pass.
+    #: Worker fixture: clean under the file rules, but its ``os.environ``
+    #: write is a PAR002 for the call-graph rules.
     WORKER = (
         "import os\n\n\n"
         "def run_shard_payload(payload: dict) -> dict:\n"
@@ -478,13 +496,13 @@ class TestLintAndAnalyzeCommands:
         return path
 
     def test_lint_exit_zero_and_catalogue_version(self, tmp_path, capsys):
-        from repro.devtools.rules import CATALOGUE_VERSION
+        from repro.devtools.analyzer import CATALOGUE_VERSION
 
         self._write(tmp_path, "src/repro/sim/ok.py", "X: int = 1\n")
         assert main(["lint", "src", "--root", str(tmp_path), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["catalogue_version"] == CATALOGUE_VERSION
-        assert payload["violation_count"] == 0
+        assert payload["summary"]["violations"] == 0
 
     def test_lint_exit_one_on_violation(self, tmp_path, capsys):
         self._write(
@@ -499,41 +517,60 @@ class TestLintAndAnalyzeCommands:
         assert main(["lint", "no-such-dir", "--root", str(tmp_path)]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_lint_flow_flag_adds_interprocedural_rules(self, tmp_path, capsys):
+    def test_lint_runs_the_call_graph_rules(self, tmp_path, capsys):
+        # No flag needed: a plain ``lint src`` runs the call-graph rules
+        # over the src/repro subset of its input.
         self._write(tmp_path, "src/repro/parallel/worker.py", self.WORKER)
-        assert main(["lint", "src", "--root", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["lint", "src", "--root", str(tmp_path), "--flow"]) == 1
+        assert main(["lint", "src", "--root", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "PAR002" in out
+        assert "tainted path(s)" in out
+
+    def test_lint_exit_zero_on_clean_package(self, tmp_path, capsys):
+        self._write(tmp_path, "src/repro/sim/ok.py", "X: int = 1\n")
+        assert main(["lint", "src/repro", "--root", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "0 tainted path(s)" in out
+        assert "clean:" in out
+
+    def test_lint_exit_one_on_call_graph_findings(self, tmp_path, capsys):
+        self._write(tmp_path, "src/repro/parallel/worker.py", self.WORKER)
+        assert main(["lint", "src/repro", "--root", str(tmp_path)]) == 1
         assert "PAR002" in capsys.readouterr().out
 
-    def test_analyze_parser_defaults(self):
-        args = build_parser().parse_args(["analyze"])
+    def test_lint_exit_two_when_one_of_its_paths_is_missing(self, tmp_path, capsys):
+        self._write(tmp_path, "src/repro/sim/ok.py", "X: int = 1\n")
+        assert main(["lint", "src/repro", "no-such-dir", "--root", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "no such path" in captured.err and "no-such-dir" in captured.err
+        assert captured.out == ""  # nothing was analyzed
+
+    def test_lint_parser_defaults(self):
+        args = build_parser().parse_args(["lint"])
+        assert args.paths == ["src", "examples"]
         assert args.format == "text"
         assert args.report is None
-        assert args.baseline is None
-        assert args.write_baseline is False
+        assert args.max_wall is None
+        assert not hasattr(args, "flow") and not hasattr(args, "baseline")
 
-    def test_analyze_exit_zero_on_clean_tree(self, tmp_path, capsys):
-        self._write(tmp_path, "src/repro/sim/ok.py", "X: int = 1\n")
-        assert main(["analyze", "src/repro", "--root", str(tmp_path)]) == 0
-        assert "0 unbaselined" in capsys.readouterr().out
-
-    def test_analyze_exit_one_on_findings(self, tmp_path, capsys):
-        self._write(tmp_path, "src/repro/parallel/worker.py", self.WORKER)
-        assert main(["analyze", "src/repro", "--root", str(tmp_path)]) == 1
-        assert "PAR002" in capsys.readouterr().out
-
-    def test_analyze_exit_two_on_missing_path(self, tmp_path, capsys):
-        assert main(["analyze", "no-such-dir", "--root", str(tmp_path)]) == 2
-        assert "no such path" in capsys.readouterr().err
-
-    def test_analyze_writes_flow_report(self, tmp_path, capsys):
+    def test_lint_writes_the_report(self, tmp_path, capsys):
         self._write(tmp_path, "src/repro/parallel/worker.py", self.WORKER)
         report = tmp_path / "flow.json"
-        main(["analyze", "src/repro", "--root", str(tmp_path), "--report", str(report)])
+        main(["lint", "src/repro", "--root", str(tmp_path), "--report", str(report)])
         capsys.readouterr()
         payload = json.loads(report.read_text())
-        assert payload["schema"] == "repro.flow/2"
-        assert payload["summary"]["unbaselined"] >= 1
+        assert payload["schema"] == "repro.flow/3"
+        assert payload["summary"]["violations"] >= 1
         assert "tainted_path_inventory" in payload
         assert "timings" in payload  # CLI merges phase timings into the artifact
+
+    def test_lint_prints_what_the_module_entry_prints(self, tmp_path, capsys):
+        from repro.devtools import main as devtools_main
+
+        self._write(tmp_path, "src/repro/parallel/worker.py", self.WORKER)
+        argv = ["src", "--root", str(tmp_path)]
+        assert main(["lint", *argv]) == 1
+        via_cli = capsys.readouterr().out
+        assert devtools_main(argv) == 1
+        assert capsys.readouterr().out == via_cli
+        assert via_cli.startswith("src/repro/parallel/worker.py")

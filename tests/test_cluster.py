@@ -54,11 +54,6 @@ class TestRegistry:
     def test_sorted_iteration(self, cluster):
         assert [n.name for n in cluster.sorted_nodes()] == ["n0", "n1", "n2"]
 
-    def test_nodes_not_hosting(self, cluster, overheads):
-        cluster.node("n0").add_container(make_container("api", overheads=overheads))
-        names = [n.name for n in cluster.nodes_not_hosting("api")]
-        assert names == ["n1", "n2"]
-
 
 class TestAggregates:
     def test_totals(self, cluster, overheads):

@@ -302,7 +302,7 @@ class TestEndToEndDeterminism:
         assert sanitizer.steps_checked == simulation.engine.clock.step
 
     def test_hot_path_fixes_are_behaviourally_inert(self):
-        """The FlowLint HOT fixes (prefetched arrival streams, hoisted
+        """The HOT-rule fixes (prefetched arrival streams, hoisted
         sort keys, once-per-actor profiler labels) must be invisible:
         each optimized formulation is pinned to the per-step formulation
         it replaced, and the bit-identity tests above pin the summaries
@@ -345,22 +345,22 @@ class TestEndToEndDeterminism:
         assert profiler._actor_labels == {name: f"actor:{name}" for name in names}
 
     def test_detflow_pass_is_behaviourally_inert(self):
-        """DetFlow (DET101–104 / CON001–003) found no real violations to
-        fix in ``src/repro`` — the tree analyzes clean with zero tainted
-        paths — so the pin here is the analysis itself: running the full
-        static pass between two same-seed runs must not perturb a single
-        byte of the simulation, and the registries the contract checker
-        audits must enumerate identically before and after."""
-        from repro.devtools.flow import analyze_paths
+        """The determinism-taint and contract rules (DET101–104 / CON001–003)
+        found no real violations to fix in ``src/repro`` — the tree
+        analyzes clean with zero tainted paths — so the pin here is the
+        analysis itself: running the full static pass between two same-seed
+        runs must not perturb a single byte of the simulation, and the
+        registries the contract checker audits must enumerate identically
+        before and after."""
+        from repro.devtools.analyzer import analyze_paths
         from repro.telemetry.sampling import registered_sampling_policies
         from tests.test_devtools_flow import REPO_ROOT
 
         before = _run_once(seed=7)
         names_before = (registered_policies(), registered_sampling_policies())
-        analysis = analyze_paths(["src/repro"], root=REPO_ROOT)
-        assert analysis.report.taint is not None
-        assert analysis.report.taint.paths == ()
-        assert analysis.report.contracts == ()
+        program = analyze_paths(["src/repro"], root=REPO_ROOT).program
+        assert program.taint.paths == ()
+        assert program.contracts.findings == ()
         after = _run_once(seed=7)
         assert after == before
         assert (registered_policies(), registered_sampling_policies()) == names_before

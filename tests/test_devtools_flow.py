@@ -1,38 +1,41 @@
-"""Tests for FlowLint (``repro.devtools.flow``).
+"""Tests for the call-graph half of the static analyzer (``repro.devtools.flow``).
 
 A small fixture package — engine, worker, merge, and unit-convert modules
 under synthetic ``src/repro/...`` logical paths — exercises the call
-graph, reachability, effect summaries, every rule family, the baseline
-audit, and the ``repro.flow/1`` report codec.  A meta-test then asserts
-the real tree analyzes clean (the CI gate, asserted in-process),
-mirroring ``test_devtools_lint.py``.
+graph, reachability, effect summaries, every call-graph rule family,
+suppression markers on call-graph findings, and the ``repro.flow/3``
+report.  A meta-test then asserts the real tree analyzes clean (the CI
+gate, asserted in-process), mirroring ``test_devtools_lint.py``.
 """
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.flow.analyze import (
+from repro.devtools import main
+from repro.devtools.analyzer import (
+    GRAPH_RULES,
+    REPORT_SCHEMA,
     analyze_paths,
     analyze_sources,
-    default_baseline,
-    main,
-)
-from repro.devtools.flow.baseline import (
-    BASELINE_SCHEMA,
-    Baseline,
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
+    render_json,
+    rule_catalog,
 )
 from repro.devtools.flow.callgraph import build_call_graph
-from repro.devtools.flow.contracts import PROTOCOLS, check_contracts, contract_summary
-from repro.devtools.flow.effects import effects_of
-from repro.devtools.flow.reachability import discover_roots, reachable_from
-from repro.devtools.flow.report import FLOW_SCHEMA, render_flow_json
-from repro.devtools.flow.rules import flow_rule_catalog
+from repro.devtools.flow.contracts import PROTOCOLS, check_contracts
+from repro.devtools.flow.effects import effects_of, unit_signature
+from repro.devtools.flow.reachability import (
+    MERGE_ROOT_MODULES,
+    MERGE_ROOT_QUALNAMES,
+    STEP_ROOT_QUALNAMES,
+    WORKER_ROOT_QUALNAMES,
+    discover_roots,
+    reachable_from,
+)
+from repro.devtools.flow.taint import SINKS, analyze_taint
+from repro.devtools.source import load_source
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,7 +107,7 @@ def go(size_mb: float, total: float) -> None:
     del chunk_mb
 """
 
-# --- DetFlow fixtures: taint sources, sanitizers, sinks, contracts ----
+# --- Taint fixtures: sources, sanitizers, sinks, contracts -----------
 SINK_SRC = """\
 def span_to_json_line(span: dict) -> str:
     return "{}"
@@ -256,14 +259,20 @@ FIXTURE_SOURCES = [
 ]
 
 
-def fixture_analysis(baseline=None):
-    if baseline is None:
-        return analyze_sources(list(FIXTURE_SOURCES))
-    return analyze_sources(list(FIXTURE_SOURCES), baseline)
+def parsed(sources):
+    return [load_source(path, source) for path, source in sources]
+
+
+def fixture_graph():
+    return build_call_graph(parsed(FIXTURE_SOURCES))
+
+
+def fixture_analysis(*extra):
+    return analyze_sources([*FIXTURE_SOURCES, *extra])
 
 
 def rules_of(analysis):
-    return sorted({fv.rule for fv in analysis.report.unbaselined})
+    return sorted({v.rule for v in analysis.violations})
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +280,7 @@ def rules_of(analysis):
 # ----------------------------------------------------------------------
 class TestCallGraph:
     def test_collects_methods_and_functions(self):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
+        graph = fixture_graph()
         assert "repro.sim.engine.Engine.step" in graph.functions
         assert "repro.parallel.worker.run_shard_payload" in graph.functions
         fn = graph.functions["repro.sim.engine.Engine.step"]
@@ -280,7 +289,7 @@ class TestCallGraph:
         assert fn.path == "src/repro/sim/engine.py"
 
     def test_resolves_attribute_call_through_constructor_type(self):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
+        graph = fixture_graph()
         # ``self.helper = Helper()`` types the attribute, so
         # ``self.helper.tick()`` resolves precisely.
         assert "repro.sim.engine.Helper.tick" in graph.callees(
@@ -288,13 +297,13 @@ class TestCallGraph:
         )
 
     def test_bare_name_call_resolves_to_local_function(self):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
+        graph = fixture_graph()
         assert "repro.netsim.convert.push" in graph.callees(
             "repro.netsim.convert.go"
         )
 
     def test_module_mutables_are_indexed(self):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
+        graph = fixture_graph()
         module = graph.modules["repro.parallel.worker"]
         assert [name for name, _ in module.module_mutables] == ["COUNTER"]
 
@@ -304,22 +313,19 @@ class TestCallGraph:
 # ----------------------------------------------------------------------
 class TestReachability:
     def test_step_roots_include_engine_step_and_on_step_actors(self):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
-        roots = discover_roots(graph)
+        roots = discover_roots(fixture_graph())
         assert "repro.sim.engine.Engine.step" in roots.step
         assert "repro.sim.probe.Probe.on_step" in roots.step
 
     def test_worker_and_merge_roots(self):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
-        roots = discover_roots(graph)
+        roots = discover_roots(fixture_graph())
         assert roots.worker == ("repro.parallel.worker.run_shard_payload",)
         assert "repro.parallel.executor.SweepExecutor._merge" in roots.merge
         assert "repro.parallel.result.combine" in roots.merge
 
     def test_step_reachability_is_transitive(self):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
-        roots = discover_roots(graph)
-        reachable = reachable_from(graph, roots.step)
+        graph = fixture_graph()
+        reachable = reachable_from(graph, discover_roots(graph).step)
         assert "repro.sim.engine.Helper.tick" in reachable
         # The worker never runs inside a step.
         assert "repro.parallel.worker.run_shard_payload" not in reachable
@@ -330,8 +336,7 @@ class TestReachability:
 # ----------------------------------------------------------------------
 class TestEffects:
     def _summary(self, qualname):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
-        return effects_of(graph.functions[qualname])
+        return effects_of(fixture_graph().functions[qualname])
 
     def test_constant_list_literal_is_a_hoistable_allocation(self):
         summary = self._summary("repro.sim.engine.Helper.tick")
@@ -350,34 +355,57 @@ class TestEffects:
         summary = self._summary("repro.parallel.worker.run_shard_payload")
         assert "os.environ" in {w.target for w in summary.global_writes}
 
-    def test_set_iteration_is_recorded(self):
-        summary = self._summary("repro.parallel.executor.SweepExecutor._merge")
-        assert [s.context for s in summary.set_iterations] == ["for-loop"]
-
     def test_unit_signature_from_suffixes(self):
-        summary = self._summary("repro.netsim.convert.push")
-        assert "rate_mbps" in summary.param_units
-        returning = self._summary("repro.netsim.convert.as_mbit")
-        assert returning.return_unit is not None
+        graph = fixture_graph()
+        params, param_units, _ = unit_signature(graph.functions["repro.netsim.convert.push"].node)
+        assert params == ("rate_mbps",)
+        assert param_units == {"rate_mbps": "Mbit"}
+        *_, return_unit = unit_signature(graph.functions["repro.netsim.convert.as_mbit"].node)
+        assert return_unit == "Mbit"
 
 
 # ----------------------------------------------------------------------
 # Rule families
 # ----------------------------------------------------------------------
+#: File-rule triggers, so the fixture tree trips every rule in the catalogue.
+FILE_RULE_SOURCES = [
+    (
+        "src/repro/telemetry/stamp.py",
+        "import time\n\n\n"
+        "def flush(registry: object, now: float) -> float:\n"
+        "    registry.capture(now)\n"
+        "    return time.time()\n",
+    ),
+    (
+        "src/repro/cluster/cache.py",
+        "class Cache:\n"
+        "    entries = []\n\n"
+        "    def to_mib(self, n_bytes: float) -> float:\n"
+        "        return n_bytes / 1048576\n\n"
+        "    def same(self, cpu_request: float, other: float) -> bool:\n"
+        "        return cpu_request == other\n\n"
+        "    def poke(self, view: object) -> None:\n"
+        "        object.__setattr__(view, 'label', 'x')\n\n"
+        "    def on_step(self, clock):\n"
+        "        total = self.node.rate + self.node.rate + self.node.rate + self.node.rate\n"
+        "        del total\n",
+    ),
+]
+
+
 class TestFlowRules:
     def test_fixture_trips_every_family(self):
-        analysis = fixture_analysis()
-        found = rules_of(analysis)
+        found = rules_of(fixture_analysis())
         for rule in (
             "HOT001",
             "HOT002",
             "HOT004",
             "PAR001",
             "PAR002",
-            "PAR003",
             "UNIT002",
+            "DET002",
+            "DET003",
             "DET101",
-            "DET102",
             "DET103",
             "DET104",
             "CON001",
@@ -386,50 +414,72 @@ class TestFlowRules:
         ):
             assert rule in found, f"{rule} missing from {found}"
 
+    def test_fixture_trips_every_rule_in_the_catalogue(self):
+        found = rules_of(fixture_analysis(*FILE_RULE_SOURCES))
+        assert set(rule_catalog()) <= set(found), sorted(set(rule_catalog()) - set(found))
+
     def test_violations_name_the_offending_function(self):
-        analysis = fixture_analysis()
-        par002 = [fv for fv in analysis.report.unbaselined if fv.rule == "PAR002"]
+        par002 = [v for v in fixture_analysis().violations if v.rule == "PAR002"]
         assert par002
-        assert all(
-            fv.function == "repro.parallel.worker.run_shard_payload" for fv in par002
-        )
+        assert all(v.function == "repro.parallel.worker.run_shard_payload" for v in par002)
 
     def test_unit002_crosses_the_call_boundary(self):
-        analysis = fixture_analysis()
-        unit = [fv for fv in analysis.report.unbaselined if fv.rule == "UNIT002"]
-        messages = " / ".join(fv.message for fv in unit)
+        unit = [v for v in fixture_analysis().violations if v.rule == "UNIT002"]
+        messages = " / ".join(v.message for v in unit)
         assert "push" in messages  # param mismatch
         assert "as_mbit" in messages  # return mismatch
 
+    def test_unit002_flags_both_probes(self):
+        # One implementation: an argument crossing into another module's
+        # differently-suffixed parameter, and a mixed assignment inside a
+        # function, are both UNIT002.
+        analysis = analyze_sources(
+            [
+                ("src/repro/netsim/links.py", "def push(rate_mbps: float) -> None:\n    del rate_mbps\n"),
+                (
+                    "src/repro/netsim/shaper.py",
+                    "from repro.netsim.links import push\n\n\n"
+                    "def go(size_mb: float, rate_mbps: float) -> float:\n"
+                    "    push(size_mb)\n"
+                    "    total_mb = rate_mbps\n"
+                    "    return total_mb\n",
+                ),
+            ]
+        )
+        unit = [(v.path, v.line) for v in analysis.violations if v.rule == "UNIT002"]
+        assert unit == [("src/repro/netsim/shaper.py", 5), ("src/repro/netsim/shaper.py", 6)]
+
+    def test_det003_flags_set_iteration_in_merge_code(self):
+        # The merge root's set-ordered loop and the result module's set
+        # comprehension source are both DET003 findings.
+        det003 = {(v.path, v.line) for v in fixture_analysis().violations if v.rule == "DET003"}
+        assert ("src/repro/parallel/executor.py", 5) in det003
+        assert ("src/repro/parallel/result.py", 2) in det003
+
     def test_catalog_covers_all_families(self):
-        catalog = flow_rule_catalog()
-        assert set(catalog) == {
+        assert {rule.id for rule in GRAPH_RULES} == {
             "HOT001",
             "HOT002",
             "HOT003",
             "HOT004",
             "PAR001",
             "PAR002",
-            "PAR003",
-            "UNIT002",
             "DET101",
-            "DET102",
             "DET103",
             "DET104",
             "CON001",
             "CON002",
             "CON003",
-            "CON004",
         }
-        assert all(summary for summary in catalog.values())
+        assert all(rule.summary for rule in GRAPH_RULES)
 
 
 # ----------------------------------------------------------------------
-# DetFlow: determinism taint (DET101–104)
+# Determinism taint (DET101/103/104)
 # ----------------------------------------------------------------------
 class TestDetFlowTaint:
     def _taint(self):
-        return fixture_analysis().report.taint
+        return fixture_analysis().program.taint
 
     def _paths_for(self, rule):
         return [p for p in self._taint().paths if p.rule == rule]
@@ -469,13 +519,36 @@ class TestDetFlowTaint:
             for p in paths
         )
 
-    def test_det102_flags_step_reachable_ambient_rng(self):
-        analysis = fixture_analysis()
-        det102 = [fv for fv in analysis.report.unbaselined if fv.rule == "DET102"]
-        assert [fv.function for fv in det102] == [
-            "repro.sim.rng_actor.JitterProbe.on_step"
-        ]
-        assert "RngStreams" in det102[0].message
+    def test_det002_flags_step_reachable_ambient_rng(self):
+        det002 = [v for v in fixture_analysis().violations if v.rule == "DET002"]
+        assert ("src/repro/sim/rng_actor.py", 6) in {(v.path, v.line) for v in det002}
+        assert all("RngStreams" in v.message for v in det002)
+
+    def test_det002_flags_an_unseeded_draw_in_the_rng_module(self):
+        # An unseeded draw in sim/rng.py reached from Engine.step: the rng
+        # module is exempt only for seeded construction.
+        rng_src = (
+            "import numpy as np\n\n\n"
+            "class RngStreams:\n"
+            "    def stream(self, entropy: list) -> object:\n"
+            "        return np.random.default_rng(np.random.SeedSequence(entropy))\n\n"
+            "    def jitter(self) -> float:\n"
+            "        return float(np.random.random())\n"
+        )
+        engine_src = (
+            "from repro.sim.rng import RngStreams\n\n\n"
+            "class Engine:\n"
+            "    def __init__(self) -> None:\n"
+            "        self.rng = RngStreams()\n\n"
+            "    def step(self) -> float:\n"
+            "        return self.rng.jitter()\n"
+        )
+        analysis = analyze_sources(
+            [("src/repro/sim/rng.py", rng_src), ("src/repro/sim/engine.py", engine_src)]
+        )
+        assert "repro.sim.rng.RngStreams.jitter" in analysis.program.step_reachable
+        det002 = [(v.path, v.line) for v in analysis.violations if v.rule == "DET002"]
+        assert det002 == [("src/repro/sim/rng.py", 9)]
 
     def test_sort_barrier_in_caller_kills_the_path(self):
         # gather_quiet's only route to the sink is
@@ -520,8 +593,7 @@ class TestDetFlowTaint:
         assert len(keys) == len(set(keys))
 
     def test_violation_message_carries_the_witness_chain(self):
-        analysis = fixture_analysis()
-        det101 = [fv for fv in analysis.report.unbaselined if fv.rule == "DET101"]
+        det101 = [v for v in fixture_analysis().violations if v.rule == "DET101"]
         assert det101
         message = det101[0].message
         assert "canonical sink" in message
@@ -529,257 +601,160 @@ class TestDetFlowTaint:
 
 
 # ----------------------------------------------------------------------
-# DetFlow: registry contracts (CON001–003)
+# Registry contracts (CON001–003)
 # ----------------------------------------------------------------------
 class TestContracts:
+    def _contracts(self):
+        graph = fixture_graph()
+        return check_contracts(graph, analyze_taint(graph))
+
     def _findings(self):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
-        return check_contracts(graph)
+        return self._contracts().findings
 
     def test_protocol_catalogue_names_two_registries(self):
         assert [spec.registry for spec in PROTOCOLS] == ["policy", "sampling"]
 
     def test_con001_flags_unimplemented_abstract_method(self):
-        findings = self._findings()
         jitter = [
             f
-            for f in findings
-            if f.rule == "CON001" and f.cls.endswith("JitterPolicy")
+            for f in self._findings()
+            if f.rule == "CON001" and f.function.endswith("JitterPolicy")
         ]
         assert any("abstract method `decide`" in f.message for f in jitter)
 
     def test_con001_flags_registered_non_subclass(self):
-        findings = self._findings()
         stranger = [
             f
-            for f in findings
-            if f.rule == "CON001" and f.cls.endswith("Freeloader")
+            for f in self._findings()
+            if f.rule == "CON001" and f.function.endswith("Freeloader")
         ]
         assert len(stranger) == 1
         assert "does not subclass" in stranger[0].message
 
     def test_con002_flags_module_mutable_per_implementation(self):
-        findings = self._findings()
-        con002 = [f for f in findings if f.rule == "CON002"]
+        con002 = [f for f in self._findings() if f.rule == "CON002"]
         assert all("HISTORY" in f.message for f in con002)
-        assert {f.cls for f in con002} == {
+        assert {f.function for f in con002} == {
             "repro.core.custom.Freeloader",
             "repro.core.custom.JitterPolicy",
         }
 
     def test_con003_flags_ambient_rng_without_injectable_ctor(self):
-        findings = self._findings()
-        con003 = [f for f in findings if f.rule == "CON003"]
-        assert [f.cls for f in con003] == ["repro.core.custom.JitterPolicy"]
+        con003 = [f for f in self._findings() if f.rule == "CON003"]
+        assert [f.function for f in con003] == ["repro.core.custom.JitterPolicy"]
         assert "ambient RNG" in con003[0].message
 
     def test_conforming_policy_with_rng_param_is_clean(self):
-        findings = self._findings()
-        assert not any(f.cls.endswith("StepPolicy") for f in findings)
+        assert not any(f.function.endswith("StepPolicy") for f in self._findings())
 
     def test_discovery_counts_subclasses_and_registered_strangers(self):
-        graph = build_call_graph(list(FIXTURE_SOURCES))
         # JitterPolicy + StepPolicy (subclasses) + Freeloader (register call).
-        assert contract_summary(graph) == {"policy": 3}
+        assert self._contracts().census == {"policy": 3}
 
     def test_abstract_base_is_not_an_implementation(self):
-        findings = self._findings()
-        assert not any(f.cls.endswith("AutoscalingPolicy") for f in findings)
+        assert not any(f.function.endswith("AutoscalingPolicy") for f in self._findings())
 
 
 # ----------------------------------------------------------------------
-# DetFlow: call-site registry contracts (CON004)
+# Suppression markers on call-graph findings
 # ----------------------------------------------------------------------
-CALLSITE_REGISTRY_SRC = """\
-def register_workload(name, factory, *, takes_burst=True, replace=False):
-    pass
-"""
-
-CALLSITE_USE_SRC = """\
-from repro.workloads.registry import register_workload
-
-
-def cpu_factory():
-    return None
+def _with_worker_marker(marker):
+    lines = WORKER_SRC.split("\n")
+    environ = next(i for i, line in enumerate(lines) if "os.environ" in line)
+    lines[environ] += f"  {marker}"
+    worker = "\n".join(lines)
+    return [(path, worker if path == "src/repro/parallel/worker.py" else source) for path, source in FIXTURE_SOURCES]
 
 
-register_workload("cpu", cpu_factory)
-register_workload("cpu", cpu_factory)
-register_workload("cpu", cpu_factory, replace=True)
-register_workload("", cpu_factory)
-register_workload("lit", "not-a-factory")
-"""
-
-CALLSITE_SOURCES = [
-    ("src/repro/workloads/registry.py", CALLSITE_REGISTRY_SRC),
-    ("src/repro/experiments/configs.py", CALLSITE_USE_SRC),
-]
-
-
-class TestCallSiteContracts:
-    """CON004 judges ``register_workload``-style call sites, not classes."""
-
-    def _findings(self):
-        graph = build_call_graph(list(CALLSITE_SOURCES))
-        return [f for f in check_contracts(graph) if f.rule == "CON004"]
-
-    def test_duplicate_literal_name_without_replace(self):
-        messages = [f.message for f in self._findings()]
-        assert any("registered twice" in m for m in messages)
-        # The replace=True re-registration is legal and reported nowhere.
-        assert sum("registered twice" in m for m in messages) == 1
-
-    def test_empty_name_and_literal_factory(self):
-        messages = [f.message for f in self._findings()]
-        assert any("non-empty string" in m for m in messages)
-        assert any("'not-a-factory'" in m for m in messages)
-
-    def test_census_counts_distinct_literal_names(self):
-        graph = build_call_graph(list(CALLSITE_SOURCES))
-        # "cpu" and "lit"; the empty name is invalid, not an entry.
-        assert contract_summary(graph)["workload"] == 2
-
-    def test_absent_registry_module_is_skipped(self):
-        # The shared fixture tree has no repro.workloads.registry, so the
-        # call-site registries stay out of its census (the exact pin in
-        # test_discovery_counts_subclasses_and_registered_strangers).
-        graph = build_call_graph(list(FIXTURE_SOURCES))
-        assert "workload" not in contract_summary(graph)
-        assert not any(f.rule == "CON004" for f in check_contracts(graph))
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def _baseline(self, *entries):
-        return Baseline(path=".flowlint-baseline.json", entries=tuple(entries))
-
-    def test_matching_entry_suppresses_the_finding(self):
-        baseline = self._baseline(
-            BaselineEntry(
-                rule="PAR002",
-                function="repro.parallel.worker.run_shard_payload",
-                reason="fixture: acknowledged seed plumbing",
-            )
-        )
-        analysis = fixture_analysis(baseline)
+class TestMarkers:
+    def test_marker_silences_a_call_graph_finding(self):
+        analysis = analyze_sources(_with_worker_marker("# lint: disable=PAR002(fixture: seed plumbing)"))
         assert "PAR002" not in rules_of(analysis)
-        assert any(fv.rule == "PAR002" for fv in analysis.report.suppressed)
-        assert analysis.report.baseline_audit == ()
+        assert [(v.rule, reason) for v, reason in analysis.suppressed] == [
+            ("PAR002", "fixture: seed plumbing")
+        ]
+        assert "LINT001" not in rules_of(analysis)
 
-    def test_stale_entry_is_base001(self):
-        baseline = self._baseline(
-            BaselineEntry(rule="HOT001", function="repro.no.such.fn", reason="gone")
+    def test_marker_on_the_wrong_line_silences_nothing_and_is_reported(self):
+        lines = WORKER_SRC.split("\n")
+        lines[0] += "  # lint: disable=PAR002(wrong line)"
+        sources = [
+            (path, "\n".join(lines) if path == "src/repro/parallel/worker.py" else source)
+            for path, source in FIXTURE_SOURCES
+        ]
+        analysis = analyze_sources(sources)
+        assert "PAR002" in rules_of(analysis)
+        unused = [v for v in analysis.violations if v.rule == "LINT001"]
+        assert [(v.path, v.line) for v in unused] == [("src/repro/parallel/worker.py", 1)]
+        assert "silences nothing" in unused[0].message
+
+    def test_marker_for_a_known_rule_that_silences_nothing_is_unused_not_unknown(self):
+        # DET101 is in the catalogue but does not fire on the environ line.
+        analysis = analyze_sources(_with_worker_marker("# lint: disable=DET101(no such path)"))
+        assert "PAR002" in rules_of(analysis)
+        unused = [v for v in analysis.violations if v.rule == "LINT001"]
+        assert len(unused) == 1
+        assert "DET101" in unused[0].message and "silences nothing" in unused[0].message
+        assert "does not define" not in unused[0].message
+
+    def test_marker_naming_a_removed_rule_is_reported(self):
+        analysis = analyze_sources(
+            _with_worker_marker("# lint: disable=PAR002(seed plumbing), PAR003(gone)")
         )
-        analysis = fixture_analysis(baseline)
-        assert [v.rule for v in analysis.report.baseline_audit] == ["BASE001"]
-        assert not analysis.clean
+        unknown = [v for v in analysis.violations if v.rule == "LINT001"]
+        assert len(unknown) == 1
+        assert "PAR003" in unknown[0].message and "does not define" in unknown[0].message
 
-    def test_removed_rule_entry_is_base001(self):
-        # A catalogue bump that drops a rule must fail the baseline loudly.
-        baseline = self._baseline(
-            BaselineEntry(
-                rule="HOT999",
-                function="repro.parallel.worker.run_shard_payload",
-                reason="kept across a catalogue bump",
-            )
-        )
-        analysis = fixture_analysis(baseline)
-        audit = [v for v in analysis.report.baseline_audit if v.rule == "BASE001"]
-        assert len(audit) == 1
-        assert "removed or renamed" in audit[0].message
-        assert "HOT999" in audit[0].message
-        assert not analysis.clean
+    def test_marker_without_reason_is_lint001_and_silences_nothing(self):
+        analysis = analyze_sources(_with_worker_marker("# lint: disable=PAR002"))
+        assert {"LINT001", "PAR002"} <= set(rules_of(analysis))
 
-    def test_known_rule_with_vanished_function_is_stale_not_removed(self):
-        baseline = self._baseline(
-            BaselineEntry(rule="DET101", function="repro.no.such.fn", reason="gone")
-        )
-        analysis = fixture_analysis(baseline)
-        audit = [v for v in analysis.report.baseline_audit if v.rule == "BASE001"]
-        assert len(audit) == 1
-        assert "removed or renamed" not in audit[0].message
+    def test_suppressed_findings_keep_their_reasons_in_the_report(self):
+        analysis = analyze_sources(_with_worker_marker("# lint: disable=PAR002(fixture: seed plumbing)"))
+        payload = json.loads(render_json(analysis))
+        assert payload["summary"]["suppressed"] == 1
+        (entry,) = payload["suppressed"]
+        assert entry["rule"] == "PAR002"
+        assert entry["function"] == "repro.parallel.worker.run_shard_payload"
+        assert entry["reason"] == "fixture: seed plumbing"
 
-    def test_missing_reason_is_base002(self):
-        baseline = self._baseline(
-            BaselineEntry(
-                rule="PAR002",
-                function="repro.parallel.worker.run_shard_payload",
-                reason="  ",
-            )
-        )
-        analysis = fixture_analysis(baseline)
-        assert "BASE002" in [v.rule for v in analysis.report.baseline_audit]
-
-    def test_apply_baseline_partitions_findings(self):
-        analysis = fixture_analysis()
-        findings = list(analysis.report.unbaselined)
-        key = findings[0]
-        baseline = self._baseline(
-            BaselineEntry(rule=key.rule, function=key.function, reason="fixture")
-        )
-        unbaselined, suppressed, audit = apply_baseline(findings, baseline)
-        assert key not in unbaselined
-        assert key in suppressed
-        assert audit == []
-
-    def test_load_baseline_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps({"schema": "nope", "entries": []}))
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-    def test_load_baseline_rejects_unparseable_file(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text("{not json")
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-    def test_load_baseline_roundtrip(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": BASELINE_SCHEMA,
-                    "entries": [
-                        {"rule": "PAR001", "function": "repro.x.y", "reason": "why"}
-                    ],
-                }
-            )
-        )
-        baseline = load_baseline(path)
-        assert baseline.keys() == frozenset({("PAR001", "repro.x.y")})
+    def test_call_graph_markers_are_judged_only_over_the_whole_package(self, tmp_path):
+        for logical, source in _with_worker_marker("# lint: disable=PAR002(seed plumbing)"):
+            path = tmp_path / logical
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        # Without the rest of the package the worker is no root, so the
+        # marker silences nothing yet is not reported.
+        partial = analyze_paths(["src/repro/parallel/worker.py"], root=tmp_path)
+        assert "LINT001" not in rules_of(partial)
+        assert analyze_paths(["src"], root=tmp_path).suppressed
 
 
 # ----------------------------------------------------------------------
-# Report codec
+# Report
 # ----------------------------------------------------------------------
 class TestReport:
     def test_schema_and_sections(self):
-        payload = json.loads(render_flow_json(fixture_analysis().report))
-        assert payload["schema"] == FLOW_SCHEMA
+        payload = json.loads(render_json(fixture_analysis()))
+        assert payload["schema"] == REPORT_SCHEMA == "repro.flow/3"
         assert payload["catalogue_version"]
-        assert set(payload["rules"]) == set(flow_rule_catalog())
+        assert set(payload["rules"]) == set(rule_catalog())
+        assert payload["files_checked"] == len(FIXTURE_SOURCES)
         assert payload["graph"]["functions"] > 0
         assert payload["reachable"]["step"] >= 2
 
     def test_inventory_ranks_step_reachable_allocations(self):
-        report = fixture_analysis().report
-        assert report.inventory
-        assert [e.rank for e in report.inventory] == list(
-            range(1, len(report.inventory) + 1)
-        )
+        inventory = fixture_analysis().inventory
+        assert inventory
+        assert [e.rank for e in inventory] == list(range(1, len(inventory) + 1))
         # Only step-reachable functions contribute.
-        assert all("parallel" not in e.function for e in report.inventory)
+        assert all("parallel" not in e.function for e in inventory)
 
     def test_report_is_byte_identical_across_runs(self):
-        first = render_flow_json(fixture_analysis().report)
-        second = render_flow_json(fixture_analysis().report)
-        assert first == second
+        assert render_json(fixture_analysis()) == render_json(fixture_analysis())
 
     def test_tainted_path_inventory_section(self):
-        payload = json.loads(render_flow_json(fixture_analysis().report))
+        payload = json.loads(render_json(fixture_analysis()))
         inventory = payload["tainted_path_inventory"]
         assert inventory
         assert {row["rule"] for row in inventory} == {"DET101", "DET103", "DET104"}
@@ -801,7 +776,7 @@ class TestReport:
         assert all(row["hops"] >= 1 for row in inventory)
 
     def test_taint_summary_section(self):
-        payload = json.loads(render_flow_json(fixture_analysis().report))
+        payload = json.loads(render_json(fixture_analysis()))
         summary = payload["taint_summary"]
         assert summary["sources"] >= 4
         assert summary["sources_killed_at_birth"] >= 1
@@ -810,24 +785,25 @@ class TestReport:
         assert summary["tainted_paths"] == len(payload["tainted_path_inventory"])
 
     def test_contracts_section(self):
-        payload = json.loads(render_flow_json(fixture_analysis().report))
-        contracts = payload["contracts"]
-        assert contracts["implementations"] == {"policy": 3}
-        assert contracts["findings"] >= 4  # CON001 x2, CON002 x2, CON003 x1
+        payload = json.loads(render_json(fixture_analysis()))
+        assert payload["contract_census"] == {"policy": 3}
+        by_rule = payload["summary"]["by_rule"]
+        # CON001 x2, CON002 x2, CON003 x1
+        assert by_rule["CON001"] + by_rule["CON002"] + by_rule["CON003"] >= 4
 
 
 # ----------------------------------------------------------------------
-# CLI (python -m repro.devtools.flow)
+# CLI (python -m repro.devtools)
 # ----------------------------------------------------------------------
 class TestCli:
-    def _write_fixture_tree(self, root: Path) -> None:
-        for logical, source in FIXTURE_SOURCES:
+    def _write_tree(self, root: Path, sources=FIXTURE_SOURCES) -> None:
+        for logical, source in sources:
             path = root / logical
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(source)
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
-        self._write_fixture_tree(tmp_path)
+        self._write_tree(tmp_path)
         assert main(["src/repro", "--root", str(tmp_path)]) == 1
         assert "PAR002" in capsys.readouterr().out
 
@@ -835,33 +811,18 @@ class TestCli:
         assert main(["no-such-dir", "--root", str(tmp_path)]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_exit_two_on_malformed_baseline(self, tmp_path, capsys):
-        self._write_fixture_tree(tmp_path)
-        (tmp_path / ".flowlint-baseline.json").write_text("{not json")
-        assert main(["src/repro", "--root", str(tmp_path)]) == 2
-        assert "baseline" in capsys.readouterr().err
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        self._write_fixture_tree(tmp_path)
-        assert main(["src/repro", "--root", str(tmp_path), "--write-baseline"]) == 0
-        capsys.readouterr()
-        # Entries are written without reasons ("TODO: justify" placeholders
-        # count as reasons), so the next run is clean.
-        assert main(["src/repro", "--root", str(tmp_path)]) == 0
-        assert "0 unbaselined" in capsys.readouterr().out
-
     def test_report_flag_writes_canonical_json(self, tmp_path, capsys):
-        self._write_fixture_tree(tmp_path)
+        self._write_tree(tmp_path)
         report_path = tmp_path / "flow.json"
         main(["src/repro", "--root", str(tmp_path), "--report", str(report_path)])
         capsys.readouterr()
         payload = json.loads(report_path.read_text())
-        assert payload["schema"] == FLOW_SCHEMA
+        assert payload["schema"] == REPORT_SCHEMA
 
     def test_list_rules_flag(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in flow_rule_catalog():
+        for rule_id in rule_catalog():
             assert rule_id in out
 
     def test_exit_two_on_unknown_flag(self, capsys):
@@ -873,7 +834,7 @@ class TestCli:
     def test_exit_one_with_tainted_path_inventory(self, tmp_path, capsys):
         # The seeded fixture tree must produce a non-empty inventory and
         # a failing exit status.
-        self._write_fixture_tree(tmp_path)
+        self._write_tree(tmp_path)
         report_path = tmp_path / "flow.json"
         assert (
             main(["src/repro", "--root", str(tmp_path), "--report", str(report_path)])
@@ -887,38 +848,26 @@ class TestCli:
         assert payload["taint_summary"]["tainted_paths"] > 0
 
     def test_report_artifact_includes_phase_timings(self, tmp_path, capsys):
-        self._write_fixture_tree(tmp_path)
+        self._write_tree(tmp_path)
         report_path = tmp_path / "flow.json"
         main(["src/repro", "--root", str(tmp_path), "--report", str(report_path)])
         capsys.readouterr()
-        payload = json.loads(report_path.read_text())
-        timings = payload["timings"]
-        for phase in (
-            "parse_graph",
-            "reachability",
-            "effects",
-            "taint",
-            "contracts",
-            "rules",
-            "report",
-            "total",
-        ):
+        timings = json.loads(report_path.read_text())["timings"]
+        timed = ("parse", "graph", "reachability", "effects", "taint", "contracts", "rules", "report")
+        for phase in (*timed, "per_file", "total"):
             assert phase in timings, phase
-        assert timings["total"] >= 0.0
+        # The per-file phase sits outside the gated total.
+        assert timings["total"] == pytest.approx(sum(timings[p] for p in timed), abs=1e-5)
 
     def test_max_wall_gate_trips_on_zero_budget(self, tmp_path, capsys):
-        self._write_fixture_tree(tmp_path)
-        assert main(["src/repro", "--root", str(tmp_path), "--write-baseline"]) == 0
-        capsys.readouterr()
+        self._write_tree(tmp_path, [("src/repro/sim/ok.py", "X: int = 1\n")])
         assert main(["src/repro", "--root", str(tmp_path), "--max-wall", "0"]) == 1
         captured = capsys.readouterr()
         assert "perf gate" in captured.err
         assert "exceeded" in captured.err
 
     def test_max_wall_gate_passes_on_generous_budget(self, tmp_path, capsys):
-        self._write_fixture_tree(tmp_path)
-        assert main(["src/repro", "--root", str(tmp_path), "--write-baseline"]) == 0
-        capsys.readouterr()
+        self._write_tree(tmp_path, [("src/repro/sim/ok.py", "X: int = 1\n")])
         assert main(["src/repro", "--root", str(tmp_path), "--max-wall", "60"]) == 0
         assert "perf gate" in capsys.readouterr().out
 
@@ -926,40 +875,37 @@ class TestCli:
 # ----------------------------------------------------------------------
 # The real tree must analyze clean (the CI gate, asserted in-process)
 # ----------------------------------------------------------------------
-class TestRepositoryAnalyzesClean:
-    def _analysis(self):
-        baseline = default_baseline(REPO_ROOT)
-        return analyze_paths(["src/repro"], root=REPO_ROOT, baseline=baseline)
+@functools.lru_cache(maxsize=1)
+def _real_tree():
+    return analyze_paths(["src/repro"], root=REPO_ROOT)
 
+
+class TestRepositoryAnalyzesClean:
     def test_src_repro_analyzes_clean(self):
-        analysis = self._analysis()
-        assert len(analysis.graph.functions) > 500  # the walker found the tree
-        assert len(analysis.report.inventory) >= 10  # the ranked work-list exists
-        assert analysis.clean, "\n" + "\n".join(
-            v.render() for v in analysis.violations
-        )
+        analysis = _real_tree()
+        assert len(analysis.program.graph.functions) > 500  # the walker found the tree
+        assert len(analysis.inventory) >= 10  # the ranked work-list exists
+        assert analysis.clean, "\n" + "\n".join(v.render() for v in analysis.violations)
 
     def test_src_repro_has_no_tainted_paths(self):
         # The determinism pin: no nondeterminism source in the real tree
         # reaches a canonical codec.  Any regression shows up as a ranked
         # witness chain here before it shows up as flaky artifact bytes.
-        taint = self._analysis().report.taint
-        assert taint is not None
-        assert taint.paths == (), [p.to_dict() for p in taint.paths]
-        # All five artifact codecs plus the derived keys are in the graph.
-        assert len(taint.sinks_present) >= 20
+        program = _real_tree().program
+        assert program.taint.paths == (), [p.to_dict() for p in program.taint.paths]
+        # Every catalogued root and sink still names something in the tree:
+        # a rename must not silently switch a rule family off.
+        graph = program.graph
+        for qualname in (*STEP_ROOT_QUALNAMES, *WORKER_ROOT_QUALNAMES, *MERGE_ROOT_QUALNAMES):
+            assert qualname in graph.functions, qualname
+        for module in MERGE_ROOT_MODULES:
+            assert module in graph.modules, module
+        assert program.taint.sinks_present == tuple(sorted(SINKS))
 
     def test_src_repro_registry_contracts_hold(self):
-        analysis = self._analysis()
-        assert analysis.report.contracts == (), analysis.report.contracts
-        summary = contract_summary(analysis.graph)
+        program = _real_tree().program
+        assert program.contracts.findings == (), program.contracts.findings
         # The nine shipped policies and both sampling controllers are all
         # discovered.
-        assert summary["policy"] >= 9
-        assert summary["sampling"] >= 2
-        # Call-site registries: the six CLI workloads, the three-tier app,
-        # and the routing table (built-ins are enum members, not call
-        # sites, so the routing census counts extensions only).
-        assert summary["workload"] >= 6
-        assert summary["app"] >= 1
-        assert summary["routing"] >= 0
+        assert program.contracts.census["policy"] >= 9
+        assert program.contracts.census["sampling"] >= 2

@@ -1,23 +1,27 @@
-"""Tests for the determinism & invariant linter (``repro.devtools``).
+"""Tests for the file rules of the static analyzer (``repro.devtools``).
 
 Each rule gets positive fixtures (deliberately seeded violations) and
 negative fixtures (idiomatic code that must stay clean), plus coverage of
-the suppression syntax and a meta-test asserting the real tree lints clean.
+the suppression syntax, the report and the CLI, and a meta-test asserting
+the real tree checks clean.  ``test_devtools_flow.py`` covers the
+call-graph rules.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
-from repro.devtools.lint import (
-    DEFAULT_PATHS,
-    lint_paths,
-    lint_source,
-    main,
+from repro.devtools import DEFAULT_PATHS, main
+from repro.devtools.analyzer import (
+    ALL_RULES,
+    analyze_paths,
+    analyze_sources,
     render_json,
-    render_report,
+    render_text,
+    rule_catalog,
 )
-from repro.devtools.rules import ALL_RULES, rule_catalog
-from repro.devtools.violations import parse_suppressions
+from repro.devtools.source import Marker, parse_markers
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +32,11 @@ NETSIM_PATH = "src/repro/netsim/fixture.py"
 CORE_PATH = "src/repro/core/fixture.py"
 RNG_PATH = "src/repro/sim/rng.py"
 TESTS_PATH = "tests/test_fixture.py"
+
+
+def lint_source(source, logical):
+    """Every finding the one pass reports for one in-memory file."""
+    return list(analyze_sources([(logical, source)]).violations)
 
 
 def rules_of(violations):
@@ -94,6 +103,19 @@ class TestDet002:
     def test_rng_module_itself_is_exempt(self):
         src = "import numpy as np\n\ndef make() -> object:\n    return np.random.default_rng(0)\n"
         assert lint_source(src, RNG_PATH) == []
+
+    def test_rng_module_exempts_only_seeded_construction(self):
+        # The rng module may build generators from a seed, but an unseeded
+        # draw there is as ambient as anywhere else.
+        src = (
+            "import numpy as np\n\n"
+            "def make(entropy: list) -> object:\n"
+            "    return np.random.default_rng(np.random.SeedSequence(entropy))\n\n"
+            "def jitter() -> float:\n"
+            "    return float(np.random.random())\n"
+        )
+        violations = lint_source(src, RNG_PATH)
+        assert [(v.rule, v.line) for v in violations] == [("DET002", 7)]
 
     def test_tests_may_construct_generators(self):
         src = "import numpy as np\n\ndef test_x():\n    rng = np.random.default_rng(1)\n    assert rng\n"
@@ -166,6 +188,24 @@ class TestDet003:
     def test_out_of_scope_area_is_clean(self):
         src = "def walk(items: list) -> None:\n    for x in set(items):\n        print(x)\n"
         assert lint_source(src, TESTS_PATH) == []
+
+    def test_set_names_are_typed_per_function(self):
+        # `x` is a set in f and a list in g: module-wide typing saw a name
+        # that is not always a set; per-function typing sees f's set.
+        src = (
+            "def f() -> list:\n"
+            "    x = {1, 2}\n"
+            "    return [a for a in x]\n\n"
+            "def g() -> list:\n"
+            "    x = [1]\n"
+            "    return [a for a in x]\n"
+        )
+        violations = lint_source(src, "src/repro/parallel/result.py")
+        assert [(v.rule, v.line) for v in violations] == [("DET003", 3)]
+
+    def test_module_level_set_iterated_in_a_function(self):
+        src = "NAMES = {'a', 'b'}\n\ndef walk() -> list:\n    return [n for n in NAMES]\n"
+        assert "DET003" in rules_of(lint_source(src, CORE_PATH))
 
 
 # ----------------------------------------------------------------------
@@ -486,6 +526,17 @@ class TestUnit002:
         src = "def f(size_mb: float) -> float:\n    rate_mbps = size_mb\n    return rate_mbps\n"
         assert "UNIT002" not in rules_of(lint_source(src, "src/repro/units.py"))
 
+    def test_flags_assignment_from_a_differently_suffixed_name(self):
+        src = "def f(rate_mbps: float) -> float:\n    total_mb = rate_mbps\n    return total_mb\n"
+        assert "UNIT002" in rules_of(lint_source(src, CORE_PATH))
+
+    def test_flags_assignment_from_a_differently_suffixed_return(self):
+        src = (
+            "def as_mbit(value_mbit: float) -> float:\n    return value_mbit\n\n"
+            "def f(total: float) -> None:\n    chunk_mb = as_mbit(total)\n    del chunk_mb\n"
+        )
+        assert "UNIT002" in rules_of(lint_source(src, CORE_PATH))
+
 
 # ----------------------------------------------------------------------
 # Suppression syntax
@@ -521,39 +572,59 @@ class TestSuppressions:
         assert lint_source(src, CLUSTER_PATH) == []
 
     def test_parse_suppressions_maps_lines(self):
-        suppressed, problems = parse_suppressions(
+        markers, problems = parse_markers(
             "x = 1\ny = 2  # lint: disable=DET001(known quirk)\n", "src/repro/sim/x.py"
         )
-        assert suppressed == {2: frozenset({"DET001"})}
+        assert markers == [Marker(line=2, col=8, rule="DET001", reason="known quirk")]
         assert problems == []
+
+    def test_unused_marker_is_reported(self):
+        src = "X: int = 1  # lint: disable=DET002(nothing to silence here)\n"
+        violations = lint_source(src, CLUSTER_PATH)
+        assert rules_of(violations) == ["LINT001"]
+        assert "silences nothing" in violations[0].message
+
+    def test_marker_naming_an_unknown_rule_is_reported(self):
+        src = self.DIRTY + "  # lint: disable=DET002(fixture), DET999(gone)\n"
+        violations = lint_source(src, CLUSTER_PATH)
+        assert rules_of(violations) == ["LINT001"]
+        assert "DET999" in violations[0].message
+        assert "does not define" in violations[0].message
+
+    def test_marker_inside_a_string_is_inert(self):
+        src = 'DOC = "# lint: disable=DET002(not a comment)"\n'
+        assert lint_source(src, CLUSTER_PATH) == []
 
 
 # ----------------------------------------------------------------------
 # Engine, output formats, CLI
 # ----------------------------------------------------------------------
 class TestEngine:
+    CLOCK = "import time\n\ndef t() -> float:\n    return time.time()\n"
+
     def test_syntax_error_becomes_lint002(self):
         violations = lint_source("def broken(:\n", SIM_PATH)
         assert rules_of(violations) == ["LINT002"]
 
     def test_json_report_shape(self):
-        violations = lint_source("import time\n\ndef t() -> float:\n    return time.time()\n", SIM_PATH)
-        payload = json.loads(render_json(violations, files_checked=1))
+        payload = json.loads(render_json(analyze_sources([(SIM_PATH, self.CLOCK)])))
+        assert payload["schema"] == "repro.flow/3"
         assert payload["files_checked"] == 1
-        assert payload["violation_count"] == len(violations) == 1
+        assert payload["summary"]["violations"] == len(payload["violations"]) == 1
         entry = payload["violations"][0]
         assert entry["rule"] == "DET001"
         assert entry["path"] == SIM_PATH
         assert entry["line"] == 4
+        assert entry["function"] is None  # a file-rule finding
 
     def test_text_report_mentions_rule_mix(self):
-        violations = lint_source("import time\n\ndef t() -> float:\n    return time.time()\n", SIM_PATH)
-        report = render_report(violations, files_checked=1)
+        report = render_text(analyze_sources([(SIM_PATH, self.CLOCK)]))
         assert "DET001=1" in report
         assert f"{SIM_PATH}:4" in report
 
     def test_clean_report(self):
-        assert "0 violations" in render_report([], files_checked=3)
+        sources = [(f"src/repro/sim/ok{i}.py", "X: int = 1\n") for i in range(3)]
+        assert "3 files checked, 0 violations" in render_text(analyze_sources(sources))
 
     def test_every_rule_has_id_and_summary(self):
         catalog = rule_catalog()
@@ -569,9 +640,26 @@ class TestEngine:
             "SAN001",
             "SAN002",
             "SAN003",
+            "HOT001",
+            "HOT002",
+            "HOT003",
+            "HOT004",
+            "PAR001",
+            "PAR002",
+            "DET101",
+            "DET103",
+            "DET104",
+            "CON001",
+            "CON002",
+            "CON003",
         }
         assert all(summary for summary in catalog.values())
-        assert len(ALL_RULES) == 11
+        assert len(ALL_RULES) == len(catalog) == 23
+
+    def test_no_file_rule_looks_at_tests_or_benchmarks(self):
+        for rule in ALL_RULES:
+            assert not rule.applies("tests/test_fixture.py"), rule.id
+            assert not rule.applies("benchmarks/test_fixture.py"), rule.id
 
 
 class TestCli:
@@ -584,7 +672,9 @@ class TestCli:
     def test_exit_zero_on_clean_tree(self, tmp_path, capsys):
         self._write(tmp_path, "src/repro/sim/ok.py", "X: int = 1\n")
         assert main(["src", "--root", str(tmp_path)]) == 0
-        assert "clean" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "clean" in out
+        assert "0 tainted path(s)" in out  # the call-graph half ran too
 
     def test_exit_one_on_violation(self, tmp_path, capsys):
         self._write(
@@ -603,7 +693,7 @@ class TestCli:
         self._write(tmp_path, "src/repro/sim/ok.py", "X: int = 1\n")
         assert main(["src", "--root", str(tmp_path), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["violation_count"] == 0
+        assert payload["summary"]["violations"] == 0
 
     def test_list_rules_flag(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -611,9 +701,28 @@ class TestCli:
         for rule_id in ("DET001", "DET002", "DET003", "UNIT001", "API001"):
             assert rule_id in out
 
-    def test_flow_flag_runs_detflow_over_the_shared_parse(self, tmp_path, capsys):
-        # One tree, one parse: the per-file rules and the DetFlow taint
-        # pass both fire from the same invocation.
+    def test_file_rule_marker_without_call_graph_findings_is_clean(self, tmp_path, capsys):
+        # The marker silences a DET001; the call-graph half finds no sink
+        # for the wall-clock read, so the whole pass is clean.
+        self._write(
+            tmp_path,
+            "src/repro/sim/clock.py",
+            "import time\n"
+            "\n"
+            "\n"
+            "def now() -> float:\n"
+            "    return time.time()  # lint: disable=DET001(fixture: log stamps only)\n",
+        )
+        assert main(["src", "--root", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "clean" in out and "1 suppressed" in out
+        assert "0 tainted path(s)" in out
+        assert "LINT001" not in out
+
+    def test_det001_marker_does_not_silence_det101(self, tmp_path, capsys):
+        # One tree, one parse: the file rules and the taint pass both fire
+        # from the same invocation, and a marker silences only the rule
+        # it names.
         self._write(
             tmp_path,
             "src/repro/obs/export.py",
@@ -630,14 +739,11 @@ class TestCli:
             "    span['ts'] = time.time()  # lint: disable=DET001(fixture)\n"
             "    return span_to_json_line(span)\n",
         )
-        assert main(["src", "--root", str(tmp_path), "--flow"]) == 1
+        assert main(["src", "--root", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "DET101" in out  # the taint pass saw the suppressed-per-file source
-
-    def test_flow_flag_accepts_lint_suppressions_without_flow_findings(self, tmp_path, capsys):
-        self._write(tmp_path, "src/repro/sim/ok.py", "X: int = 1\n")
-        assert main(["src", "--root", str(tmp_path), "--flow"]) == 0
-        assert "clean" in capsys.readouterr().out
+        assert "DET101" in out  # the taint pass saw the source the marker silenced
+        assert "DET001 " not in out
+        assert "LINT001" not in out  # the DET001 marker did silence something
 
 
 # ----------------------------------------------------------------------
@@ -645,6 +751,21 @@ class TestCli:
 # ----------------------------------------------------------------------
 class TestRepositoryIsClean:
     def test_default_paths_lint_clean(self):
-        violations, files_checked = lint_paths(list(DEFAULT_PATHS), root=REPO_ROOT)
-        assert files_checked > 100  # the walker actually found the tree
-        assert violations == [], "\n" + "\n".join(v.render() for v in violations)
+        analysis = analyze_paths(list(DEFAULT_PATHS), root=REPO_ROOT)
+        assert analysis.files_checked > 100  # the walker actually found the tree
+        assert analysis.violations == (), "\n" + "\n".join(v.render() for v in analysis.violations)
+
+    def test_importing_the_package_and_cli_loads_no_analyzer_module(self):
+        code = (
+            "import sys, repro, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.devtools')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=REPO_ROOT,
+            env={"PYTHONPATH": str(REPO_ROOT / "src")},
+        ).stdout
+        assert out.strip() == "[]"

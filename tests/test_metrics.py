@@ -133,13 +133,6 @@ class TestRunSummary:
         assert summary.avg_response_time == pytest.approx(2.0)
         assert summary.p50_response_time == pytest.approx(2.0)
 
-    def test_speedup_over(self):
-        fast = self.make_summary()
-        collector = MetricsCollector()
-        collector.record_request(finished_request(rt=4.0))
-        slow = RunSummary.from_collector(collector, algorithm="k8s", workload="test", duration=100.0)
-        assert fast.speedup_over(slow) == pytest.approx(2.0)
-
     def test_as_row_fields(self):
         row = self.make_summary().as_row()
         assert row["algorithm"] == "hybrid"
@@ -186,6 +179,31 @@ class TestSerialization:
         payload = json.loads(self.make_summary().to_json())
         assert payload["algorithm"] == "hybrid"
         assert isinstance(payload["timeline"], list)
+
+    def test_from_dict_accepts_archived_timelines_without_cost_fields(self):
+        payload = self.make_summary().to_dict()
+        for point in payload["timeline"]:
+            for name in ("active_nodes", "total_nodes", "window_avg_response", "window_completed", "window_failed"):
+                del point[name]
+        (point,) = RunSummary.from_dict(payload).timeline
+        assert point.total_replicas == 1 and point.active_nodes == 0
+
+    @pytest.mark.parametrize(
+        ("mutate", "named"),
+        [
+            (lambda d: [d], "got list"),
+            (lambda d: {k: v for k, v in d.items() if k != "oom_kills"}, "missing field 'oom_kills'"),
+            (lambda d: {**d, "speed": 1.0}, "unknown field 'speed'"),
+            (lambda d: {**d, "services": {"svc": 1}}, "services must be a JSON list"),
+            (lambda d: {**d, "services": [{"service": "svc"}]}, "services[0] is missing field 'completed'"),
+            (lambda d: {**d, "timeline": [7]}, "timeline[0] must be a JSON object"),
+            (lambda d: {**d, "app": "three-tier"}, "app must be a JSON object"),
+        ],
+        ids=["not-an-object", "missing", "unknown", "services-not-a-list", "bad-service", "bad-point", "bad-app"],
+    )
+    def test_from_dict_names_the_bad_field(self, mutate, named):
+        with pytest.raises(ExperimentError, match=named.replace("[", r"\[").replace("]", r"\]")):
+            RunSummary.from_dict(mutate(self.make_summary().to_dict()))
 
 
 class TestServicePercentiles:

@@ -88,10 +88,3 @@ class TestAggregates:
         service.track(a)
         service.track(b)
         assert service.total_requested() == ResourceVector(2.0, 768.0, 75.0)
-
-    def test_total_usage_sums_measured(self, overheads):
-        service = Microservice(MicroserviceSpec(name="svc"))
-        a = make_container("svc", overheads=overheads)
-        a.cpu_usage = 0.7
-        service.track(a)
-        assert service.total_usage().cpu == pytest.approx(0.7)

@@ -85,13 +85,6 @@ class TestRun:
 
 
 class TestEvents:
-    def test_call_after_fires_at_right_step(self):
-        engine = Engine(dt=1.0)
-        fired = []
-        engine.call_after(2.5, lambda: fired.append(engine.clock.now))
-        engine.run_for(5.0)
-        assert fired == [3.0]  # first step whose end time >= 2.5
-
     def test_call_at_absolute(self):
         engine = Engine(dt=1.0)
         fired = []

@@ -45,8 +45,6 @@ class TestServiceView:
         assert service.total_cpu_usage() == pytest.approx(1.0)
         assert service.total_mem_requested() == pytest.approx(768.0)
         assert service.total_mem_usage() == pytest.approx(300.0)
-        assert service.total_net_requested() == pytest.approx(75.0)
-        assert service.total_net_usage() == pytest.approx(25.0)
 
 
 class TestNodeView:
