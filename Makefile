@@ -1,7 +1,7 @@
 # Developer entry points.  The offline-friendly install path is documented
 # in README.md ("Install").
 
-.PHONY: install lint test test-simsan bench bench-full profile reproduce examples clean
+.PHONY: install lint test test-simsan bench bench-full perf-check profile reproduce examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -32,6 +32,15 @@ bench:
 # Paper-scale benchmarks (15 services / 19 nodes / 1 h).  Slow.
 bench-full:
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only -s
+
+# Simulator benchmark as a correctness gate (perfbench/README.md): every
+# workload untraced and traced, one second each.  Each run checks its
+# default-seed digest against perfbench/pinned.json and wraps every traced
+# layer by name, so a changed result or a renamed layer fails here.  The
+# runner always exits 0; the gate reads its last line.
+perf-check:
+	python3 perfbench/run.py --workload all --seconds 1 | tee BENCH_perf_check.log
+	tail -n 1 BENCH_perf_check.log | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 
 # Per-engine-phase wall-time profile (docs/observability.md); the JSON
 # report is uploaded as a CI artifact for run-to-run comparison.

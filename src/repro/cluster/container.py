@@ -166,11 +166,6 @@ class Container:
         """True when the working set exceeds the memory limit."""
         return self.memory_working_set() > self.mem_limit + 1e-9
 
-    @property
-    def over_oom_threshold(self) -> bool:
-        """True when the working set exceeds ``oom_factor`` x the limit."""
-        return self.memory_working_set() > self.overheads.oom_factor * self.mem_limit
-
     # ------------------------------------------------------------------
     # Scheduling interface used by the node
     # ------------------------------------------------------------------
@@ -296,20 +291,26 @@ class Container:
         first ``max_concurrency`` queued requests progress at an equal rate;
         when the smallest finishes, the next queued request takes its slot
         within the same step, so no budget is stranded at step boundaries.
+        Only the window advanced, so only the window is re-filtered: a
+        request that finished ``phase`` has moved its stored phase on.
         """
         spent = 0.0
+        cap = self.max_concurrency
         while queue and budget > 1e-12:
-            window = queue[: self.max_concurrency]
-            smallest = min(r.remaining(phase) for r in window)
-            per_request = min(budget / len(window), smallest)
+            window = queue[:cap]
+            size = len(window)
+            smallest = min([r.remaining(phase) for r in window])
+            per_request = min(budget / size, smallest)
             for request in window:
                 request.advance(phase, per_request)
-            epoch = per_request * len(window)
+            epoch = per_request * size
             spent += epoch
             budget -= epoch
-            if per_request < smallest - 1e-15:
-                break  # budget exhausted mid-epoch
-            queue = [r for r in queue if r.remaining(phase) > 1e-12]
+            if per_request < smallest - 1e-15 or per_request <= 0.0:
+                # Budget exhausted mid-epoch.  (Nothing spent means a stored
+                # phase went stale; stop rather than spin, SimSan reports it.)
+                break
+            queue = [r for r in window if r.phase is phase] + queue[cap:]
         return spent
 
     # ------------------------------------------------------------------
@@ -359,7 +360,9 @@ class Container:
         """
         still_inflight: list[Request] = []
         for request in self.inflight:
-            if request.local_work_done and request.downstream_pending == 0:
+            # In-flight requests are running, so a ``None`` phase is
+            # ``local_work_done``.
+            if request.phase is None and request.downstream_pending == 0:
                 if request.downstream_failed:
                     request.fail(now, FailureReason.CONNECTION)
                     self.total_failed += 1
@@ -367,7 +370,7 @@ class Container:
                     request.complete(now)
                     self.total_completed += 1
                 self.finished.append(request)
-            elif now >= request.deadline():
+            elif now >= request.arrival_time + request.timeout:  # the deadline
                 request.fail(now, FailureReason.CONNECTION)
                 self.total_failed += 1
                 self.finished.append(request)

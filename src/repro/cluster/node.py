@@ -16,6 +16,8 @@ decides them (that is the MONITOR's job, Section V-B/C).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.disk import DiskDevice
 from repro.cluster.grants import ResourceGrants
@@ -25,6 +27,26 @@ from repro.config import OverheadModel
 from repro.errors import CapacityError, ClusterError
 from repro.netsim.interface import NetworkInterface
 from repro.workloads.requests import Request
+
+
+def _write_idle(containers: Iterable[Container], granted_cores: float, overheads: OverheadModel) -> None:
+    """Write one step's usage on serving containers with nothing in flight.
+
+    Each was granted ``granted_cores`` by the CPU fair share.  These are the
+    values the full passes would write: compute takes ``min(bg, g)`` as
+    background CPU and leaves the rest as network headroom, disk and NIC
+    see no demand, and settlement leaves the base memory.  The quiet-node
+    step is the case ``g = bg`` (DESIGN.md, "The idle-container write").
+    """
+    cpu_usage = min(overheads.container_background_cpu, granted_cores)
+    headroom = max(0.0, granted_cores - cpu_usage)
+    base_memory = overheads.container_base_memory
+    for container in containers:
+        container.cpu_usage = cpu_usage
+        container._net_cpu_headroom = headroom
+        container.disk_usage = 0.0
+        container.net_usage = 0.0
+        container.mem_usage = base_memory
 
 
 class Node:
@@ -69,12 +91,6 @@ class Node:
     def available(self) -> ResourceVector:
         """Unreserved capacity (never negative: clamped at zero)."""
         return (self.capacity - self.allocated()).clamp_floor(0.0)
-
-    def usage(self) -> ResourceVector:
-        """Measured usage across active containers (last step)."""
-        return ResourceVector.sum(
-            ResourceVector(c.cpu_usage, c.mem_usage, c.net_usage) for c in self.active_containers()
-        )
 
     def hosts_service(self, service: str) -> bool:
         """True if any active container on this node belongs to ``service``."""
@@ -144,36 +160,45 @@ class Node:
         self.last_oom_kills = []
         quiet = self._quiet_serving()
         if quiet is not None:
-            # The full step below would write exactly these constants (see
-            # DESIGN.md, "The quiet-node step"); skip the schedulers.
-            background = self.overheads.container_background_cpu
-            base_memory = self.overheads.container_base_memory
-            for container in quiet:
-                container.cpu_usage = background
-                container.mem_usage = base_memory
-                container.net_usage = 0.0
-                container.disk_usage = 0.0
-                container._net_cpu_headroom = 0.0
+            # Every serving container is idle and fair share grants each its
+            # background CPU (see DESIGN.md, "The idle-container write").
+            _write_idle(quiet, self.overheads.container_background_cpu, self.overheads)
             return
 
-        for container in self.active_containers():
-            container.tick_boot(dt)
-
         # Only boots change who is serving, so one id-ordered list serves
-        # the three schedulers and settlement.
-        serving = self.serving_containers()
-        self._schedule_cpu(serving, dt)
-        self._schedule_disk(serving, dt)
-        self._schedule_network(serving, dt)
+        # the three schedulers and settlement.  A plain container with
+        # nothing in flight is idle: it claims only its background CPU and
+        # skips the per-container passes.
+        running, plain = ContainerState.RUNNING, Container
+        serving: list[Container] = []
+        idle: list[bool] = []
+        working: list[Container] = []
+        for _, container in sorted(self.containers.items()):
+            container.tick_boot(dt)
+            if container.state is running:
+                serving.append(container)
+                is_idle = not container.inflight and type(container) is plain
+                idle.append(is_idle)
+                if not is_idle:
+                    working.append(container)
+        cpu_grants = self._schedule_cpu(serving, idle, dt)
+        self._schedule_disk(working, dt)
+        self._schedule_network(working, dt)
 
-        for container in serving:
-            container.settle_requests(now)
-            if container.over_oom_threshold:
+        # One id-ordered loop for idle and working containers keeps the
+        # order of OOM kills and finished requests.
+        for container, granted, is_idle in zip(serving, cpu_grants, idle):
+            if is_idle:
+                _write_idle((container,), granted, container.overheads)
+            else:
+                container.settle_requests(now)
+            if container.mem_usage > container.overheads.oom_factor * container.mem_limit:
                 # The kernel kills the worst offender; requests die as
                 # removal failures.  The daemon reaps the carcass.
                 container.terminate(now, oom=True)
                 self.last_oom_kills.append(container)
-            self._finished.extend(container.drain_finished())
+            if container.finished:
+                self._finished.extend(container.drain_finished())
 
     def _quiet_serving(self) -> list[Container] | None:
         """The serving containers if this node is quiet, else ``None``.
@@ -212,13 +237,22 @@ class Node:
             return serving
         return None
 
-    def _schedule_cpu(self, containers: list[Container], dt: float) -> None:
-        """Weighted fair-share CPU with the co-location contention penalty."""
+    def _schedule_cpu(self, containers: list[Container], idle: list[bool], dt: float) -> list[float]:
+        """Weighted fair-share CPU with the co-location contention penalty.
+
+        Advances the working containers and returns every container's grant;
+        an idle container demands ``min(bg, cap)``, what :meth:`Container.cpu_demand`
+        gives with nothing in flight.
+        """
         if not containers:
-            return
-        demands = [c.cpu_demand(self.capacity.cpu) for c in containers]
+            return []
+        capacity = self.capacity.cpu
+        demands = [
+            min(c.overheads.container_background_cpu, capacity) if is_idle else c.cpu_demand(capacity)
+            for c, is_idle in zip(containers, idle)
+        ]
         weights = [float(c.cpu_shares) for c in containers]
-        grants = weighted_fair_share(self.capacity.cpu, demands, weights)
+        grants = weighted_fair_share(capacity, demands, weights)
 
         background = self.overheads.container_background_cpu
         busy = sum(1 for d in demands if d > background + 1e-12)
@@ -228,11 +262,17 @@ class Node:
                 1.0 + self.overheads.colocation_contention * (busy - 1),
                 self.overheads.colocation_cap,
             )
-        for container, granted in zip(containers, grants):
-            container.advance(ResourceGrants(cpu=granted, contention=contention), dt)
+        for container, granted, is_idle in zip(containers, grants, idle):
+            if not is_idle:
+                container.advance(ResourceGrants(cpu=granted, contention=contention), dt)
+        return grants
 
     def _schedule_disk(self, containers: list[Container], dt: float) -> None:
-        """Fair-share the disk device over containers with pending I/O."""
+        """Fair-share the disk device over containers with pending I/O.
+
+        Zero offers change no other grant (the device shares only among
+        positive loads), so idle containers are left out.
+        """
         offered = {c.container_id: c.disk_demand(dt) for c in containers}
         if not any(load > 0 for load in offered.values()):
             for c in containers:
@@ -243,7 +283,11 @@ class Node:
             container.advance(ResourceGrants(disk=grants.get(container.container_id, 0.0)), dt)
 
     def _schedule_network(self, containers: list[Container], dt: float) -> None:
-        """HTB shaping + tx-queue contention over all serving containers."""
+        """HTB shaping + tx-queue contention over the working containers.
+
+        Zero offers change no other grant (HTB allocates only to positive
+        offers), so idle containers are left out.
+        """
         offered = {c.container_id: c.net_demand(dt) for c in containers}
         if not any(load > 0 for load in offered.values()):
             for c in containers:
@@ -251,7 +295,11 @@ class Node:
             return
         throughput = self.nic.transmit(offered)
         for container in containers:
-            container.advance(ResourceGrants(net=throughput.get(container.container_id, 0.0)), dt)
+            granted = throughput.get(container.container_id, 0.0)
+            if granted == 0.0:
+                container.net_usage = 0.0  # what spending a zero grant writes
+            else:
+                container.advance(ResourceGrants(net=granted), dt)
 
     def drain_finished(self) -> list[Request]:
         """Hand over and clear requests that finished on this node."""

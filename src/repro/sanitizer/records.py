@@ -21,6 +21,7 @@ CHECKS = (
     "aliasing",  # an actor wrote state owned by another actor mid-step
     "time",  # simulated time failed to advance monotonically
     "events",  # event-queue ordering (a due event survived fire_due)
+    "phase",  # an in-flight request's stored phase vs its remaining work
 )
 
 

@@ -29,6 +29,11 @@ monotonically between step brackets (``check="time"``), and after
 ``fire_due`` no event with ``due <= now`` may remain queued
 (``check="events"``).
 
+**Request phases** (``check="phase"``) — the processor-sharing kernel
+trusts each request's stored ``phase``; after every step it must equal
+the phase :meth:`~repro.workloads.requests.Request.derive_phase` computes
+from the request's remaining work, for every in-flight request.
+
 Violations are recorded as frozen :class:`~repro.sanitizer.SanViolation`
 records (never raised mid-run — the sanitizer observes, it does not
 perturb), exported via :mod:`repro.sanitizer.export`.
@@ -155,7 +160,7 @@ class SimSanitizer:
         self._diff_domains(cluster, phase=name, now=now)
 
     def end_step(self, *, now: float, next_due: float | None, fired: int) -> None:
-        """Close the bracket: event-phase diff, queue order, conservation."""
+        """Close the bracket: event-phase diff, queue order, conservation, phases."""
         cluster = self._require_cluster("end_step")
         self._require_open("end_step")
         self._diff_domains(cluster, phase="events", now=now)
@@ -168,6 +173,7 @@ class SimSanitizer:
                 detail=f"next_due={next_due!r} <= now={now!r}",
             )
         self.check_conservation(now=now)
+        self.check_phases(now=now)
         self._open = False
         self.steps_checked += 1
 
@@ -284,6 +290,25 @@ class SimSanitizer:
                     message="HTB class rate disagrees with the container's net_rate",
                     detail=f"tc class rate {shaped!r} != allocated {container.net_rate!r} Mbit/s",
                 )
+
+    # ------------------------------------------------------------------
+    # Request phases
+    # ------------------------------------------------------------------
+    def check_phases(self, *, now: float) -> None:
+        """Every in-flight request's stored phase must be its derived phase."""
+        cluster = self._require_cluster("check_phases")
+        for name, node in sorted(cluster.nodes.items()):
+            for cid, container in sorted(node.containers.items()):
+                for request in container.inflight:
+                    derived = request.derive_phase()
+                    if request.phase is not derived:
+                        self._record(
+                            now=now,
+                            check="phase",
+                            subject=f"{name}/{cid}/{request.request_id}",
+                            message="stored request phase disagrees with its remaining work",
+                            detail=f"stored {request.phase} != derived {derived}",
+                        )
 
     # ------------------------------------------------------------------
     # Monitor hook: view/ledger consistency

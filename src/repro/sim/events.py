@@ -56,12 +56,6 @@ class EventQueue:
         heapq.heappush(self._heap, event)
         return event
 
-    def schedule_after(self, now: float, delay: float, callback: Callable[[], None], label: str = "") -> ScheduledEvent:
-        """Schedule ``callback`` to fire ``delay`` seconds after ``now``."""
-        if delay < 0:
-            raise ClockError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(now + delay, callback, label=label)
-
     def next_due(self) -> float | None:
         """Due time of the earliest live event, or ``None`` if empty."""
         while self._heap and self._heap[0].cancelled:

@@ -40,6 +40,10 @@ class Phase(enum.Enum):
     NET = "net"  # Mbit of response payload
 
 
+#: The order a request is served in: the members' definition order.
+_PHASE_ORDER = tuple(Phase)
+
+
 class FailureReason(enum.Enum):
     """Why a request failed — matches the paper's two failure classes."""
 
@@ -82,6 +86,12 @@ class Request:
     #: Service-time multiplier applied at assignment; encodes the replica
     #: distribution overhead measured in Section III-A.
     overhead_factor: float = 1.0
+    #: The running request's current phase (CPU, then DISK, then NET), else
+    #: ``None``.  Stored, not derived on read: :meth:`assign` sets it,
+    #: :meth:`advance` moves it on when the phase's work runs out, and
+    #: :meth:`complete`/:meth:`fail` clear it.  It always equals
+    #: :meth:`derive_phase` (SimSan checks that after every step).
+    phase: Phase | None = field(default=None, init=False)
 
     # Application-graph lifecycle ---------------------------------------
     #: Downstream calls this request still waits on.  Settlement keeps the
@@ -117,12 +127,12 @@ class Request:
     @property
     def cpu_remaining(self) -> float:
         """Core-seconds of compute still required."""
-        return max(0.0, self.effective_cpu_work - self.cpu_done)
+        return self.remaining(Phase.CPU)
 
     @property
     def disk_remaining(self) -> float:
         """MB of disk I/O still required."""
-        return max(0.0, self.disk_mb - self.disk_done)
+        return self.remaining(Phase.DISK)
 
     @property
     def progress(self) -> float:
@@ -146,27 +156,27 @@ class Request:
     @property
     def net_remaining(self) -> float:
         """Mbit of response payload still to transmit."""
-        return max(0.0, self.net_mbits - self.net_done)
+        return self.remaining(Phase.NET)
 
     def remaining(self, phase: Phase) -> float:
         """Work still required in ``phase`` (core-seconds, MB, or Mbit)."""
         if phase is Phase.CPU:
-            return self.cpu_remaining
+            return max(0.0, self.effective_cpu_work - self.cpu_done)
         if phase is Phase.DISK:
-            return self.disk_remaining
-        return self.net_remaining
+            return max(0.0, self.disk_mb - self.disk_done)
+        return max(0.0, self.net_mbits - self.net_done)
 
-    @property
-    def phase(self) -> Phase | None:
-        """The running request's current phase (CPU, then DISK, then NET), else ``None``."""
+    def derive_phase(self) -> Phase | None:
+        """The phase the remaining work implies: the first of CPU, DISK, NET
+        with more than 1e-12 left, or ``None`` when done or not running.
+
+        The one definition of a phase; :attr:`phase` stores its value.
+        """
         if self.state is not RequestState.RUNNING:
             return None
-        if self.cpu_remaining > 1e-12:
-            return Phase.CPU
-        if self.disk_remaining > 1e-12:
-            return Phase.DISK
-        if self.net_remaining > 1e-12:
-            return Phase.NET
+        for phase in _PHASE_ORDER:
+            if self.remaining(phase) > 1e-12:
+                return phase
         return None
 
     @property
@@ -203,9 +213,14 @@ class Request:
         self.container_id = container_id
         self.start_time = now
         self.overhead_factor = overhead_factor
+        self.phase = self.derive_phase()
 
     def advance(self, phase: Phase, amount: float) -> None:
-        """Credit ``amount`` of progress in ``phase``."""
+        """Credit ``amount`` of progress in ``phase``.
+
+        When that is the current phase and at most 1e-12 of it is left,
+        the request moves on to its next phase with work (or to ``None``).
+        """
         if amount < 0:
             raise WorkloadError("progress must be non-negative")
         if phase is Phase.CPU:
@@ -214,6 +229,8 @@ class Request:
             self.disk_done += amount
         else:
             self.net_done += amount
+        if phase is self.phase and self.remaining(phase) <= 1e-12:
+            self.phase = self.derive_phase()
 
     def complete(self, now: float) -> None:
         """Mark the request successful."""
@@ -221,6 +238,7 @@ class Request:
             raise WorkloadError("request already finished")
         self.state = RequestState.SUCCEEDED
         self.finish_time = now
+        self.phase = None
 
     def fail(self, now: float, reason: FailureReason) -> None:
         """Mark the request failed with one of the paper's two reasons."""
@@ -229,6 +247,7 @@ class Request:
         self.state = RequestState.FAILED
         self.failure_reason = reason
         self.finish_time = now
+        self.phase = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

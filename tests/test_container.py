@@ -162,13 +162,21 @@ class TestMemory:
         container.accept(make_request(mem=200.0), 0.0)  # +50 resident at admission
         assert container.is_swapping
 
-    def test_oom_threshold(self, overheads):
+    def test_oom_threshold(self, node, overheads):
+        # The node step kills once the settled working set passes
+        # oom_factor x the limit (2 x 110 here).
         container = make_container(mem=110.0, overheads=overheads)
-        assert not container.over_oom_threshold
-        for _ in range(4):
-            container.accept(make_request(mem=200.0), 0.0)  # +50 each
-        # working set 300 > 2 x 110
-        assert container.over_oom_threshold
+        node.add_container(container)
+        container.accept(make_request(cpu=1000.0, mem=200.0), 0.0)
+        node.step(1.0, 1.0)
+        assert 100.0 + 50.0 < container.mem_usage <= 2 * 110.0
+        assert node.last_oom_kills == []
+        for _ in range(3):
+            container.accept(make_request(cpu=1000.0, mem=200.0), 0.0)  # +50 each
+        # working set just over 300 > 2 x 110
+        assert container.memory_working_set() > 2 * 110.0
+        node.step(2.0, 1.0)
+        assert node.last_oom_kills == [container]
 
 
 class TestNetwork:

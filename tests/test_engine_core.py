@@ -24,6 +24,10 @@ class _Clock:
         self.now = now
 
 
+class _FullPass(Container):
+    """Not a plain ``Container``: the node gives it every per-container pass."""
+
+
 class TestQuietStepEquivalence:
     """The quiet-node step vs the full (scalar) step, field by field."""
 
@@ -32,16 +36,15 @@ class TestQuietStepEquivalence:
     def _twin_nodes(self, overheads, n_containers, *, cpu=4.0):
         quiet = Node("node-00", ResourceVector(cpu, 8192.0, 1000.0), overheads)
         scalar = Node("node-00", ResourceVector(cpu, 8192.0, 1000.0), overheads)
-        for node in (quiet, scalar):
+        for node, kind in ((quiet, Container), (scalar, _FullPass)):
             for i in range(n_containers):
-                container = Container(
+                container = kind(
                     f"svc-{i}", 0, 0.05, 256.0, 1.0, overheads=overheads, container_id=f"svc-{i}.r0.c{i}"
                 )
                 node.add_container(container, enforce_capacity=False)
                 # Stale usage from an earlier busy step must be overwritten.
                 container.cpu_usage = container.net_usage = container.disk_usage = 0.3
                 container._net_cpu_headroom = 0.7
-        scalar._quiet_serving = lambda: None  # force the full schedulers
         return quiet, scalar
 
     @pytest.mark.parametrize("n_containers", [0, 1, 7])

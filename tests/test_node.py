@@ -150,7 +150,7 @@ class TestScheduling:
         node.add_container(container)
         container.accept(make_request(cpu=100.0), 0.0)
         node.step(1.0, 1.0)
-        assert node.usage().cpu == pytest.approx(4.0)
+        assert sum(c.cpu_usage for c in node.active_containers()) == pytest.approx(4.0)
 
 
 class TestOom:
@@ -175,23 +175,30 @@ class TestOom:
 
 
 # ----------------------------------------------------------------------
-# The quiet-node step
+# The quiet-node step and the idle-container write
 # ----------------------------------------------------------------------
 #: Every container field a node step writes on an idle container.
 STEP_FIELDS = ("cpu_usage", "mem_usage", "net_usage", "disk_usage", "_net_cpu_headroom")
 
 
-def _twin_nodes(overheads, limits, *, cpu=4.0, requests=(0.05,)):
-    """Two identical nodes hosting one idle container per memory limit.
+class FullPassContainer(Container):
+    """A plain container under another type: the node always gives it the
+    full per-container passes (no quiet-node step, no idle-container write)."""
 
-    CPU requests (hence fair-share weights) cycle through ``requests``.
+
+def _twin_nodes(overheads, limits, *, cpu=4.0, requests=(0.05,)):
+    """A node hosting one idle container per memory limit, and its twin.
+
+    CPU requests (hence fair-share weights) cycle through ``requests``.  The
+    second node hosts a :class:`FullPassContainer` per limit, so it is the
+    reference that takes every pass on every container.
     """
     nodes = []
-    for name in ("quiet", "full"):
+    for name, kind in (("quiet", Container), ("full", FullPassContainer)):
         node = Node(name, ResourceVector(cpu, 8192.0, 1000.0), overheads)
         for i, mem in enumerate(limits):
             node.add_container(
-                Container(
+                kind(
                     f"svc-{i}",
                     0,
                     requests[i % len(requests)],
@@ -207,11 +214,38 @@ def _twin_nodes(overheads, limits, *, cpu=4.0, requests=(0.05,)):
 
 
 def _step_bytes(node: Node) -> list:
-    """Every written field of every container, as exact float bits."""
+    """Every written field of every container, and the progress of every
+    in-flight request, as exact float bits."""
     return [
-        (cid, [float(getattr(c, field)).hex() for field in STEP_FIELDS], c.state)
+        (
+            cid,
+            [float(getattr(c, field)).hex() for field in STEP_FIELDS],
+            c.state,
+            [
+                (r.request_id, r.phase, r.cpu_done.hex(), r.disk_done.hex(), r.net_done.hex())
+                for r in c.inflight
+            ],
+        )
         for cid, c in node.containers.items()
     ]
+
+
+def _assert_twins_step_alike(fast: Node, full: Node, now: float, dt: float) -> None:
+    fast.step(now, dt)
+    full.step(now, dt)
+    assert _step_bytes(fast) == _step_bytes(full)
+    assert [c.container_id for c in fast.last_oom_kills] == [c.container_id for c in full.last_oom_kills]
+    assert fast.drain_finished() == full.drain_finished()
+
+
+#: One request's demands: core-seconds, MiB, Mbit, MB and timeout seconds.
+_request_demands = st.tuples(
+    st.sampled_from([0.0, 0.01, 0.2, 1.5]),
+    st.sampled_from([0.0, 10.0, 90.0, 300.0]),
+    st.sampled_from([0.0, 0.4, 5.0]),
+    st.sampled_from([0.0, 0.0, 2.0]),
+    st.sampled_from([0.75, 30.0]),
+)
 
 
 class TestQuietStep:
@@ -232,15 +266,72 @@ class TestQuietStep:
             for container in node.containers.values():
                 container.cpu_usage = container.net_usage = container.disk_usage = 0.3
                 container._net_cpu_headroom = 0.7
-        full._quiet_serving = lambda: None  # force the full schedulers
         for step in (1, 2):
-            quiet.step(0.5 * step, 0.5)
-            full.step(0.5 * step, 0.5)
-            assert _step_bytes(quiet) == _step_bytes(full)
-            assert [c.container_id for c in quiet.last_oom_kills] == [
-                c.container_id for c in full.last_oom_kills
-            ]
-            assert quiet.drain_finished() == full.drain_finished() == []
+            _assert_twins_step_alike(quiet, full, 0.5 * step, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        limits=st.lists(st.sampled_from([64.0, 160.0, 256.0, 512.0, 1024.0]), min_size=1, max_size=10),
+        work=st.lists(st.lists(_request_demands, max_size=5), max_size=10),
+        arrival_steps=st.lists(st.sampled_from([1, 1, 3]), max_size=10),
+        background=st.sampled_from([0.0, 0.005, 0.02, 0.05]),
+        cpu=st.sampled_from([0.5, 1.0, 4.0]),
+        requests=st.lists(st.sampled_from([0.0, 0.001, 0.05, 0.5, 2.0]), min_size=1, max_size=5),
+    )
+    def test_idle_write_in_a_busy_node_is_byte_equal_to_the_full_passes(
+        self, limits, work, arrival_steps, background, cpu, requests
+    ):
+        # Containers with requests take the full passes on both nodes; the
+        # idle ones take the idle-container write on one and the passes on
+        # its twin.  Small limits put some of either kind past the OOM line,
+        # and weights of 0 or 2 shares leave idle containers less CPU than
+        # their background once working ones claim the node.
+        overheads = OverheadModel(container_background_cpu=background, net_cpu_per_mbit=0.01)
+        fast, full = _twin_nodes(overheads, limits, cpu=cpu, requests=requests)
+        for node in (fast, full):
+            for container in node.containers.values():
+                container.cpu_usage = container.net_usage = container.disk_usage = 0.3
+                container._net_cpu_headroom = 0.7
+        ids = iter(range(1, 10_000))
+        arrivals: dict[int, list] = {1: [], 3: []}
+        for i, (demands, step) in enumerate(zip(work, arrival_steps + [1] * len(work))):
+            if i >= len(limits):
+                break
+            for cpu_work, mem, net, disk, timeout in demands:
+                arrivals[step].append((f"svc-{i}.r0.c{i}", next(ids), cpu_work, mem, net, disk, timeout))
+        for step in (1, 2, 3, 4):
+            for cid, rid, cpu_work, mem, net, disk, timeout in arrivals.get(step, []):
+                for node in (fast, full):
+                    container = node.containers[cid]
+                    if container.is_serving:
+                        container.accept(
+                            Request(
+                                service=container.service,
+                                arrival_time=0.5 * (step - 1),
+                                cpu_work=cpu_work,
+                                mem_footprint=mem,
+                                net_mbits=net,
+                                disk_mb=disk,
+                                timeout=timeout,
+                                request_id=rid,
+                            ),
+                            0.5 * (step - 1),
+                        )
+            _assert_twins_step_alike(fast, full, 0.5 * step, 0.5)
+
+    def test_idle_and_working_oom_kills_keep_id_order(self):
+        overheads = OverheadModel(container_background_cpu=0.01)
+        # Idle with a 64 MiB limit (doomed on base memory), working and
+        # over its limit, idle and doomed again: killed in id order.
+        fast, full = _twin_nodes(overheads, [64.0, 160.0, 64.0, 512.0])
+        for node in (fast, full):
+            for rid in (1, 2, 3):  # 150 + 3 x 75 MiB at admission > 2 x 160
+                node.containers["svc-1.r0.c1"].accept(
+                    Request(service="svc-1", arrival_time=0.0, cpu_work=5.0, mem_footprint=300.0, request_id=rid),
+                    0.0,
+                )
+        _assert_twins_step_alike(fast, full, 0.5, 0.5)
+        assert [c.container_id for c in fast.last_oom_kills] == ["svc-0.r0.c0", "svc-1.r0.c1", "svc-2.r0.c2"]
 
     def test_idle_node_takes_the_short_circuit(self):
         quiet, _ = _twin_nodes(OverheadModel(), [512.0] * 7)
@@ -289,10 +380,7 @@ class TestQuietStep:
         overheads = OverheadModel(container_background_cpu=0.02)
         quiet, full = _twin_nodes(overheads, [512.0] * 30, cpu=1.0)  # 0.6 > 1.0 / 2
         assert quiet._quiet_serving() is None
-        full._quiet_serving = lambda: None
-        quiet.step(1.0, 1.0)
-        full.step(1.0, 1.0)
-        assert _step_bytes(quiet) == _step_bytes(full)
+        _assert_twins_step_alike(quiet, full, 1.0, 1.0)
 
     def test_stress_container_blocks_the_short_circuit(self):
         overheads = OverheadModel()

@@ -168,9 +168,9 @@ class TestNodeConservation:
                 )
         for step in range(1, 4):
             node.step(float(step), 1.0)
-            usage = node.usage()
-            assert usage.cpu <= node.capacity.cpu + 1e-6
-            assert usage.network <= node.capacity.network + 1e-6
+            active = node.active_containers()
+            assert sum(c.cpu_usage for c in active) <= node.capacity.cpu + 1e-6
+            assert sum(c.net_usage for c in active) <= node.capacity.network + 1e-6
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=25, deadline=None)

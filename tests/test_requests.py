@@ -1,6 +1,7 @@
 """Tests for the request lifecycle and failure taxonomy."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.requests import FailureReason, Phase, Request, RequestState
@@ -61,6 +62,47 @@ class TestPhases:
         request.assign("c1", 1.0)
         request.advance(Phase.CPU, 10.0)
         assert request.cpu_remaining == 0.0
+
+    def test_phase_is_none_until_assigned_and_after_finishing(self):
+        request = make_request()
+        assert request.phase is None and not request.local_work_done
+        request.assign("c1", 1.0)
+        assert request.phase is Phase.CPU
+        request.complete(2.0)
+        assert request.phase is None and not request.local_work_done
+        failed = make_request()
+        failed.assign("c1", 1.0)
+        failed.fail(2.0, FailureReason.REMOVAL)
+        assert failed.phase is None
+
+    def test_phase_moves_on_at_the_threshold(self):
+        request = make_request(cpu_work=1.0, disk_mb=1.0, net_mbits=1.0)
+        request.assign("c1", 1.0)
+        request.advance(Phase.CPU, 1.0 - 2e-12)
+        assert request.phase is Phase.CPU  # 2e-12 left is still work
+        request.advance(Phase.CPU, 1.5e-12)
+        assert request.phase is Phase.DISK  # at most 1e-12 left is done
+        request.advance(Phase.DISK, 1.0)
+        assert request.phase is Phase.NET
+        request.advance(Phase.NET, 1.0)
+        assert request.phase is None and request.local_work_done
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        demands=st.tuples(*[st.sampled_from([0.0, 1e-13, 0.3, 1.0])] * 3),
+        steps=st.lists(
+            st.tuples(st.sampled_from(list(Phase)), st.sampled_from([0.0, 1e-13, 0.1, 0.3, 1.0])),
+            max_size=12,
+        ),
+    )
+    def test_stored_phase_always_equals_the_derived_phase(self, demands, steps):
+        cpu, disk, net = demands
+        request = make_request(cpu_work=cpu, disk_mb=disk, net_mbits=net)
+        request.assign("c1", 1.0, overhead_factor=1.1)
+        assert request.phase is request.derive_phase()
+        for phase, amount in steps:
+            request.advance(phase, amount)
+            assert request.phase is request.derive_phase()
 
 
 class TestMemoryRamp:

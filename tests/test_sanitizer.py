@@ -29,7 +29,8 @@ from repro.sanitizer import (
     violations_to_jsonl,
     write_san_jsonl,
 )
-from repro.workloads import CPU_BOUND, MEMORY_BOUND, ConstantLoad, ServiceLoad
+from repro.workloads import CPU_BOUND, DISK_BOUND, MEMORY_BOUND, ConstantLoad, ServiceLoad
+from repro.workloads.requests import Phase, Request
 
 from tests.conftest import make_container, make_node_view, make_replica, make_service, make_view
 
@@ -281,6 +282,43 @@ class TestConservationCheck:
         node = cluster.sorted_nodes()[0]
         node.add_container(make_container())
         sanitizer.check_conservation(now=1.0)
+        assert sanitizer.violations() == ()
+
+
+class TestPhaseCheck:
+    def test_stale_phase_recorded(self):
+        sanitizer, cluster = bound_sanitizer()
+        node = cluster.sorted_nodes()[0]
+        container = make_container()
+        node.add_container(container)
+        request = Request(service="svc", arrival_time=0.0, cpu_work=0.5, net_mbits=1.0)
+        container.accept(request, 0.0)
+        request.cpu_done = 0.5  # the work ran out behind the stored phase's back
+        sanitizer.check_phases(now=1.0)
+        (violation,) = sanitizer.violations()
+        assert violation.check == "phase"
+        assert violation.subject == f"{node.name}/{container.container_id}/{request.request_id}"
+        assert "Phase.CPU" in violation.detail and "Phase.NET" in violation.detail
+
+    def test_advance_that_never_moves_the_phase_on_fails_the_sanitized_lane(self, monkeypatch):
+        def stuck_advance(self, phase, amount):
+            # Credits the work as before but leaves ``phase`` where it was.
+            if phase is Phase.CPU:
+                self.cpu_done += amount
+            elif phase is Phase.DISK:
+                self.disk_done += amount
+            else:
+                self.net_done += amount
+
+        monkeypatch.setattr(Request, "advance", stuck_advance)
+        sanitizer = SimSanitizer()
+        build_sim(sanitizer=sanitizer).run(10.0)
+        assert {v.check for v in sanitizer.violations()} == {"phase"}
+
+    def test_healthy_phases_are_clean(self):
+        # Disk-bound requests pass through all three phases, several per step.
+        sanitizer = SimSanitizer()
+        build_sim(sanitizer=sanitizer, profile=DISK_BOUND, rate=10.0).run(30.0)
         assert sanitizer.violations() == ()
 
 

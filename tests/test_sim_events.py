@@ -31,17 +31,10 @@ class TestScheduling:
         queue.fire_due(1.0)
         assert fired == ["first", "second", "third"]
 
-    def test_schedule_after(self):
-        queue = EventQueue()
-        event = queue.schedule_after(10.0, 5.0, lambda: None)
-        assert event.due == 15.0
-
     def test_rejects_negative_times(self):
         queue = EventQueue()
         with pytest.raises(ClockError):
             queue.schedule_at(-1.0, lambda: None)
-        with pytest.raises(ClockError):
-            queue.schedule_after(0.0, -1.0, lambda: None)
 
 
 class TestCancellation:
