@@ -68,7 +68,9 @@ class Node:
         self.disk = DiskDevice(disk_capacity)
         self.containers: dict[str, Container] = {}
         self._finished: list[Request] = []
-        #: Containers OOM-killed during the last step (for daemon cleanup).
+        #: Containers the node's steps OOM-killed since the daemon last
+        #: reaped it, in kill (id) order.  The MONITOR reaps every step, so
+        #: in a run this holds the last step's kills.
         self.last_oom_kills: list[Container] = []
 
     # ------------------------------------------------------------------
@@ -157,7 +159,6 @@ class Node:
     # ------------------------------------------------------------------
     def step(self, now: float, dt: float) -> None:
         """Advance every hosted container by one step ending at ``now``."""
-        self.last_oom_kills = []
         quiet = self._quiet_serving()
         if quiet is not None:
             # Every serving container is idle and fair share grants each its

@@ -151,9 +151,13 @@ class DockerClient:
             raise ContainerNotFound(f"unknown container {container_id}") from None
 
     def reap(self, now: float) -> list[Container]:
-        """Reap OOM-killed containers cluster-wide; deregister their replicas."""
+        """Reap OOM-killed containers cluster-wide; deregister their replicas.
+
+        Visits only the nodes that reported kills, in name order.
+        """
         corpses: list[Container] = []
-        for name in sorted(self.daemons):
+        killers = [name for name, daemon in self.daemons.items() if daemon.node.last_oom_kills]
+        for name in sorted(killers):
             for container in self.daemons[name].reap_oom_kills(now):
                 service = self.cluster.services.get(container.service)
                 if service is not None and container.container_id in service.replicas:

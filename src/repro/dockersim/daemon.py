@@ -147,11 +147,19 @@ class DockerDaemon:
         return self.node.active_containers()
 
     def reap_oom_kills(self, now: float) -> list[Container]:
-        """Clear kernel-killed containers off the node; return the corpses."""
+        """Clear kernel-killed containers off the node; return the corpses.
+
+        Only a node whose steps reported a kill since the last reap is
+        scanned; its corpses come in hosting (insertion) order.
+        """
+        node = self.node
+        if not node.last_oom_kills:
+            return []
         killed = ContainerState.OOM_KILLED
-        reaped = [c for c in self.node.containers.values() if c.state is killed]
+        reaped = [c for c in node.containers.values() if c.state is killed]
         for container in reaped:
-            self.node.remove_container(container.container_id, now)
+            node.remove_container(container.container_id, now)
+        node.last_oom_kills = []
         return reaped
 
     # ------------------------------------------------------------------

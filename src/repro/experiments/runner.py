@@ -38,7 +38,6 @@ from repro.platform.graph import GraphRouter
 from repro.platform.lb_tier import LoadBalancerTier
 from repro.platform.load_balancer import RoutingPolicy
 from repro.platform.monitor import Monitor
-from repro.platform.node_manager import NodeManager
 from repro.platform.registry import ServiceRegistry
 from repro.platform.routing import resolve_routing
 from repro.sim.clock import SimClock
@@ -280,14 +279,11 @@ class Simulation:
         else:
             generator = ClientLoadGenerator(loads, rng, sink=lb.submit)
 
-        node_managers = {
-            name: NodeManager(daemon, window_horizon=max(30.0, config.monitor_period))
-            for name, daemon in client.daemons.items()
-        }
+        fleet = NodeManagerFleet(client, horizon=config.monitor_period)
         monitor = Monitor(
             cluster,
             client,
-            node_managers,
+            fleet.managers,
             policy,
             config,
             collector,
@@ -323,7 +319,7 @@ class Simulation:
                     boot_delay=0.0,
                 )
 
-        faults = FaultInjector(cluster, client, node_managers)
+        faults = FaultInjector(cluster, client, fleet)
 
         # The sanitizer opens each step first; the profiler marks last, so
         # each actor's time includes the checks that follow it.
@@ -341,7 +337,7 @@ class Simulation:
             # Dispatch/join cross-tier calls on the just-settled cluster,
             # before node managers sample and the monitor acts.
             engine.add_actor("app-router", router)
-        engine.add_actor("node-managers", NodeManagerFleet(node_managers))
+        engine.add_actor("node-managers", fleet)
         engine.add_actor("monitor", monitor)
         engine.add_actor(
             "metrics",

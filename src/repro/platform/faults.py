@@ -25,16 +25,30 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
 from repro.dockersim.api import DockerClient
+from repro.dockersim.daemon import DockerDaemon
 from repro.errors import ClusterError
 from repro.platform.node_manager import NodeManager
 from repro.sim.clock import SimClock
 
 
 class NodeManagerFleet:
-    """One engine actor driving a mutable set of node managers."""
+    """One engine actor driving a mutable set of node managers.
 
-    def __init__(self, managers: dict[str, NodeManager]):
-        self.managers = managers
+    Every manager keeps ``horizon`` seconds of frames: the MONITOR's query
+    window, so it records only what a query can read.
+    """
+
+    def __init__(self, client: DockerClient, horizon: float):
+        self.horizon = horizon
+        self.managers: dict[str, NodeManager] = {}
+        for daemon in client.daemons.values():
+            self.manage(daemon)
+
+    def manage(self, daemon: DockerDaemon) -> NodeManager:
+        """Start a manager for the daemon's node (every manager starts here)."""
+        manager = NodeManager(daemon, window_horizon=self.horizon)
+        self.managers[daemon.node.name] = manager
+        return manager
 
     def on_step(self, clock: SimClock) -> None:
         for name in sorted(self.managers):
@@ -76,11 +90,11 @@ class FaultInjector:
         self,
         cluster: Cluster,
         client: DockerClient,
-        node_managers: dict[str, NodeManager],
+        fleet: NodeManagerFleet,
     ):
         self.cluster = cluster
         self.client = client
-        self.node_managers = node_managers
+        self.fleet = fleet
         self.log = FaultLog()
         self._pending: list[FleetEvent] = []
 
@@ -135,7 +149,7 @@ class FaultInjector:
             raise ClusterError(f"cannot crash unknown node {name!r}")
         casualties = self.cluster.remove_node(name, now)
         self.client.untrack_node(name)
-        self.node_managers.pop(name, None)
+        self.fleet.managers.pop(name, None)
         self.log.crashes.append((now, name))
         self.log.lost_requests += len(casualties)
 
@@ -144,5 +158,5 @@ class FaultInjector:
         node = Node(event.node, capacity, self.cluster.overheads, disk_capacity=event.disk_capacity)
         self.cluster.add_node(node)
         self.client.track_node(event.node)
-        self.node_managers[event.node] = NodeManager(self.client.daemons[event.node])
+        self.fleet.manage(self.client.daemons[event.node])
         self.log.additions.append((event.at, event.node))

@@ -8,7 +8,7 @@ within the cluster."
 Each query period (5 s in the paper's experiments) the monitor:
 
 1. builds a :class:`~repro.core.view.ClusterView` from the node managers'
-   averaged ``docker stats`` windows,
+   per-node rows (one pass per node over its ``docker stats`` frames),
 2. asks the configured :class:`~repro.core.policy.AutoscalingPolicy` for
    actions ("the use of different scaling algorithms is also supported ...
    and can be specified at initialization"), and
@@ -16,8 +16,8 @@ Each query period (5 s in the paper's experiments) the monitor:
    horizontal adds through placement + ``docker run``, removals through
    ``docker rm``.
 
-Every step (not just on ticks) it reaps OOM-killed containers, standing in
-for the NMs' liveness checks.
+Every step (not just on ticks) it reaps the containers the nodes report
+OOM-killed, standing in for the NMs' liveness checks.
 
 Execution is defensive: a policy decision computed from a 5-second-old
 snapshot can be stale (the node filled up meanwhile), so failed actions are
@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.container import ACTIVE_STATES, ContainerState
+from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
 from repro.config import SimulationConfig
 from repro.core.actions import (
@@ -44,11 +46,11 @@ from repro.core.registry import resolve_policy
 from repro.core.view import ClusterView, NodeView, ReplicaView, ServiceView
 from repro.cluster.placement import PlacementStrategy, SpreadPlacement
 from repro.dockersim.api import DockerClient
-from repro.errors import ContainerNotFound, DockerSimError, PolicyError, ReproError
+from repro.errors import DockerSimError, PolicyError, ReproError
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import EventKind, ScalingEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.platform.node_manager import NodeManager
+from repro.platform.node_manager import NodeManager, Row
 from repro.sanitizer.api import Sanitizer
 from repro.sim.clock import SimClock
 from repro.telemetry.hub import RunTelemetry
@@ -105,6 +107,8 @@ class Monitor:
         self.sanitizer = sanitizer
         policy.set_tracer(tracer)
         self._next_tick = config.monitor_period
+        #: Each serving replica's last view and the row it was built from.
+        self._replica_views: dict[str, tuple[Row, ReplicaView]] = {}
 
     # ------------------------------------------------------------------
     # Engine integration
@@ -181,39 +185,41 @@ class Monitor:
     # View construction
     # ------------------------------------------------------------------
     def build_view(self, now: float) -> ClusterView:
-        """Snapshot every service and node from the NMs' stats windows."""
+        """Snapshot every service and node from the NMs' per-node rows.
+
+        Views are immutable, so a replica given the very row object it was
+        given last time, on the same node, keeps its last view.
+        """
         window = self.config.monitor_period
+        node_rows = {name: manager.window_rows(window) for name, manager in self.node_managers.items()}
+        previous: dict[str, tuple[Row, ReplicaView]] = self._replica_views
+        current: dict[str, tuple[Row, ReplicaView]] = {}
+        node_name_of = self.client.node_name_of
+        running, pending = ContainerState.RUNNING, ContainerState.PENDING
         services = []
         for service in self.cluster.sorted_services():
+            name = service.name
             replica_views = []
-            for container in service.active_replicas():
-                node_name = self.client.node_name_of(container.container_id)
-                if container.is_serving:
-                    stats = self._mean_stats(node_name, container.container_id, window)
-                    if stats is None:
+            # The active replicas in id order: serving ones and booting ones.
+            for container_id, container in sorted(service.replicas.items()):
+                state = container.state
+                if state is running:
+                    node_name = node_name_of(container_id)
+                    rows = node_rows.get(node_name)
+                    row = None if rows is None else rows.get(container_id)
+                    if row is None:
                         continue  # raced with removal; skip this round
+                    kept = previous.get(container_id)
+                    if kept is None or kept[0] is not row or kept[1].node != node_name:
+                        kept = (row, ReplicaView(container_id, name, node_name, False, *row))
+                    current[container_id] = kept
+                    replica_views.append(kept[1])
+                elif state is pending:  # reservation exists, usage signal does not
                     replica_views.append(
                         ReplicaView(
-                            container_id=container.container_id,
-                            service=service.name,
-                            node=node_name,
-                            booting=False,
-                            cpu_request=stats.cpu_request,
-                            cpu_usage=stats.cpu_usage,
-                            mem_limit=stats.mem_limit,
-                            mem_usage=stats.mem_usage,
-                            net_rate=stats.net_rate,
-                            net_usage=stats.net_usage,
-                            disk_quota=stats.disk_quota,
-                            disk_usage=stats.disk_usage,
-                        )
-                    )
-                else:  # PENDING: reservation exists, usage signal does not
-                    replica_views.append(
-                        ReplicaView(
-                            container_id=container.container_id,
-                            service=service.name,
-                            node=node_name,
+                            container_id=container_id,
+                            service=name,
+                            node=node_name_of(container_id),
                             booting=True,
                             cpu_request=container.cpu_request,
                             cpu_usage=0.0,
@@ -228,7 +234,7 @@ class Monitor:
             spec = service.spec
             services.append(
                 ServiceView(
-                    name=service.name,
+                    name=name,
                     min_replicas=spec.min_replicas,
                     max_replicas=spec.max_replicas,
                     target_utilization=spec.target_utilization,
@@ -238,26 +244,9 @@ class Monitor:
                     replicas=tuple(replica_views),
                 )
             )
-
-        nodes = tuple(
-            NodeView(
-                name=node.name,
-                capacity=node.capacity,
-                allocated=node.allocated(),
-                services=tuple(sorted({c.service for c in node.active_containers()})),
-            )
-            for node in self.cluster.sorted_nodes()
-        )
+        self._replica_views = current
+        nodes = tuple(_node_view(node) for node in self.cluster.sorted_nodes())
         return ClusterView(now=now, services=tuple(services), nodes=nodes)
-
-    def _mean_stats(self, node_name: str, container_id: str, window: float):
-        manager = self.node_managers.get(node_name)
-        if manager is None:
-            return None
-        try:
-            return manager.mean_stats(container_id, window)
-        except ContainerNotFound:
-            return None
 
     # ------------------------------------------------------------------
     # Action execution
@@ -391,6 +380,25 @@ class Monitor:
                 detail=f"from {node_name}",
             )
         )
+
+
+def _node_view(node: Node) -> NodeView:
+    """One id-ordered pass over a node's active containers: the allocation
+    (summed in id order, as :meth:`Node.allocated` does) and the services."""
+    cpu = memory = network = 0.0
+    services: set[str] = set()
+    for _, container in sorted(node.containers.items()):
+        if container.state in ACTIVE_STATES:
+            cpu += container.cpu_request
+            memory += container.mem_limit
+            network += container.net_rate
+            services.add(container.service)
+    return NodeView(
+        name=node.name,
+        capacity=node.capacity,
+        allocated=ResourceVector(cpu, memory, network),
+        services=tuple(sorted(services)),
+    )
 
 
 def _vertical_detail(

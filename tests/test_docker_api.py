@@ -97,6 +97,34 @@ class TestRemoveAndReap:
         assert [c.container_id for c in corpses] == [container.container_id]
         assert cluster.service("svc").replica_count == 0
 
+    def test_reap_keeps_the_nodes_hosting_order(self, client, cluster):
+        """Two kills in one step on one node come back in the order the
+        node hosts them, which a migration made differ from id order."""
+        # 100 MiB of base memory alone exceeds 2 x 40 MiB: both die idle.
+        first = client.run_replica("svc", "n0", cpu_request=0.5, mem_limit=40.0, net_rate=0.0, now=0.0)
+        second = client.run_replica("svc", "n1", cpu_request=0.5, mem_limit=40.0, net_rate=0.0, now=0.0)
+        client.migrate_replica(first.container_id, "n1", 0.0)
+        node = cluster.node("n1")
+        assert first.container_id < second.container_id
+        assert list(node.containers) == [second.container_id, first.container_id]
+        node.step(1.0, 1.0)
+        assert node.last_oom_kills == [first, second]
+        assert client.reap(1.0) == [second, first]
+        assert node.containers == {} and node.last_oom_kills == []
+        assert cluster.service("svc").replica_count == 0
+
+    def test_reap_collects_kills_from_every_step_since_the_last(self, client, cluster):
+        doomed = client.run_replica("svc", "n0", cpu_request=0.5, mem_limit=40.0, net_rate=0.0, now=0.0)
+        later = client.run_replica("svc", "n0", cpu_request=0.5, mem_limit=110.0, net_rate=0.0, now=0.0)
+        node = cluster.node("n0")
+        node.step(1.0, 1.0)
+        for _ in range(8):
+            later.accept(Request(service="svc", arrival_time=1.0, cpu_work=1000.0, mem_footprint=200.0), 1.0)
+        node.step(2.0, 1.0)
+        assert node.last_oom_kills == [doomed, later]
+        assert client.reap(2.0) == [doomed, later]
+        assert client.reap(2.0) == []
+
 
 class TestNodeLifecycle:
     def test_track_new_node(self, client, cluster, overheads):

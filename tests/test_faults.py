@@ -112,3 +112,21 @@ class TestAddition:
         assert "node-01" not in sim.cluster.nodes
         assert "replacement" in sim.cluster.nodes
         assert summary.availability > 0.9
+
+
+class TestStatsHorizon:
+    def test_added_node_keeps_the_monitor_window(self):
+        """Every node manager, a run-time addition's included, keeps the
+        MONITOR's query window of frames."""
+        config = SimulationConfig(cluster=ClusterConfig(worker_nodes=2), seed=0, monitor_period=60.0)
+        sim = Simulation.build(
+            config=config,
+            specs=[MicroserviceSpec(name="svc", min_replicas=2, max_replicas=4)],
+            loads=[ServiceLoad("svc", CPU_BOUND, ConstantLoad(2.0))],
+            policy=HyScaleCpu(),
+        )
+        sim.faults.schedule_add(1.0, "node-x")
+        sim.engine.run_for(2.0)
+        horizons = {name: manager.horizon for name, manager in sim.monitor.node_managers.items()}
+        assert horizons == {"node-00": 60.0, "node-01": 60.0, "node-x": 60.0}
+        assert sim.faults.fleet.managers is sim.monitor.node_managers

@@ -3,16 +3,21 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.container import Container
 from repro.cluster.microservice import MicroserviceSpec
 from repro.config import ClusterConfig, SimulationConfig
 from repro.core.actions import AddReplica, RemoveReplica, ScalingAction, VerticalScale
 from repro.core.policy import AutoscalingPolicy
-from repro.core.view import ClusterView
+from repro.core.view import ClusterView, NodeView, ReplicaView, ServiceView
 from repro.dockersim.api import DockerClient
+from repro.dockersim.stats import StatsWindow
+from repro.experiments.runner import Simulation
 from repro.metrics.collector import MetricsCollector
 from repro.platform.monitor import Monitor
 from repro.platform.node_manager import NodeManager
 from repro.sim.clock import SimClock
+from repro.workloads import CPU_BOUND, MEMORY_BOUND, ServiceLoad
+from repro.workloads.patterns import HighBurstLoad
 
 
 class ScriptedPolicy(AutoscalingPolicy):
@@ -95,6 +100,17 @@ class TestViewBuilding:
         run_steps(cluster, managers, monitor, clock, 5)
         view = monitor.build_view(5.0)
         assert view.service("svc").replicas[0].cpu_usage > 0.0
+
+
+    def test_node_allocation_summed_in_id_order(self, overheads):
+        _, cluster, client, _, _, monitor = build_platform(overheads)
+        daemon = client.daemons["node-00"]
+        # Hosted against id order; the two orders round differently.
+        for cid, cpu in (("svc.r2.c3", 0.3), ("svc.r1.c2", 0.2), ("svc.r0.c1", 0.1)):
+            daemon.adopt(Container("svc", 0, cpu, 64.0, 1.0, overheads=overheads, container_id=cid))
+        allocated = monitor.build_view(0.0).node("node-00").allocated
+        assert allocated == cluster.node("node-00").allocated()
+        assert allocated.cpu == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
 
 
 class TestActionExecution:
@@ -204,3 +220,122 @@ class TestPolicySwap:
         assert len(first.views) == 1  # old policy no longer consulted
         assert monitor.policy is replacement
         assert monitor.log.ticks == 2
+
+
+# ----------------------------------------------------------------------
+# The view from per-node rows vs a per-container build
+# ----------------------------------------------------------------------
+def _per_container_view(sim, windows, now):
+    """The view built one container at a time, each replica from its own
+    :class:`StatsWindow`, and each node from ``Node.allocated()``."""
+    period = sim.monitor.config.monitor_period
+    services = []
+    for service in sim.cluster.sorted_services():
+        replicas = []
+        for container in service.active_replicas():
+            cid = container.container_id
+            node = sim.client.node_name_of(cid)
+            if container.is_serving:
+                window = windows.get(node, {}).get(cid)
+                if window is None:
+                    continue
+                s = window.mean_over(period)
+                fields = (s.cpu_request, s.cpu_usage, s.mem_limit, s.mem_usage)
+                fields += (s.net_rate, s.net_usage, s.disk_quota, s.disk_usage)
+                replicas.append(ReplicaView(cid, service.name, node, False, *fields))
+            else:
+                fields = (container.cpu_request, 0.0, container.mem_limit, 0.0)
+                fields += (container.net_rate, 0.0, container.disk_quota, 0.0)
+                replicas.append(ReplicaView(cid, service.name, node, True, *fields))
+        spec = service.spec
+        services.append(
+            ServiceView(
+                name=service.name,
+                min_replicas=spec.min_replicas,
+                max_replicas=spec.max_replicas,
+                target_utilization=spec.target_utilization,
+                base_cpu_request=spec.cpu_request,
+                base_mem_limit=spec.mem_limit,
+                base_net_rate=spec.net_rate,
+                replicas=tuple(replicas),
+            )
+        )
+    nodes = tuple(
+        NodeView(
+            name=node.name,
+            capacity=node.capacity,
+            allocated=node.allocated(),
+            services=tuple(sorted({c.service for c in node.active_containers()})),
+        )
+        for node in sim.cluster.sorted_nodes()
+    )
+    return ClusterView(now=now, services=tuple(services), nodes=nodes)
+
+
+class TestViewMatchesPerContainerBuild:
+    def test_churning_fleet(self):
+        """Scale-ups and -downs, vertical resizes, OOM kills, a crash, an
+        added node and a live migration: every tick's view equals the
+        per-container build, digest included."""
+        config = SimulationConfig(cluster=ClusterConfig(worker_nodes=4), seed=3)
+        specs = [
+            MicroserviceSpec(name="web", min_replicas=2, max_replicas=8),
+            MicroserviceSpec(name="cache", min_replicas=2, max_replicas=6, mem_limit=256.0, profile="memory"),
+        ]
+        loads = [
+            ServiceLoad("web", CPU_BOUND, HighBurstLoad(base=2.0, peak=14.0, period=40.0, duty=0.4)),
+            ServiceLoad("cache", MEMORY_BOUND, HighBurstLoad(base=2.0, peak=10.0, period=30.0, duty=0.5)),
+        ]
+        sim = Simulation.build(config=config, specs=specs, loads=loads, policy="hybrid")
+        sim.faults.schedule_crash(22.0, "node-01")
+        sim.faults.schedule_add(31.0, "node-x")
+
+        moved = []
+
+        def migrate() -> None:
+            replica = sim.cluster.service("web").active_replicas()[0]
+            source = sim.client.node_name_of(replica.container_id)
+            target = next(name for name in sorted(sim.cluster.nodes) if name != source)
+            sim.client.migrate_replica(replica.container_id, target, sim.engine.clock.now)
+            moved.append(replica.container_id)
+
+        sim.engine.call_at(41.0, migrate)
+
+        # Per node, one StatsWindow per active container, fed right after
+        # the node managers record; a container absent from a step loses it.
+        windows: dict[str, dict[str, StatsWindow]] = {}
+        fleet = sim.faults.fleet
+        record = fleet.on_step
+
+        def record_both(clock) -> None:
+            record(clock)
+            for name in list(windows):
+                if name not in sim.client.daemons:
+                    del windows[name]
+            for name, daemon in sim.client.daemons.items():
+                held = windows.setdefault(name, {})
+                active = {c.container_id for c in daemon.ps()}
+                for cid in [cid for cid in held if cid not in active]:
+                    del held[cid]
+                for cid in sorted(active):
+                    held.setdefault(cid, StatsWindow(30.0)).record(daemon.stats(cid, clock.now))
+
+        fleet.on_step = record_both
+        build = sim.monitor.build_view
+        ticks = []
+
+        def checked_build(now):
+            view = build(now)
+            expected = _per_container_view(sim, windows, now)
+            assert view == expected
+            assert view.digest() == expected.digest()
+            ticks.append(now)
+            return view
+
+        sim.monitor.build_view = checked_build
+        sim.run(60.0)
+        assert len(ticks) == 12
+        collector = sim.collector
+        assert collector.horizontal_scale_ups and collector.horizontal_scale_downs
+        assert collector.vertical_scale_ops and collector.oom_kills
+        assert sim.faults.log.crashes and sim.faults.log.additions and moved

@@ -115,6 +115,23 @@ def _exact(sample) -> tuple:
     return tuple(float(v).hex() for v in dataclasses.astuple(sample))
 
 
+def _exact_row(sample) -> tuple:
+    """A window sample's fields in :data:`~repro.platform.node_manager.Row` order."""
+    return tuple(
+        float(v).hex()
+        for v in (
+            sample.cpu_request,
+            sample.cpu_usage,
+            sample.mem_limit,
+            sample.mem_usage,
+            sample.net_rate,
+            sample.net_usage,
+            sample.disk_quota,
+            sample.disk_usage,
+        )
+    )
+
+
 class _Clock:
     def __init__(self, now: float):
         self.now = now
@@ -128,6 +145,9 @@ ACTION = st.one_of(
     st.tuples(st.just("return"), st.integers(0, 3)),
     st.tuples(st.just("freeze"), st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.0])),
     st.tuples(st.just("stop"), st.integers(0, 3)),
+    # Every container takes the quiet-node readings, so whole frames can
+    # be the node's shared quiet row.
+    st.tuples(st.just("hush"), st.integers(0, 3)),
 )
 HISTORY = st.lists(
     st.tuples(st.sampled_from([0.25, 0.5, 1.0]), st.lists(ACTION, max_size=4)), min_size=1, max_size=25
@@ -152,11 +172,21 @@ class TestFrames:
             container.freeze(action[2])
         elif kind == "stop" and hosted and container.is_active:
             container.terminate(now)
+        elif kind == "hush":
+            overheads = node.overheads
+            for c in pool:
+                c.cpu_usage, c.mem_usage = overheads.container_background_cpu, overheads.container_base_memory
+                c.net_usage = c.disk_usage = 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(history=HISTORY)
     def test_mean_stats_matches_stats_window(self, history):
-        overheads = OverheadModel()
+        """``mean_stats`` and the per-node rows, bit for bit, for every
+        window: the short ones, ones that span a membership change, and
+        one longer than the horizon."""
+        # Repeated sums of 0.1 round (0.1 * 3 != 0.3), so the quiet row's
+        # fold is checked, not just its constants.
+        overheads = OverheadModel(container_background_cpu=0.1)
         node = Node("n0", ResourceVector(4.0, 8192.0, 1000.0), overheads)
         pool = [
             Container(f"svc-{i}", i, 0.5, 512.0, 10.0, overheads=overheads, container_id=f"svc-{i}.r{i}.c{i}")
@@ -177,9 +207,13 @@ class TestFrames:
             manager.on_step(_Clock(now))
             reference.record(now)
             assert manager.tracked_containers() == sorted(reference.windows)
-            for container_id, window in reference.windows.items():
-                for span in WINDOWS:
-                    assert _exact(manager.mean_stats(container_id, span)) == _exact(window.mean_over(span))
+            for span in WINDOWS:
+                rows = manager.window_rows(span)
+                assert sorted(rows) == sorted(reference.windows)
+                for container_id, window in reference.windows.items():
+                    expected = window.mean_over(span)
+                    assert tuple(float(v).hex() for v in rows[container_id]) == _exact_row(expected)
+                    assert _exact(manager.mean_stats(container_id, span)) == _exact(expected)
             for container in pool:
                 if container.container_id not in reference.windows:
                     with pytest.raises(ContainerNotFound):
@@ -235,4 +269,34 @@ class TestFrames:
     def test_non_positive_horizon_rejected(self, node):
         with pytest.raises(DockerSimError):
             NodeManager(DockerDaemon(node), window_horizon=0.0)
+
+    @pytest.mark.parametrize("window", [-1.0, float("nan")])
+    def test_bad_window_rejected(self, manager, window):
+        container = run_container(manager)
+        manager.on_step(_Clock(0.0))
+        with pytest.raises(DockerSimError, match="query window"):
+            manager.window_rows(window)
+        with pytest.raises(DockerSimError, match="query window"):
+            manager.mean_stats(container.container_id, window)
+
+    def test_quiet_node_rows_follow_allocation_changes(self, manager):
+        """A quiet node's rows are kept between queries only while its
+        allocations are the same objects."""
+        overheads = manager.node.overheads
+        containers = [run_container(manager, service=f"svc-{i}") for i in range(3)]
+        for step in range(4):
+            for c in containers:
+                c.cpu_usage, c.mem_usage = overheads.container_background_cpu, overheads.container_base_memory
+                c.net_usage = c.disk_usage = 0.0
+            manager.on_step(_Clock(float(step)))
+        first = manager.window_rows(10.0)
+        again = manager.window_rows(10.0)
+        assert all(again[cid] is row for cid, row in first.items())
+        manager.apply_vertical(containers[1].container_id, cpu_request=1.5)
+        manager.on_step(_Clock(4.0))
+        rows = manager.window_rows(10.0)
+        assert rows[containers[1].container_id][0] == 1.5
+        assert rows[containers[0].container_id] == first[containers[0].container_id]
+        mean = sum((overheads.container_background_cpu,) * 5) / 5
+        assert {row[1] for row in rows.values()} == {mean}
 
