@@ -24,7 +24,7 @@ from repro.cluster.grants import ResourceGrants
 from repro.config import OverheadModel
 from repro.errors import ContainerStateError
 from repro.units import cores_to_shares
-from repro.workloads.requests import FailureReason, Phase, Request
+from repro.workloads.requests import PHASE_INDEX, FailureReason, Phase, Request
 
 _container_seq = itertools.count(1)
 
@@ -136,10 +136,6 @@ class Container:
         """Requests inside the thread pool (arrival order, bounded)."""
         return self.inflight[: self.max_concurrency]
 
-    def queued_requests(self) -> list[Request]:
-        """Requests waiting in the connection backlog."""
-        return self.inflight[self.max_concurrency :]
-
     def phase_requests(self, phase: Phase) -> list[Request]:
         """In-flight requests currently in ``phase`` (arrival order).
 
@@ -155,11 +151,26 @@ class Container:
 
         Backlogged requests sit in the socket queue and cost no memory —
         which is what bounds the working set to
-        ``base + max_concurrency * footprint``.
+        ``base + max_concurrency * footprint``.  The requests' memory is a
+        left fold in arrival order (DESIGN.md §4).
         """
-        return self.overheads.container_base_memory + sum(
-            r.resident_memory for r in self.active_requests()
-        )
+        held = 0.0
+        for request in self.active_requests():
+            held += request.resident_memory
+        return self.overheads.container_base_memory + held
+
+    def _pending(self, phase: Phase) -> float:
+        """Work left in ``phase`` over the requests in it: a left fold in
+        arrival order.  A stale stored phase adds nothing, as it reads 0 in
+        :meth:`Request.remaining`."""
+        i = PHASE_INDEX[phase]
+        pending = 0.0
+        for request in self.inflight:
+            if request.phase is phase:
+                left = request.work[i] - request.done[i]
+                if left > 0.0:
+                    pending += left
+        return pending
 
     @property
     def is_swapping(self) -> bool:
@@ -240,7 +251,7 @@ class Container:
         """Disk I/O demand in MB/s this step (outstanding I/O / dt)."""
         if not self.is_serving:
             return 0.0
-        return sum(r.disk_remaining for r in self.phase_requests(Phase.DISK)) / dt
+        return self._pending(Phase.DISK) / dt
 
     def _advance_disk(self, granted_mb_per_s: float, dt: float) -> None:
         """Spend a disk grant (MB/s) on pending I/O."""
@@ -262,8 +273,7 @@ class Container:
         """
         if not self.is_serving:
             return 0.0
-        pending = sum(r.net_remaining for r in self.phase_requests(Phase.NET))
-        demand = pending / dt
+        demand = self._pending(Phase.NET) / dt
         coefficient = self.overheads.net_cpu_per_mbit
         if coefficient > 0:
             demand = min(demand, self._net_cpu_headroom / coefficient)
@@ -293,16 +303,27 @@ class Container:
         within the same step, so no budget is stranded at step boundaries.
         Only the window advanced, so only the window is re-filtered: a
         request that finished ``phase`` has moved its stored phase on.
+
+        An epoch is plain arithmetic on each request's ``phase`` pair
+        (``work[i] - done[i]``, ``done[i] += per_request``), the float
+        operations :meth:`Request.remaining` and :meth:`Request.advance`
+        perform.  A request in its phase has more than 1e-12 of it left, so
+        their floor at 0 is taken once per epoch, on the window's minimum,
+        which only a stale stored phase can bring to 0.
         """
+        i = PHASE_INDEX[phase]
         spent = 0.0
         cap = self.max_concurrency
         while queue and budget > 1e-12:
             window = queue[:cap]
             size = len(window)
-            smallest = min([r.remaining(phase) for r in window])
+            smallest = max(0.0, min([r.work[i] - r.done[i] for r in window]))
             per_request = min(budget / size, smallest)
             for request in window:
-                request.advance(phase, per_request)
+                done = request.done
+                done[i] += per_request
+                if request.work[i] - done[i] <= 1e-12:
+                    request.finish_phase()
             epoch = per_request * size
             spent += epoch
             budget -= epoch

@@ -9,9 +9,10 @@ utilization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from repro.cluster.container import Container
+from repro.cluster.container import Container, ContainerState
 from repro.cluster.resources import ResourceVector
 from repro.errors import ClusterError
 
@@ -57,8 +58,13 @@ class MicroserviceSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ClusterError("microservice name must be non-empty")
-        if self.cpu_request <= 0 or self.mem_limit <= 0 or self.net_rate < 0:
-            raise ClusterError(f"{self.name}: per-replica allocations must be positive")
+        # Written so that NaN fails too.
+        if not (
+            0 < self.cpu_request < math.inf
+            and 0 < self.mem_limit < math.inf
+            and 0 <= self.net_rate < math.inf
+        ):
+            raise ClusterError(f"{self.name}: per-replica allocations must be positive and finite")
         if self.min_replicas < 1:
             raise ClusterError(f"{self.name}: min_replicas must be >= 1")
         if self.max_replicas < self.min_replicas:
@@ -67,10 +73,10 @@ class MicroserviceSpec:
             raise ClusterError(f"{self.name}: target_utilization must be in (0, 1]")
         if self.max_concurrency < 1:
             raise ClusterError(f"{self.name}: max_concurrency must be >= 1")
-        if self.disk_quota <= 0:
-            raise ClusterError(f"{self.name}: disk_quota must be positive")
-        if self.state_size_mb < 0:
-            raise ClusterError(f"{self.name}: state_size_mb must be >= 0")
+        if not 0 < self.disk_quota < math.inf:
+            raise ClusterError(f"{self.name}: disk_quota must be positive and finite")
+        if not 0 <= self.state_size_mb < math.inf:
+            raise ClusterError(f"{self.name}: state_size_mb must be >= 0 and finite")
 
     def initial_allocation(self) -> ResourceVector:
         """Per-replica allocation vector at deployment time."""
@@ -82,7 +88,11 @@ class Microservice:
 
     def __init__(self, spec: MicroserviceSpec):
         self.spec = spec
+        #: Tracked replicas in tracking order.
         self.replicas: dict[str, Container] = {}
+        #: The same replicas in id order, rebuilt on the first read after
+        #: :meth:`track` or :meth:`forget` (``None`` until then).
+        self._by_id: list[Container] | None = None
         self._next_replica_index = 0
 
     @property
@@ -109,35 +119,38 @@ class Microservice:
         if container.container_id in self.replicas:
             raise ClusterError(f"replica {container.container_id} already tracked")
         self.replicas[container.container_id] = container
+        self._by_id = None
 
     def forget(self, container_id: str) -> Container:
         """Deregister a replica (after removal or OOM kill)."""
         try:
-            return self.replicas.pop(container_id)
+            container = self.replicas.pop(container_id)
         except KeyError:
             raise ClusterError(f"{self.name}: unknown replica {container_id}") from None
+        self._by_id = None
+        return container
+
+    def _id_ordered(self) -> list[Container]:
+        """Tracked replicas in id order (sorted once per membership change)."""
+        ordered = self._by_id
+        if ordered is None:
+            table = self.replicas
+            ordered = self._by_id = [table[key] for key in sorted(table)]
+        return ordered
 
     def active_replicas(self) -> list[Container]:
         """Replicas occupying resources (PENDING or RUNNING), id-ordered."""
-        return [c for _, c in sorted(self.replicas.items()) if c.is_active]
+        return [c for c in self._id_ordered() if c.is_active]
 
     def serving_replicas(self) -> list[Container]:
-        """Replicas able to take traffic, id-ordered."""
-        return [c for _, c in sorted(self.replicas.items()) if c.is_serving]
+        """Replicas able to take traffic, id-ordered (read per routed request)."""
+        running = ContainerState.RUNNING
+        return [c for c in self._id_ordered() if c.state is running]
 
     @property
     def replica_count(self) -> int:
         """Number of active replicas (the autoscalers' ``current`` count)."""
         return len(self.active_replicas())
-
-    # ------------------------------------------------------------------
-    # Aggregates the algorithms consume
-    # ------------------------------------------------------------------
-    def total_requested(self) -> ResourceVector:
-        """Sum of active replicas' allocations."""
-        return ResourceVector.sum(
-            ResourceVector(c.cpu_request, c.mem_limit, c.net_rate) for c in self.active_replicas()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Microservice({self.name!r}, replicas={self.replica_count})"

@@ -66,7 +66,13 @@ class Node:
         self.overheads = overheads or OverheadModel()
         self.nic = NetworkInterface(capacity.network, self.overheads)
         self.disk = DiskDevice(disk_capacity)
+        #: Hosted containers in hosting order (node-manager frames and
+        #: ``DockerClient.reap`` follow it).
         self.containers: dict[str, Container] = {}
+        #: The same containers in id order, rebuilt on the first read after
+        #: :meth:`add_container`, :meth:`remove_container` or
+        #: :meth:`detach_container` (``None`` until then).
+        self._by_id: list[Container] | None = None
         self._finished: list[Request] = []
         #: Containers the node's steps OOM-killed since the daemon last
         #: reaped it, in kill (id) order.  The MONITOR reaps every step, so
@@ -76,18 +82,26 @@ class Node:
     # ------------------------------------------------------------------
     # Hosting
     # ------------------------------------------------------------------
+    def _id_ordered(self) -> list[Container]:
+        """Hosted containers in id order (sorted once per membership change)."""
+        ordered = self._by_id
+        if ordered is None:
+            table = self.containers
+            ordered = self._by_id = [table[key] for key in sorted(table)]
+        return ordered
+
     def active_containers(self) -> list[Container]:
         """Containers occupying resources (PENDING or RUNNING), id-ordered."""
-        return [c for _, c in sorted(self.containers.items()) if c.is_active]
+        return [c for c in self._id_ordered() if c.is_active]
 
     def serving_containers(self) -> list[Container]:
         """RUNNING containers, id-ordered."""
-        return [c for _, c in sorted(self.containers.items()) if c.is_serving]
+        return [c for c in self._id_ordered() if c.is_serving]
 
     def allocated(self) -> ResourceVector:
         """Sum of active containers' requested resources."""
         return ResourceVector.sum(
-            ResourceVector(c.cpu_request, c.mem_limit, c.net_rate) for c in self.active_containers()
+            ResourceVector(c.cpu_request, c.mem_limit, c.net_rate) for c in self._id_ordered() if c.is_active
         )
 
     def available(self) -> ResourceVector:
@@ -112,6 +126,7 @@ class Node:
                 f"node {self.name}: {request} does not fit in {self.available()}"
             )
         self.containers[container.container_id] = container
+        self._by_id = None
         # HTB guarantee at the container's allocated rate with borrowing up
         # to link capacity: Docker cannot hard-cap network without tc, and
         # the paper's platform leaves container NICs work-conserving (only
@@ -130,6 +145,7 @@ class Node:
         if self.nic.is_attached(container_id):
             self.nic.detach(container_id)
         del self.containers[container_id]
+        self._by_id = None
         return container
 
     def detach_container(self, container_id: str) -> Container:
@@ -144,6 +160,7 @@ class Node:
         if self.nic.is_attached(container_id):
             self.nic.detach(container_id)
         del self.containers[container_id]
+        self._by_id = None
         return container
 
     def reshape_network(self, container_id: str, rate: float) -> None:
@@ -174,7 +191,7 @@ class Node:
         serving: list[Container] = []
         idle: list[bool] = []
         working: list[Container] = []
-        for _, container in sorted(self.containers.items()):
+        for container in self._id_ordered():
             container.tick_boot(dt)
             if container.state is running:
                 serving.append(container)

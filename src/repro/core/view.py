@@ -72,6 +72,13 @@ class ServiceView:
     base_mem_limit: float
     base_net_rate: float
     replicas: tuple[ReplicaView, ...] = ()
+    #: :meth:`measurable_replicas`, filtered once when the view is built
+    #: (not part of equality, like :class:`ClusterView`'s indices).
+    _measurable: tuple[ReplicaView, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Frozen dataclass: set the derived field via object.__setattr__.
+        object.__setattr__(self, "_measurable", tuple(r for r in self.replicas if not r.booting))
 
     @property
     def replica_count(self) -> int:
@@ -80,7 +87,7 @@ class ServiceView:
 
     def measurable_replicas(self) -> tuple[ReplicaView, ...]:
         """Replicas with a usage signal (booting ones excluded)."""
-        return tuple(r for r in self.replicas if not r.booting)
+        return self._measurable
 
     # Aggregates used verbatim in the paper's equations -----------------
     def total_cpu_usage(self) -> float:

@@ -91,6 +91,9 @@ class HtbQdisc:
             raise NetworkSimError(f"capacity must be positive, got {capacity}")
         self.capacity = float(capacity)
         self._classes: dict[str, HtbClass] = {}
+        #: The class ids sorted, rebuilt on the first read after
+        #: :meth:`add_class` or :meth:`del_class` (``None`` until then).
+        self._sorted_ids: list[str] | None = None
 
     # ------------------------------------------------------------------
     # Class management ("tc class add / change / del")
@@ -101,6 +104,7 @@ class HtbQdisc:
             raise NetworkSimError(f"class {class_id!r} already exists")
         cls = HtbClass(class_id, rate, self.capacity if ceil is None else ceil)
         self._classes[class_id] = cls
+        self._sorted_ids = None
         return cls
 
     def change_class(self, class_id: str, rate: float | None = None, ceil: float | None = None) -> HtbClass:
@@ -117,6 +121,7 @@ class HtbQdisc:
         if class_id not in self._classes:
             raise NetworkSimError(f"class {class_id!r} does not exist")
         del self._classes[class_id]
+        self._sorted_ids = None
 
     def get_class(self, class_id: str) -> HtbClass:
         """Look up a class by id."""
@@ -125,14 +130,12 @@ class HtbQdisc:
         except KeyError:
             raise NetworkSimError(f"class {class_id!r} does not exist") from None
 
-    @property
-    def class_ids(self) -> list[str]:
-        """All configured class ids (sorted for determinism)."""
-        return sorted(self._classes)
-
-    def total_guaranteed(self) -> float:
-        """Sum of configured class rates (may exceed capacity: oversubscription)."""
-        return sum(c.rate for c in self._classes.values())
+    def _id_ordered(self) -> list[str]:
+        """The class ids in sorted order (sorted once per membership change)."""
+        ids = self._sorted_ids
+        if ids is None:
+            ids = self._sorted_ids = sorted(self._classes)
+        return ids
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -157,7 +160,7 @@ class HtbQdisc:
                 raise NetworkSimError(f"offered load for unknown class {cid!r}")
 
         grants: dict[str, float] = {}
-        ids = [cid for cid in self.class_ids if offered.get(cid, 0.0) > 0]
+        ids = [cid for cid in self._id_ordered() if offered.get(cid, 0.0) > 0]
         if not ids:
             return {cid: 0.0 for cid in offered}
 

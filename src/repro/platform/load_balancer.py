@@ -23,6 +23,7 @@ from collections import deque
 from typing import Callable
 
 from repro.cluster.container import Container
+from repro.cluster.microservice import Microservice
 from repro.config import OverheadModel
 from repro.errors import ClusterError
 from repro.platform.registry import ServiceRegistry
@@ -44,18 +45,34 @@ class RoutingPolicy(enum.Enum):
     TOPOLOGY = "topology"
 
 
-def _least_outstanding_key(container: Container) -> tuple[int, str]:
-    """Fewest in-flight requests first, container id breaking ties.
+def _least_outstanding(replicas: list[Container]) -> Container:
+    """The min of ``(in-flight requests, container id)`` over ``replicas``.
 
-    Module-level: ``_pick`` runs for every routed request every step, and a
-    per-call lambda would allocate a fresh function object (HOT001).
+    One pass that compares the pair inline: this runs for every routed
+    request, so it makes no key-function call per replica.
     """
-    return (len(container.inflight), container.container_id)
+    best = replicas[0]
+    fewest = len(best.inflight)
+    for replica in replicas:
+        n = len(replica.inflight)
+        if n < fewest or (n == fewest and replica.container_id < best.container_id):
+            best, fewest = replica, n
+    return best
 
 
-def _weighted_cpu_key(container: Container) -> tuple[float, str]:
-    """Largest CPU request per outstanding request wins, ids break ties."""
-    return (container.cpu_request / (len(container.inflight) + 1), container.container_id)
+def _weighted_cpu(replicas: list[Container]) -> Container:
+    """The max of ``(cpu_request / (in-flight requests + 1), container id)``.
+
+    Largest CPU request per outstanding request wins, the higher id breaking
+    ties; one inline pass, like :func:`_least_outstanding`.
+    """
+    best = replicas[0]
+    top = best.cpu_request / (len(best.inflight) + 1)
+    for replica in replicas:
+        score = replica.cpu_request / (len(replica.inflight) + 1)
+        if score > top or (score == top and replica.container_id > best.container_id):
+            best, top = replica, score
+    return best
 
 
 class LoadBalancer:
@@ -83,9 +100,7 @@ class LoadBalancer:
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
         """Accept a client request; route now or park it in the backlog."""
-        if not self.registry.has_service(request.service):
-            raise ClusterError(f"request for unknown service {request.service!r}")
-        if not self._try_route(request):
+        if not self._try_route(request, self.registry.service(request.service)):
             self._pending.append(request)
 
     def backlog(self) -> int:
@@ -105,21 +120,21 @@ class LoadBalancer:
                 request.fail(clock.now, FailureReason.CONNECTION)
                 self.total_rejected += 1
                 self._failure_sink(request)
-            elif not self._try_route(request):
+            elif not self._try_route(request, self.registry.service(request.service)):
                 still_waiting.append(request)
         self._pending = still_waiting
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _try_route(self, request: Request) -> bool:
-        replicas = self.registry.endpoints(request.service)
+    def _try_route(self, request: Request, service: Microservice) -> bool:
+        """Route ``request`` to one of ``service``'s serving replicas, if any."""
+        replicas = service.serving_replicas()
         if not replicas:
             return False
         replica = self._pick_for(request, replicas)
         overhead = self.distribution_overhead(len(replicas))
-        spec = self.registry.spec(request.service)
-        if getattr(spec, "stateful", False):
+        if service.spec.stateful:
             overhead *= self.consistency_overhead(len(replicas))
         replica.accept(request, self._now, overhead_factor=overhead)
         self.total_routed += 1
@@ -147,27 +162,18 @@ class LoadBalancer:
         """
         origin = request.origin_node
         if origin is None:
-            return min(replicas, key=_least_outstanding_key)
-        local: Container | None = None
-        remote: Container | None = None
+            return _least_outstanding(replicas)
+        near: list[Container] = []
+        far: list[Container] = []
         host_of = self.registry.host_of
         for replica in replicas:
-            if host_of(replica.container_id) == origin:
-                if local is None or _least_outstanding_key(replica) < _least_outstanding_key(local):
-                    local = replica
-            elif remote is None or _least_outstanding_key(replica) < _least_outstanding_key(remote):
-                remote = replica
-        if local is not None and remote is not None:
-            local_cost = (len(local.inflight) + 1) * (1.0 + self.overheads.colocation_contention)
-            remote_cost = (len(remote.inflight) + 1) * self.overheads.colocation_cap
-            return local if local_cost <= remote_cost else remote
-        if local is not None:
-            return local
-        if remote is not None:
-            return remote
-        # Unreachable (callers never pass an empty replica list), but keeps
-        # the signature total without an assert.
-        return min(replicas, key=_least_outstanding_key)
+            (near if host_of(replica.container_id) == origin else far).append(replica)
+        if not near or not far:
+            return _least_outstanding(near or far)
+        local, remote = _least_outstanding(near), _least_outstanding(far)
+        local_cost = (len(local.inflight) + 1) * (1.0 + self.overheads.colocation_contention)
+        remote_cost = (len(remote.inflight) + 1) * self.overheads.colocation_cap
+        return local if local_cost <= remote_cost else remote
 
     def _pick(self, service: str, replicas: list[Container]) -> Container:
         if self.policy is RoutingPolicy.ROUND_ROBIN:
@@ -175,10 +181,10 @@ class LoadBalancer:
             self._rr_counters[service] = counter + 1
             return replicas[counter % len(replicas)]
         if self.policy is RoutingPolicy.LEAST_OUTSTANDING:
-            return min(replicas, key=_least_outstanding_key)
+            return _least_outstanding(replicas)
         # WEIGHTED_CPU: deterministic weighted round-robin — pick the replica
         # with the largest CPU request per outstanding request.
-        return max(replicas, key=_weighted_cpu_key)
+        return _weighted_cpu(replicas)
 
     def distribution_overhead(self, n_replicas: int) -> float:
         """Service-time multiplier for a service fanned out to ``n`` replicas.

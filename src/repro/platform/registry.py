@@ -4,14 +4,14 @@ The LOAD BALANCERs "act as proxies for clients interacting with
 microservices" (Section V); to proxy they need a live view of which replicas
 can take traffic.  The registry is that view — a thin, always-fresh read
 layer over the cluster's replica sets, kept separate from the cluster so the
-load balancer depends on *endpoints*, not on cluster internals.
+load balancer depends on services and their endpoints, not on how the
+cluster stores them.
 """
 
 from __future__ import annotations
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.container import Container
-from repro.cluster.microservice import MicroserviceSpec
+from repro.cluster.microservice import Microservice
 from repro.errors import ClusterError
 
 
@@ -25,30 +25,19 @@ class ServiceRegistry:
         """All registered service names, sorted."""
         return sorted(self._cluster.services)
 
-    def has_service(self, name: str) -> bool:
-        """True if ``name`` is a registered microservice."""
-        return name in self._cluster.services
+    def service(self, name: str) -> Microservice:
+        """The registered microservice ``name``: its live replica set and spec.
 
-    def endpoints(self, service: str) -> list[Container]:
-        """Replicas of ``service`` able to take traffic right now.
-
-        PENDING (still booting) and stopped replicas are excluded — traffic
-        routed to a booting container would be connection-refused in the
-        real system.
+        The load balancer resolves a request's service once, here, and
+        reads both its endpoints (``serving_replicas()``: PENDING and
+        stopped replicas are excluded, as traffic routed to a booting
+        container would be connection-refused in the real system) and its
+        statefulness from the result.
         """
-        if not self.has_service(service):
-            raise ClusterError(f"unknown service {service!r}")
-        return self._cluster.service(service).serving_replicas()
-
-    def replica_count(self, service: str) -> int:
-        """Number of serving replicas (the fan-out the LB spreads over)."""
-        return len(self.endpoints(service))
-
-    def spec(self, service: str) -> MicroserviceSpec:
-        """The service's deployment spec (the LB reads statefulness)."""
-        if not self.has_service(service):
-            raise ClusterError(f"unknown service {service!r}")
-        return self._cluster.service(service).spec
+        service = self._cluster.services.get(name)
+        if service is None:
+            raise ClusterError(f"unknown service {name!r}")
+        return service
 
     def host_of(self, container_id: str) -> str:
         """Name of the node hosting ``container_id``.

@@ -12,6 +12,7 @@ CPU-bound, memory-bound, network-bound, and mixed CPU+memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +41,18 @@ class MicroserviceProfile:
     timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        if (
-            self.cpu_per_request < 0
-            or self.mem_per_request < 0
-            or self.net_per_request < 0
-            or self.disk_per_request < 0
+        # Written so that NaN fails too.
+        if not (
+            0 <= self.cpu_per_request < math.inf
+            and 0 <= self.mem_per_request < math.inf
+            and 0 <= self.net_per_request < math.inf
+            and 0 <= self.disk_per_request < math.inf
         ):
-            raise WorkloadError(f"profile {self.name!r}: demands must be non-negative")
-        if self.jitter_sigma < 0:
-            raise WorkloadError(f"profile {self.name!r}: jitter_sigma must be >= 0")
-        if self.timeout <= 0:
-            raise WorkloadError(f"profile {self.name!r}: timeout must be positive")
+            raise WorkloadError(f"profile {self.name!r}: demands must be finite and non-negative")
+        if not 0 <= self.jitter_sigma < math.inf:
+            raise WorkloadError(f"profile {self.name!r}: jitter_sigma must be >= 0 and finite")
+        if not 0 < self.timeout < math.inf:
+            raise WorkloadError(f"profile {self.name!r}: timeout must be positive and finite")
 
     def make_request(
         self,

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.errors import WorkloadError
 
@@ -43,6 +45,24 @@ class Phase(enum.Enum):
 #: The order a request is served in: the members' definition order.
 _PHASE_ORDER = tuple(Phase)
 
+#: Where each phase's (work, progress) pair sits in :attr:`Request.work` and
+#: :attr:`Request.done`: its place in the serving order.  The work left in
+#: phase ``p`` is ``work[i] - done[i]`` with ``i = PHASE_INDEX[p]``.
+PHASE_INDEX = MappingProxyType({phase: i for i, phase in enumerate(_PHASE_ORDER)})
+
+
+def _progress(phase: Phase, doc: str) -> property:
+    """``phase``'s entry of :attr:`Request.done`, read and written by name."""
+    i = PHASE_INDEX[phase]
+
+    def get(request: Request) -> float:
+        return request.done[i]
+
+    def set_(request: Request, value: float) -> None:
+        request.done[i] = value
+
+    return property(get, set_, doc=doc)
+
 
 class FailureReason(enum.Enum):
     """Why a request failed — matches the paper's two failure classes."""
@@ -61,6 +81,10 @@ class Request:
     * ``mem_footprint`` — MiB resident in the serving container while the
       request is in flight,
     * ``net_mbits`` — response payload to egress once compute finishes.
+
+    Each phase's work and the progress made in it sit side by side in
+    :attr:`work` and :attr:`done`, at the phase's :data:`PHASE_INDEX`; the
+    sharing kernel reads and writes them there directly.
     """
 
     service: str
@@ -80,18 +104,21 @@ class Request:
     container_id: str | None = None
     start_time: float | None = None
     finish_time: float | None = None
-    cpu_done: float = 0.0
-    disk_done: float = 0.0
-    net_done: float = 0.0
     #: Service-time multiplier applied at assignment; encodes the replica
     #: distribution overhead measured in Section III-A.
     overhead_factor: float = 1.0
     #: The running request's current phase (CPU, then DISK, then NET), else
     #: ``None``.  Stored, not derived on read: :meth:`assign` sets it,
-    #: :meth:`advance` moves it on when the phase's work runs out, and
+    #: :meth:`finish_phase` moves it on when the phase's work runs out, and
     #: :meth:`complete`/:meth:`fail` clear it.  It always equals
-    #: :meth:`derive_phase` (SimSan checks that after every step).
+    #: :meth:`derive_phase` (SimSan checks that after every step), so a
+    #: request in its phase always has more than 1e-12 of it left.
     phase: Phase | None = field(default=None, init=False)
+    #: Each phase's work: ``cpu_work * overhead_factor`` (fixed at
+    #: :meth:`assign`), ``disk_mb`` and ``net_mbits``, by :data:`PHASE_INDEX`.
+    work: tuple[float, float, float] = field(init=False, repr=False)
+    #: Progress made in each phase, by :data:`PHASE_INDEX`.
+    done: list[float] = field(init=False, repr=False)
 
     # Application-graph lifecycle ---------------------------------------
     #: Downstream calls this request still waits on.  Settlement keeps the
@@ -111,36 +138,29 @@ class Request:
     origin_node: str | None = None
 
     def __post_init__(self) -> None:
-        if self.cpu_work < 0 or self.mem_footprint < 0 or self.net_mbits < 0 or self.disk_mb < 0:
-            raise WorkloadError("request demands must be non-negative")
-        if self.timeout <= 0:
-            raise WorkloadError("request timeout must be positive")
+        # Written so that NaN fails too.
+        if not (
+            0 <= self.cpu_work < math.inf
+            and 0 <= self.mem_footprint < math.inf
+            and 0 <= self.net_mbits < math.inf
+            and 0 <= self.disk_mb < math.inf
+        ):
+            raise WorkloadError("request demands must be finite and non-negative")
+        if not 0 < self.timeout < math.inf:
+            raise WorkloadError("request timeout must be positive and finite")
+        self._stamp_work()
+        self.done = [0.0] * 3
+
+    def _stamp_work(self) -> None:
+        """Fix each phase's work from the demands and the overhead factor."""
+        self.work = (self.cpu_work * self.overhead_factor, self.disk_mb, self.net_mbits)
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def effective_cpu_work(self) -> float:
-        """CPU demand after the distribution-overhead multiplier."""
-        return self.cpu_work * self.overhead_factor
-
-    @property
-    def cpu_remaining(self) -> float:
-        """Core-seconds of compute still required."""
-        return self.remaining(Phase.CPU)
-
-    @property
-    def disk_remaining(self) -> float:
-        """MB of disk I/O still required."""
-        return self.remaining(Phase.DISK)
-
-    @property
-    def progress(self) -> float:
-        """Fraction of total work done across all phases."""
-        total = self.effective_cpu_work + self.disk_mb + self.net_mbits
-        if total <= 0:
-            return 1.0
-        return min(1.0, (self.cpu_done + self.disk_done + self.net_done) / total)
+    cpu_done = _progress(Phase.CPU, "Core-seconds of compute done.")
+    disk_done = _progress(Phase.DISK, "MB of disk I/O done.")
+    net_done = _progress(Phase.NET, "Mbit of response payload transmitted.")
 
     @property
     def resident_memory(self) -> float:
@@ -148,23 +168,19 @@ class Request:
 
         Heap grows as the request is processed: a quarter is allocated at
         admission (buffers, session state) and the rest in proportion to
-        progress.  The ramp is what gives memory-aware scalers a window to
+        the fraction of all phases' work done (all of it when there is no
+        work).  The ramp is what gives memory-aware scalers a window to
         react before a burst's full footprint lands.
         """
-        return self.mem_footprint * (0.25 + 0.75 * self.progress)
-
-    @property
-    def net_remaining(self) -> float:
-        """Mbit of response payload still to transmit."""
-        return self.remaining(Phase.NET)
+        work, done = self.work, self.done
+        total = work[0] + work[1] + work[2]
+        progress = 1.0 if total <= 0 else min(1.0, (done[0] + done[1] + done[2]) / total)
+        return self.mem_footprint * (0.25 + 0.75 * progress)
 
     def remaining(self, phase: Phase) -> float:
         """Work still required in ``phase`` (core-seconds, MB, or Mbit)."""
-        if phase is Phase.CPU:
-            return max(0.0, self.effective_cpu_work - self.cpu_done)
-        if phase is Phase.DISK:
-            return max(0.0, self.disk_mb - self.disk_done)
-        return max(0.0, self.net_mbits - self.net_done)
+        i = PHASE_INDEX[phase]
+        return max(0.0, self.work[i] - self.done[i])
 
     def derive_phase(self) -> Phase | None:
         """The phase the remaining work implies: the first of CPU, DISK, NET
@@ -174,8 +190,9 @@ class Request:
         """
         if self.state is not RequestState.RUNNING:
             return None
-        for phase in _PHASE_ORDER:
-            if self.remaining(phase) > 1e-12:
+        work, done = self.work, self.done
+        for i, phase in enumerate(_PHASE_ORDER):
+            if work[i] - done[i] > 1e-12:
                 return phase
         return None
 
@@ -213,6 +230,7 @@ class Request:
         self.container_id = container_id
         self.start_time = now
         self.overhead_factor = overhead_factor
+        self._stamp_work()
         self.phase = self.derive_phase()
 
     def advance(self, phase: Phase, amount: float) -> None:
@@ -220,17 +238,20 @@ class Request:
 
         When that is the current phase and at most 1e-12 of it is left,
         the request moves on to its next phase with work (or to ``None``).
+        The sharing kernel does the same for a whole window at once.
         """
         if amount < 0:
             raise WorkloadError("progress must be non-negative")
-        if phase is Phase.CPU:
-            self.cpu_done += amount
-        elif phase is Phase.DISK:
-            self.disk_done += amount
-        else:
-            self.net_done += amount
-        if phase is self.phase and self.remaining(phase) <= 1e-12:
-            self.phase = self.derive_phase()
+        i = PHASE_INDEX[phase]
+        done = self.done
+        done[i] += amount
+        if phase is self.phase and self.work[i] - done[i] <= 1e-12:
+            self.finish_phase()
+
+    def finish_phase(self) -> None:
+        """Leave the current phase, whose work has run out, for the next
+        phase with work left (``None`` when there is none)."""
+        self.phase = self.derive_phase()
 
     def complete(self, now: float) -> None:
         """Mark the request successful."""

@@ -24,7 +24,7 @@ import pytest
 from repro.cli import build_parser
 from repro.config import ClusterConfig, SimulationConfig
 from repro.cluster import MicroserviceSpec
-from repro.errors import ExperimentError, WorkloadError
+from repro.errors import ClusterError, ExperimentError, WorkloadError
 from repro.experiments.configs import three_tier
 from repro.experiments.runner import Simulation
 from repro.experiments.spec import RunSpec
@@ -142,6 +142,12 @@ class TestGraphValidation:
         assert GRAPH_SCHEMA in app.canonical_json()
         with pytest.raises(WorkloadError, match="unsupported application schema"):
             ApplicationSpec.from_dict({**app.to_dict(), "schema": "repro.app/99"})
+
+    def test_codec_rejects_a_nan_tier_field(self):
+        document = three_tier_app().to_dict()
+        document["graph"]["services"][0]["mem_limit"] = float("nan")
+        with pytest.raises(ClusterError, match="finite"):
+            ApplicationSpec.from_dict(document)
 
     def test_run_spec_codec_carries_the_app(self):
         spec = three_tier().to_run_spec("hybrid")

@@ -6,7 +6,7 @@ from repro.cluster.container import Container, ContainerState
 from repro.cluster.grants import ResourceGrants
 from repro.config import OverheadModel
 from repro.errors import ContainerStateError
-from repro.workloads.requests import FailureReason, Request, RequestState
+from repro.workloads.requests import FailureReason, Phase, Request, RequestState
 
 from tests.conftest import make_container
 
@@ -92,7 +92,7 @@ class TestCompute:
         for request in requests:
             container.accept(request, 0.0)
         container.advance(ResourceGrants(cpu=4.0), 1.0)
-        assert all(r.cpu_remaining == 0 for r in requests)
+        assert all(r.remaining(Phase.CPU) == 0 for r in requests)
 
     def test_contention_slows_progress(self, overheads):
         fast = make_container(overheads=overheads)
@@ -141,7 +141,7 @@ class TestConcurrencyWindow:
         for _ in range(5):
             container.accept(make_request(), 0.0)
         assert len(container.active_requests()) == 3
-        assert len(container.queued_requests()) == 2
+        assert len(container.inflight[container.max_concurrency :]) == 2  # the backlog
 
     def test_queued_requests_hold_no_memory(self, overheads):
         container = make_container(concurrency=2, overheads=overheads)
@@ -186,7 +186,7 @@ class TestNetwork:
         container.accept(request, 0.0)
         assert container.net_demand(1.0) == pytest.approx(10.0)
         container.advance(ResourceGrants(net=10.0), 1.0)
-        assert request.net_remaining == 0.0
+        assert request.remaining(Phase.NET) == 0.0
         assert container.net_usage == pytest.approx(10.0)
 
     def test_cpu_phase_requests_offer_no_network(self, overheads):

@@ -81,7 +81,7 @@ class TestDiskPhase:
         container.accept(request, 0.0)
         assert container.disk_demand(1.0) == pytest.approx(10.0)
         container.advance(ResourceGrants(disk=10.0), 1.0)
-        assert request.disk_remaining == 0.0
+        assert request.remaining(Phase.DISK) == 0.0
         assert container.disk_usage == pytest.approx(10.0)
 
     def test_node_schedules_disk(self, overheads):
@@ -93,7 +93,7 @@ class TestDiskPhase:
         node.step(1.0, 1.0)
         assert request.disk_done == pytest.approx(100.0 * 1.0, abs=51.0)
         node.step(2.0, 1.0)
-        assert request.is_finished or request.disk_remaining == 0.0
+        assert request.is_finished or request.remaining(Phase.DISK) == 0.0
 
     def test_disk_requests_complete(self, overheads):
         node = Node("d0", ResourceVector(4.0, 8192.0, 1000.0), overheads, disk_capacity=150.0)

@@ -9,7 +9,7 @@ import dataclasses
 import pytest
 
 from repro.cluster import ResourceGrants
-from repro.workloads.requests import Request
+from repro.workloads.requests import Phase, Request
 
 from tests.conftest import make_container
 
@@ -53,14 +53,14 @@ class TestAdvanceDispatch:
         request = make_request(cpu=0.5)
         container.accept(request, 0.0)
         container.advance(ResourceGrants(cpu=1.0), dt=1.0)
-        assert request.cpu_remaining == 0.0
+        assert request.remaining(Phase.CPU) == 0.0
 
     def test_empty_grants_touch_nothing(self, overheads):
         container = make_container(overheads=overheads)
         request = make_request(cpu=0.5)
         container.accept(request, 0.0)
         container.advance(ResourceGrants(), dt=1.0)
-        assert request.cpu_remaining == 0.5
+        assert request.remaining(Phase.CPU) == 0.5
         assert container.disk_usage == 0.0
         assert container.net_usage == 0.0
 

@@ -1,11 +1,13 @@
 """Tests for the service registry and load balancer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.microservice import MicroserviceSpec
 from repro.cluster.node import Node
 from repro.cluster.resources import ResourceVector
+from repro.config import OverheadModel
 from repro.errors import ClusterError
 from repro.platform.load_balancer import LoadBalancer, RoutingPolicy
 from repro.platform.registry import ServiceRegistry
@@ -51,13 +53,11 @@ class TestRegistry:
     def test_endpoints_exclude_booting(self, cluster, registry, overheads):
         running = add_replica(cluster, overheads)
         add_replica(cluster, overheads, boot=10.0)
-        assert registry.endpoints("svc") == [running]
-        assert registry.replica_count("svc") == 1
+        assert registry.service("svc").serving_replicas() == [running]
 
     def test_unknown_service(self, registry):
         with pytest.raises(ClusterError):
-            registry.endpoints("ghost")
-        assert not registry.has_service("ghost")
+            registry.service("ghost")
 
     def test_services_listing(self, registry):
         assert registry.services() == ["svc"]
@@ -101,6 +101,48 @@ class TestRouting:
         lb, _ = make_lb(registry, overheads)
         lb.submit(request())
         assert lb.total_routed == 1
+
+
+def _weighted_cpu_key(container):
+    return (container.cpu_request / (len(container.inflight) + 1), container.container_id)
+
+
+def _least_outstanding_key(container):
+    return (len(container.inflight), container.container_id)
+
+
+class TestPickTieBreaks:
+    """The picks equal the old key-function picks, ties included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        replicas=st.lists(
+            st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 3), st.booleans()),
+            min_size=1,
+            max_size=6,
+        ),
+        policy=st.sampled_from([RoutingPolicy.WEIGHTED_CPU, RoutingPolicy.LEAST_OUTSTANDING]),
+    )
+    def test_pick_is_the_extreme_of_the_old_key(self, replicas, policy):
+        overheads = OverheadModel()
+        cluster = Cluster(overheads)
+        cluster.add_node(Node("n0", ResourceVector(64.0, 65536.0, 1000.0), overheads))
+        cluster.register_service(MicroserviceSpec(name="svc"))
+        for cpu, inflight, booting in replicas:
+            container = add_replica(cluster, overheads, cpu=cpu, boot=5.0 if booting else 0.0)
+            if not booting:
+                for _ in range(inflight):
+                    container.accept(request(), 0.0)
+        serving = cluster.service("svc").serving_replicas()
+        if policy is RoutingPolicy.WEIGHTED_CPU:
+            expected = max(serving, key=_weighted_cpu_key, default=None)
+        else:
+            expected = min(serving, key=_least_outstanding_key, default=None)
+        before = {c.container_id: len(c.inflight) for c in serving}
+        lb, _ = make_lb(ServiceRegistry(cluster), overheads, policy)
+        lb.submit(request())
+        grew = [c for c in serving if len(c.inflight) > before[c.container_id]]
+        assert grew == ([] if expected is None else [expected])
 
 
 class TestBacklog:

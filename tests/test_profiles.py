@@ -104,3 +104,13 @@ class TestValidation:
             MicroserviceProfile(
                 name="p", cpu_per_request=1.0, mem_per_request=0.0, net_per_request=0.0, timeout=0.0
             )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["cpu_per_request", "mem_per_request", "net_per_request", "disk_per_request", "jitter_sigma", "timeout"],
+    )
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(name="p", cpu_per_request=1.0, mem_per_request=1.0, net_per_request=1.0)
+        with pytest.raises(WorkloadError):
+            MicroserviceProfile(**{**kwargs, field: value})

@@ -34,6 +34,12 @@ class TestConstruction:
         with pytest.raises(WorkloadError):
             make_request(timeout=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["cpu_work", "mem_footprint", "net_mbits", "disk_mb", "timeout"])
+    def test_rejects_non_finite_demands_and_timeout(self, field, value):
+        with pytest.raises(WorkloadError):
+            make_request(**{field: value})
+
 
 class TestPhases:
     def test_cpu_then_net_phase(self):
@@ -53,7 +59,7 @@ class TestPhases:
     def test_overhead_factor_inflates_cpu(self):
         request = make_request(cpu_work=1.0)
         request.assign("c1", 1.0, overhead_factor=1.2)
-        assert request.effective_cpu_work == pytest.approx(1.2)
+        assert request.remaining(Phase.CPU) == pytest.approx(1.2)
         request.advance(Phase.CPU, 1.0)
         assert request.phase is Phase.CPU  # 0.2 still remaining
 
@@ -61,7 +67,7 @@ class TestPhases:
         request = make_request(cpu_work=0.5)
         request.assign("c1", 1.0)
         request.advance(Phase.CPU, 10.0)
-        assert request.cpu_remaining == 0.0
+        assert request.remaining(Phase.CPU) == 0.0
 
     def test_phase_is_none_until_assigned_and_after_finishing(self):
         request = make_request()
@@ -118,14 +124,14 @@ class TestMemoryRamp:
         assert request.resident_memory == pytest.approx(100.0)
 
     def test_progress_spans_both_phases(self):
-        request = make_request(cpu_work=1.0, net_mbits=1.0)
+        request = make_request(mem_footprint=100.0, cpu_work=1.0, net_mbits=1.0)
         request.assign("c1", 1.0)
         request.advance(Phase.CPU, 1.0)
-        assert request.progress == pytest.approx(0.5)
+        assert request.resident_memory == pytest.approx(100.0 * (0.25 + 0.75 * 0.5))
 
     def test_zero_work_counts_as_done(self):
-        request = make_request(cpu_work=0.0, net_mbits=0.0)
-        assert request.progress == 1.0
+        request = make_request(mem_footprint=100.0, cpu_work=0.0, net_mbits=0.0)
+        assert request.resident_memory == 100.0
 
 
 class TestTransitions:

@@ -30,7 +30,7 @@ from repro.sanitizer import (
     write_san_jsonl,
 )
 from repro.workloads import CPU_BOUND, DISK_BOUND, MEMORY_BOUND, ConstantLoad, ServiceLoad
-from repro.workloads.requests import Phase, Request
+from repro.workloads.requests import Request
 
 from tests.conftest import make_container, make_node_view, make_replica, make_service, make_view
 
@@ -301,16 +301,9 @@ class TestPhaseCheck:
         assert "Phase.CPU" in violation.detail and "Phase.NET" in violation.detail
 
     def test_advance_that_never_moves_the_phase_on_fails_the_sanitized_lane(self, monkeypatch):
-        def stuck_advance(self, phase, amount):
-            # Credits the work as before but leaves ``phase`` where it was.
-            if phase is Phase.CPU:
-                self.cpu_done += amount
-            elif phase is Phase.DISK:
-                self.disk_done += amount
-            else:
-                self.net_done += amount
-
-        monkeypatch.setattr(Request, "advance", stuck_advance)
+        # The sharing kernel (and ``Request.advance``) still credit the work,
+        # but a finished phase is never left: ``phase`` stays where it was.
+        monkeypatch.setattr(Request, "finish_phase", lambda self: None)
         sanitizer = SimSanitizer()
         build_sim(sanitizer=sanitizer).run(10.0)
         assert {v.check for v in sanitizer.violations()} == {"phase"}

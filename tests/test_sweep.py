@@ -139,6 +139,19 @@ class TestRunSpec:
         with pytest.raises(ExperimentError):
             RunSpec.from_dict(bad_kind)
 
+    def test_rejects_a_nan_profile_demand_or_allocation(self):
+        from repro.errors import ClusterError, WorkloadError
+
+        document = json.loads(small_experiment().to_run_spec("hybrid").canonical_json())
+        nan_demand = json.loads(json.dumps(document))
+        nan_demand["loads"][0]["profile"]["mem_per_request"] = float("nan")
+        with pytest.raises(WorkloadError):
+            RunSpec.from_dict(nan_demand)
+        nan_allocation = json.loads(json.dumps(document))
+        nan_allocation["fleet"][0]["cpu_request"] = float("nan")
+        with pytest.raises(ClusterError):
+            RunSpec.from_dict(nan_allocation)
+
     def test_run_executes_like_experiment_spec(self):
         experiment = small_experiment()
         direct = experiment.run("kubernetes")

@@ -69,12 +69,6 @@ class TestHtbClassManagement:
         with pytest.raises(NetworkSimError):
             HtbClass("x", rate=100.0, ceil=50.0)
 
-    def test_total_guaranteed(self):
-        qdisc = HtbQdisc(1000.0)
-        qdisc.add_class("a", rate=100.0)
-        qdisc.add_class("b", rate=200.0)
-        assert qdisc.total_guaranteed() == 300.0
-
 
 class TestAllocation:
     def test_guarantee_honoured(self):

@@ -1,6 +1,9 @@
 """Tests for cluster snapshots (views)."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import PolicyError
@@ -45,6 +48,47 @@ class TestServiceView:
         assert service.total_cpu_usage() == pytest.approx(1.0)
         assert service.total_mem_requested() == pytest.approx(768.0)
         assert service.total_mem_usage() == pytest.approx(300.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        replicas=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.floats(0.1, 4.0),
+                st.floats(0.0, 4.0),
+                st.floats(64.0, 1024.0),
+                st.floats(0.0, 1024.0),
+            ),
+            max_size=8,
+        )
+    )
+    def test_aggregates_equal_a_per_call_filter(self, replicas):
+        # The measurable replicas are filtered once when the view is built;
+        # every aggregate must still equal the filter applied on each call.
+        service = make_service(
+            replicas=tuple(
+                make_replica(f"r{i}", booting=booting, cpu_request=cpu, cpu_usage=used,
+                             mem_limit=mem, mem_usage=held)
+                for i, (booting, cpu, used, mem, held) in enumerate(replicas)
+            )
+        )
+        measurable = tuple(r for r in service.replicas if not r.booting)
+        assert service.measurable_replicas() == measurable
+        assert service.total_cpu_usage() == sum(r.cpu_usage for r in measurable)
+        assert service.total_cpu_requested() == sum(r.cpu_request for r in measurable)
+        assert service.total_mem_usage() == sum(r.mem_usage for r in measurable)
+        assert service.total_mem_requested() == sum(r.mem_limit for r in measurable)
+        # A copy with other replicas filters its own (the field is derived).
+        fewer = dataclasses.replace(service, replicas=measurable[1:])
+        assert fewer.measurable_replicas() == measurable[1:]
+
+    def test_filtered_replicas_stay_out_of_equality_and_digest(self):
+        replicas = (make_replica("a"), make_replica("b", booting=True))
+        service, twin = make_service(replicas=replicas), make_service(replicas=replicas)
+        object.__setattr__(twin, "_measurable", ())  # differs in the derived field only
+        assert service == twin and hash(service) == hash(twin)
+        assert make_view(services=(service,)).digest() == make_view(services=(twin,)).digest()
+        assert "_measurable" not in repr(service)
 
 
 class TestNodeView:
