@@ -26,12 +26,14 @@ test: lint
 test-simsan:
 	pytest tests/ --simsan
 
+# The fidelity suite (benchmarks/): every paper figure, plain pytest.  Its
+# simulation matrices run as shard sweeps on every CPU of the host.
 bench:
-	pytest benchmarks/ --benchmark-only -s
+	pytest benchmarks/ -s
 
 # Paper-scale benchmarks (15 services / 19 nodes / 1 h).  Slow.
 bench-full:
-	REPRO_FULL=1 pytest benchmarks/ --benchmark-only -s
+	REPRO_FULL=1 pytest benchmarks/ -s
 
 # Simulator benchmark as a correctness gate (perfbench/README.md): every
 # workload untraced and traced, one second each.  Each run checks its
@@ -55,5 +57,5 @@ examples:
 	for f in examples/*.py; do echo "=== $$f ==="; python $$f; done
 
 clean:
-	rm -rf .pytest_cache .benchmarks src/repro.egg-info
+	rm -rf .pytest_cache src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -15,6 +15,8 @@ for, so a reader can see *why* each knob exists:
   and HYSCALE_CPU results — memory-blind scaling collapses.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.hyscale import HyScaleCpu
@@ -22,30 +24,18 @@ from repro.core.hyscale_mem import HyScaleCpuMem
 from repro.core.kubernetes import KubernetesHpa
 from repro.experiments.configs import cpu_bound, memory_bound
 from repro.experiments.report import format_table
-from repro.experiments.runner import Simulation
-
-
-def run_with_policy(spec, policy):
-    return Simulation.build(
-        config=spec.config,
-        specs=list(spec.specs),
-        loads=list(spec.loads),
-        policy=policy,
-        workload_label=spec.label,
-    ).run(spec.duration)
 
 
 @pytest.fixture(scope="module")
 def guard_ablation():
     spec = cpu_bound("high")
-    guarded = run_with_policy(spec, KubernetesHpa(scale_up_interval=3.0, scale_down_interval=50.0))
-    unguarded = run_with_policy(spec, KubernetesHpa(scale_up_interval=0.0, scale_down_interval=0.0))
+    guarded = spec.run(KubernetesHpa(scale_up_interval=3.0, scale_down_interval=50.0))
+    unguarded = spec.run(KubernetesHpa(scale_up_interval=0.0, scale_down_interval=0.0))
     return guarded, unguarded
 
 
-def test_ablation_interval_guard(benchmark, guard_ablation):
+def test_ablation_interval_guard(guard_ablation):
     guarded, unguarded = guard_ablation
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print()
     print(
         format_table(
@@ -58,8 +48,6 @@ def test_ablation_interval_guard(benchmark, guard_ablation):
             ],
         )
     )
-    benchmark.extra_info["guarded_downs"] = guarded.horizontal_scale_downs
-    benchmark.extra_info["unguarded_downs"] = unguarded.horizontal_scale_downs
     # Removing the guard causes scale-down churn (thrashing).
     assert unguarded.horizontal_scale_downs > guarded.horizontal_scale_downs
     assert unguarded.percent_removal_failures >= guarded.percent_removal_failures
@@ -67,22 +55,14 @@ def test_ablation_interval_guard(benchmark, guard_ablation):
 
 @pytest.fixture(scope="module")
 def cadence_ablation():
-    fast_spec = cpu_bound("high")
-    slow_spec = cpu_bound("high")
-    fast = run_with_policy(fast_spec, HyScaleCpu())
-    slow = Simulation.build(
-        config=slow_spec.config.with_overrides(monitor_period=30.0),
-        specs=list(slow_spec.specs),
-        loads=list(slow_spec.loads),
-        policy=HyScaleCpu(),
-        workload_label=slow_spec.label,
-    ).run(slow_spec.duration)
+    spec = cpu_bound("high")
+    fast = spec.run(HyScaleCpu())
+    slow = replace(spec, config=spec.config.with_overrides(monitor_period=30.0)).run(HyScaleCpu())
     return fast, slow
 
 
-def test_ablation_monitor_cadence(benchmark, cadence_ablation):
+def test_ablation_monitor_cadence(cadence_ablation):
     fast, slow = cadence_ablation
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print()
     print(
         format_table(
@@ -95,8 +75,6 @@ def test_ablation_monitor_cadence(benchmark, cadence_ablation):
             ],
         )
     )
-    benchmark.extra_info["rt_5s"] = round(fast.avg_response_time, 3)
-    benchmark.extra_info["rt_30s"] = round(slow.avg_response_time, 3)
     # Slower reaction under bursty load costs response time.
     assert fast.avg_response_time < slow.avg_response_time
 
@@ -104,26 +82,17 @@ def test_ablation_monitor_cadence(benchmark, cadence_ablation):
 @pytest.fixture(scope="module")
 def hybrid_ablation():
     spec = cpu_bound("high")
-    hybrid = run_with_policy(spec, HyScaleCpu())
-    horizontal_only = run_with_policy(spec, KubernetesHpa())
+    hybrid = spec.run(HyScaleCpu())
+    horizontal_only = spec.run(KubernetesHpa())
     # Vertical-only: forbid replication by capping max replicas at the
     # current minimum.
-    from dataclasses import replace
-
-    vertical_specs = [replace(s, max_replicas=s.min_replicas) for s in spec.specs]
-    vertical_only = Simulation.build(
-        config=spec.config,
-        specs=vertical_specs,
-        loads=list(spec.loads),
-        policy=HyScaleCpu(),
-        workload_label=spec.label,
-    ).run(spec.duration)
+    vertical_specs = tuple(replace(s, max_replicas=s.min_replicas) for s in spec.specs)
+    vertical_only = replace(spec, specs=vertical_specs).run(HyScaleCpu())
     return hybrid, horizontal_only, vertical_only
 
 
-def test_ablation_hybrid_vs_pure_strategies(benchmark, hybrid_ablation):
+def test_ablation_hybrid_vs_pure_strategies(hybrid_ablation):
     hybrid, horizontal_only, vertical_only = hybrid_ablation
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print()
     print(
         format_table(
@@ -147,15 +116,14 @@ def test_ablation_hybrid_vs_pure_strategies(benchmark, hybrid_ablation):
 @pytest.fixture(scope="module")
 def memory_crash():
     spec = memory_bound("high")
-    blind = run_with_policy(spec, HyScaleCpu())
-    aware = run_with_policy(spec, HyScaleCpuMem())
+    blind = spec.run(HyScaleCpu())
+    aware = spec.run(HyScaleCpuMem())
     return blind, aware
 
 
-def test_ablation_memory_bound_omitted_results(benchmark, memory_crash):
+def test_ablation_memory_bound_omitted_results(memory_crash):
     """Why the paper omits memory-bound results for K8s / HYSCALE_CPU."""
     blind, aware = memory_crash
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print()
     print(
         format_table(
@@ -178,21 +146,17 @@ def multimetric_ablation():
     from repro.experiments.configs import mixed
 
     spec = mixed("high")
-    plain = run_with_policy(spec, KubernetesHpa())
-    multi = run_with_policy(
-        spec,
-        KubernetesMultiMetricHpa(scale_up_interval=3.0, scale_down_interval=50.0),
-    )
-    hybridmem = run_with_policy(spec, HyScaleCpuMem())
+    plain = spec.run(KubernetesHpa())
+    multi = spec.run(KubernetesMultiMetricHpa(scale_up_interval=3.0, scale_down_interval=50.0))
+    hybridmem = spec.run(HyScaleCpuMem())
     return plain, multi, hybridmem
 
 
-def test_ablation_multimetric_kubernetes(benchmark, multimetric_ablation):
+def test_ablation_multimetric_kubernetes(multimetric_ablation):
     """Section II-B's critique, measured: the beta multi-metric HPA (largest
     metric wins) improves on CPU-only Kubernetes for mixed loads, but —
     still horizontal-only — keeps dropping requests the hybrid serves."""
     plain, multi, hybridmem = multimetric_ablation
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print()
     print(
         format_table(
@@ -207,7 +171,6 @@ def test_ablation_multimetric_kubernetes(benchmark, multimetric_ablation):
             ],
         )
     )
-    benchmark.extra_info["multi_rt"] = round(multi.avg_response_time, 3)
     # Seeing memory helps the HPA...
     assert multi.percent_failed <= plain.percent_failed
     # ...but the hybrid still wins on failures with a fraction of the churn.

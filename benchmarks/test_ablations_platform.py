@@ -13,29 +13,22 @@ Two knobs the paper's platform fixes implicitly, isolated here:
   the platform defaults to capacity-weighted routing for this reason.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.placement import BinPackPlacement, SpreadPlacement
-from repro.experiments.configs import cpu_bound, make_policy
+from repro.experiments.configs import cpu_bound
 from repro.experiments.report import format_table
-from repro.experiments.runner import Simulation
 from repro.metrics import Sla
 from repro.metrics.costs import evaluate_costs
 from repro.platform.load_balancer import RoutingPolicy
 
 
 def run_variant(placement=None, routing=RoutingPolicy.WEIGHTED_CPU, algorithm="hybrid"):
-    spec = cpu_bound("high")
-    simulation = Simulation.build(
-        config=spec.config,
-        specs=list(spec.specs),
-        loads=list(spec.loads),
-        policy=make_policy(algorithm, spec.config),
-        workload_label=spec.label,
-        placement=placement,
-        routing=routing,
-    )
-    summary = simulation.run(spec.duration)
+    shard = replace(cpu_bound("high").to_run_spec(algorithm), routing=routing)
+    simulation = shard.build(placement=placement)
+    summary = simulation.run(shard.duration)
     costs = evaluate_costs(simulation.collector, Sla(response_time_target=8.0))
     return summary, costs
 
@@ -57,8 +50,7 @@ def routing_runs():
     }
 
 
-def test_ablation_placement(benchmark, placement_runs):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_placement(placement_runs):
     rows = []
     for name, (summary, costs) in sorted(placement_runs.items()):
         rows.append(
@@ -76,16 +68,13 @@ def test_ablation_placement(benchmark, placement_runs):
 
     spread_summary, spread_costs = placement_runs["spread"]
     binpack_summary, binpack_costs = placement_runs["binpack"]
-    benchmark.extra_info["spread_rt"] = round(spread_summary.avg_response_time, 3)
-    benchmark.extra_info["binpack_rt"] = round(binpack_summary.avg_response_time, 3)
     # The Section I trade-off: packing powers fewer machine-hours...
     assert binpack_costs.node_hours <= spread_costs.node_hours + 1e-9
     # ...while spreading serves at least as fast (less co-location).
     assert spread_summary.avg_response_time <= binpack_summary.avg_response_time * 1.05
 
 
-def test_ablation_routing(benchmark, routing_runs):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_routing(routing_runs):
     rows = [
         [name, f"{s.avg_response_time:.3f}", f"{s.p95_response_time:.2f}", f"{s.percent_failed:.2f}"]
         for name, (s, _) in sorted(routing_runs.items())
@@ -96,8 +85,6 @@ def test_ablation_routing(benchmark, routing_runs):
 
     weighted = routing_runs["weighted"][0]
     rr = routing_runs["round-robin"][0]
-    benchmark.extra_info["weighted_rt"] = round(weighted.avg_response_time, 3)
-    benchmark.extra_info["rr_rt"] = round(rr.avg_response_time, 3)
     # Heterogeneous replicas make capacity-blind round-robin slower.
     assert weighted.avg_response_time < rr.avg_response_time
 

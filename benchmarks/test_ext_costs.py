@@ -14,9 +14,8 @@ healthy response time (8 s here) the paper's claim holds on both fronts.
 
 import pytest
 
-from repro.experiments.configs import cpu_bound, make_policy, mixed
+from repro.experiments.configs import cpu_bound, mixed
 from repro.experiments.report import format_table
-from repro.experiments.runner import Simulation
 from repro.metrics import Sla
 from repro.metrics.costs import cost_comparison_rows, evaluate_costs
 
@@ -24,13 +23,7 @@ SLA = Sla(response_time_target=8.0, availability_target=0.998, penalty_per_viola
 
 
 def priced_run(spec, algorithm):
-    simulation = Simulation.build(
-        config=spec.config,
-        specs=list(spec.specs),
-        loads=list(spec.loads),
-        policy=make_policy(algorithm, spec.config),
-        workload_label=spec.label,
-    )
+    simulation = spec.to_run_spec(algorithm).build()
     simulation.run(spec.duration)
     return evaluate_costs(simulation.collector, SLA)
 
@@ -50,13 +43,10 @@ def mixed_costs():
 HEADERS = ["algorithm", "kWh", "node-h", "violations", "total", "savings"]
 
 
-def test_ext_costs_cpu_regenerate(benchmark, cpu_costs):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ext_costs_cpu_regenerate(cpu_costs):
     print()
     print("CPU-bound, high burst — run cost (energy + occupancy + SLA penalties)")
     print(format_table(HEADERS, cost_comparison_rows(cpu_costs)))
-    for name, report in cpu_costs.items():
-        benchmark.extra_info[f"{name}_total"] = round(report.total_cost, 4)
     # The conclusion's claim, priced: both hybrids run cheaper than K8s.
     assert cpu_costs["hybrid"].total_cost < cpu_costs["kubernetes"].total_cost
     assert cpu_costs["hybridmem"].total_cost < cpu_costs["kubernetes"].total_cost
@@ -68,8 +58,7 @@ def test_ext_costs_energy_savings(cpu_costs, mixed_costs):
     assert mixed_costs["hybridmem"].energy_kwh < mixed_costs["kubernetes"].energy_kwh
 
 
-def test_ext_costs_mixed_regenerate(benchmark, mixed_costs):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ext_costs_mixed_regenerate(mixed_costs):
     print()
     print("Mixed, high burst — run cost")
     print(format_table(HEADERS, cost_comparison_rows(mixed_costs)))

@@ -15,36 +15,35 @@ under burst.
 import pytest
 
 from benchmarks.conftest import print_figure
-from repro.experiments.configs import disk_bound
+from repro.experiments.configs import BURSTS, disk_bound
 
 ALGORITHMS = ("kubernetes", "hybrid", "hybridmem", "disk")
 
 
 @pytest.fixture(scope="module")
-def low():
-    spec = disk_bound("low")
-    return {name: spec.run(name) for name in ALGORITHMS}
+def runs(run_matrix):
+    return dict(zip(BURSTS, run_matrix([disk_bound(burst) for burst in BURSTS], ALGORITHMS)))
 
 
 @pytest.fixture(scope="module")
-def high():
-    spec = disk_bound("high")
-    return {name: spec.run(name) for name in ALGORITHMS}
+def low(runs):
+    return runs["low"]
 
 
-def test_ext_disk_low_regenerate(benchmark, low):
-    benchmark.pedantic(lambda: disk_bound("low").run("disk"), rounds=1, iterations=1)
+@pytest.fixture(scope="module")
+def high(runs):
+    return runs["high"]
+
+
+def test_ext_disk_low_regenerate(low):
     print_figure("Extension: disk-bound, low burst", low)
-    for name, s in low.items():
-        benchmark.extra_info[f"{name}_rt"] = round(s.avg_response_time, 3)
     # Everyone copes while a single spindle covers the stable load.
     worst = max(s.avg_response_time for s in low.values())
     best = min(s.avg_response_time for s in low.values())
     assert worst < 2.0 * best
 
 
-def test_ext_disk_high_regenerate(benchmark, high):
-    benchmark.pedantic(lambda: disk_bound("high").run("hybrid"), rounds=1, iterations=1)
+def test_ext_disk_high_regenerate(high):
     print_figure("Extension: disk-bound, high burst", high)
     # The dedicated scaler must clearly beat the vertical-first hybrids.
     assert high["disk"].avg_response_time < high["hybrid"].avg_response_time

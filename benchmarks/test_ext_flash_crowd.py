@@ -13,45 +13,37 @@ import pytest
 from repro import SimulationConfig
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
+from repro.experiments.configs import ExperimentSpec
 from repro.experiments.report import format_table
-from repro.experiments.runner import Simulation
 from repro.workloads import CPU_BOUND, FlashCrowdLoad, ServiceLoad
 
 ALGORITHMS = ("kubernetes", "hybrid", "hybridmem", "predictive", "elasticdocker")
 
 
-def crowd_spec():
-    config = SimulationConfig(cluster=ClusterConfig(worker_nodes=8), seed=9)
-    specs = [MicroserviceSpec(name="frontpage", max_replicas=16)]
-    loads = [
-        ServiceLoad(
-            "frontpage",
-            CPU_BOUND,
-            # 2 req/s baseline surging toward ~36 req/s (~9 cores of work):
-            # far beyond one machine, arriving within ~1 minute.
-            FlashCrowdLoad(base=2.0, peak=36.0, onset=60.0, rise_tau=12.0, decay_tau=90.0),
-        )
-    ]
-    return config, specs, loads
+def crowd_spec() -> ExperimentSpec:
+    load = ServiceLoad(
+        "frontpage",
+        CPU_BOUND,
+        # 2 req/s baseline surging toward ~36 req/s (~9 cores of work):
+        # far beyond one machine, arriving within ~1 minute.
+        FlashCrowdLoad(base=2.0, peak=36.0, onset=60.0, rise_tau=12.0, decay_tau=90.0),
+    )
+    return ExperimentSpec(
+        label="flash-crowd",
+        config=SimulationConfig(cluster=ClusterConfig(worker_nodes=8), seed=9),
+        specs=(MicroserviceSpec(name="frontpage", max_replicas=16),),
+        loads=(load,),
+        duration=360.0,
+    )
 
 
 @pytest.fixture(scope="module")
-def runs():
-    config, specs, loads = crowd_spec()
-    return {
-        name: Simulation.build(
-            config=config,
-            specs=specs,
-            loads=loads,
-            policy=name,
-            workload_label="flash-crowd",
-        ).run(360.0)
-        for name in ALGORITHMS
-    }
+def runs(run_matrix):
+    [runs] = run_matrix([crowd_spec()], ALGORITHMS)
+    return runs
 
 
-def test_ext_flash_crowd_regenerate(benchmark, runs):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ext_flash_crowd_regenerate(runs):
     rows = [
         [name, f"{s.avg_response_time:.3f}", f"{s.p95_response_time:.2f}",
          f"{s.percent_failed:.2f}", str(s.horizontal_scale_ups)]
@@ -60,8 +52,6 @@ def test_ext_flash_crowd_regenerate(benchmark, runs):
     print()
     print("Extension: unannounced flash crowd (2 -> 36 req/s in ~1 min)")
     print(format_table(["policy", "avg resp (s)", "p95 (s)", "failed %", "scale ups"], rows))
-    for name, s in runs.items():
-        benchmark.extra_info[f"{name}_rt"] = round(s.avg_response_time, 3)
     # The hybrids ride the ramp better than the baseline.
     assert runs["hybrid"].avg_response_time < runs["kubernetes"].avg_response_time
     assert runs["hybridmem"].avg_response_time < runs["kubernetes"].avg_response_time

@@ -19,52 +19,46 @@ from repro import SimulationConfig
 from repro.analysis.speedup import response_speedup
 from repro.cluster import MicroserviceSpec
 from repro.config import ClusterConfig
-from repro.experiments.configs import cpu_bound
+from repro.experiments.configs import ExperimentSpec, cpu_bound
 from repro.experiments.report import format_table
-from repro.experiments.runner import Simulation
 from repro.workloads import CPU_BOUND, HighBurstLoad, ServiceLoad
 
 
-def stateful_spec():
-    config = SimulationConfig(cluster=ClusterConfig(worker_nodes=10), seed=6)
-    specs = [
+def stateful_spikes() -> ExperimentSpec:
+    specs = tuple(
         MicroserviceSpec(name=f"s{i}", max_replicas=16, stateful=True, state_size_mb=512.0)
         for i in range(6)
-    ]
-    loads = [
+    )
+    loads = tuple(
         ServiceLoad(
             s.name,
             CPU_BOUND,
             HighBurstLoad(base=5.5, peak=18.0, period=150.0, duty=0.3, phase=i * 25.0, ramp=6.0),
         )
         for i, s in enumerate(specs)
-    ]
-    return config, specs, loads
+    )
+    return ExperimentSpec(
+        label="stateful-spikes",
+        config=SimulationConfig(cluster=ClusterConfig(worker_nodes=10), seed=6),
+        specs=specs,
+        loads=loads,
+        duration=240.0,
+    )
 
 
 @pytest.fixture(scope="module")
-def stateless_runs():
-    spec = cpu_bound("high")
-    return {name: spec.run(name) for name in ("hybridmem", "predictive")}
+def stateless_runs(run_matrix):
+    [runs] = run_matrix([cpu_bound("high")], ("hybridmem", "predictive"))
+    return runs
 
 
 @pytest.fixture(scope="module")
-def stateful_runs():
-    config, specs, loads = stateful_spec()
-    out = {}
-    for name in ("hybridmem", "predictive", "kubernetes"):
-        out[name] = Simulation.build(
-            config=config,
-            specs=specs,
-            loads=loads,
-            policy=name,
-            workload_label="stateful-spikes",
-        ).run(240.0)
-    return out
+def stateful_runs(run_matrix):
+    [runs] = run_matrix([stateful_spikes()], ("hybridmem", "predictive", "kubernetes"))
+    return runs
 
 
-def test_ext_predictive_regenerate(benchmark, stateless_runs, stateful_runs):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ext_predictive_regenerate(stateless_runs, stateful_runs):
     rows = []
     for scenario, runs in (("stateless cpu/high", stateless_runs), ("stateful spikes", stateful_runs)):
         for name, summary in sorted(runs.items()):
@@ -85,8 +79,6 @@ def test_ext_predictive_regenerate(benchmark, stateless_runs, stateful_runs):
     print()
     print(f"predictive vs reactive, stateless: {stateless_ratio:.2f}x")
     print(f"predictive vs reactive, stateful : {stateful_ratio:.2f}x")
-    benchmark.extra_info["stateless_ratio"] = round(stateless_ratio, 3)
-    benchmark.extra_info["stateful_ratio"] = round(stateful_ratio, 3)
     # Finding 1: no instant-actuator regression worth speaking of.
     assert stateless_ratio > 0.9
     # Finding 2: a real win where capacity has a lead time.

@@ -11,37 +11,35 @@ Paper findings (Section VI-A):
 
 import pytest
 
-from benchmarks.conftest import print_figure, run_matrix
+from benchmarks.conftest import print_figure
 from repro.analysis.speedup import response_speedup
-from repro.experiments.configs import cpu_bound
+from repro.experiments.configs import BURSTS, cpu_bound
 
 
 @pytest.fixture(scope="module")
-def low():
-    return run_matrix(cpu_bound("low"))
+def runs(run_matrix):
+    return dict(zip(BURSTS, run_matrix([cpu_bound(burst) for burst in BURSTS])))
 
 
 @pytest.fixture(scope="module")
-def high():
-    return run_matrix(cpu_bound("high"))
+def low(runs):
+    return runs["low"]
 
 
-def test_fig6a_regenerate(benchmark, low):
-    benchmark.pedantic(lambda: cpu_bound("low").run("hybrid"), rounds=1, iterations=1)
+@pytest.fixture(scope="module")
+def high(runs):
+    return runs["high"]
+
+
+def test_fig6a_regenerate(low):
     print_figure("Figure 6a: CPU-bound, low burst", low)
-    for name, s in low.items():
-        benchmark.extra_info[f"{name}_rt"] = round(s.avg_response_time, 3)
-        benchmark.extra_info[f"{name}_failed_pct"] = round(s.percent_failed, 3)
-    # Core orderings, asserted here as well so --benchmark-only runs them.
     assert low["hybrid"].avg_response_time < low["kubernetes"].avg_response_time
     assert low["hybridmem"].avg_response_time < low["kubernetes"].avg_response_time
 
 
-def test_fig6b_regenerate(benchmark, high):
-    benchmark.pedantic(lambda: cpu_bound("high").run("kubernetes"), rounds=1, iterations=1)
+def test_fig6b_regenerate(high):
     print_figure("Figure 6b: CPU-bound, high burst", high)
     assert high["hybrid"].avg_response_time < high["kubernetes"].avg_response_time
-    assert high["hybrid"].percent_failed <= high["kubernetes"].percent_failed
 
 
 @pytest.mark.parametrize("burst", ["low", "high"])

@@ -14,36 +14,31 @@ Paper findings (Section VI-A):
 
 import pytest
 
-from benchmarks.conftest import print_figure, run_matrix
-from repro.experiments.configs import mixed
+from benchmarks.conftest import print_figure
+from repro.experiments.configs import BURSTS, mixed
 
 
 @pytest.fixture(scope="module")
-def low():
-    return run_matrix(mixed("low"))
+def runs(run_matrix):
+    return dict(zip(BURSTS, run_matrix([mixed(burst) for burst in BURSTS])))
 
 
 @pytest.fixture(scope="module")
-def high():
-    return run_matrix(mixed("high"))
+def low(runs):
+    return runs["low"]
 
 
-def test_fig7a_regenerate(benchmark, low):
-    benchmark.pedantic(lambda: mixed("low").run("hybridmem"), rounds=1, iterations=1)
+@pytest.fixture(scope="module")
+def high(runs):
+    return runs["high"]
+
+
+def test_fig7a_regenerate(low):
     print_figure("Figure 7a: mixed CPU+memory, low burst", low)
-    for name, s in low.items():
-        benchmark.extra_info[f"{name}_rt"] = round(s.avg_response_time, 3)
-        benchmark.extra_info[f"{name}_failed_pct"] = round(s.percent_failed, 3)
-    # The paper's 'interesting observation', asserted for --benchmark-only.
-    assert low["kubernetes"].avg_response_time < low["hybrid"].avg_response_time
 
 
-def test_fig7b_regenerate(benchmark, high):
-    benchmark.pedantic(lambda: mixed("high").run("hybrid"), rounds=1, iterations=1)
+def test_fig7b_regenerate(high):
     print_figure("Figure 7b: mixed CPU+memory, high burst", high)
-    assert high["hybridmem"].percent_failed <= min(
-        high["kubernetes"].percent_failed, high["hybrid"].percent_failed
-    )
 
 
 def test_fig7a_kubernetes_beats_hybrid_cpu(low):

@@ -18,32 +18,32 @@ dedicated network scaler, not against the hybrids.
 
 import pytest
 
-from benchmarks.conftest import ALL_ALGORITHMS, print_figure, run_matrix
-from repro.experiments.configs import network_bound
+from benchmarks.conftest import ALL_ALGORITHMS, print_figure
+from repro.experiments.configs import BURSTS, network_bound
 
 
 @pytest.fixture(scope="module")
-def low():
-    return run_matrix(network_bound("low"), ALL_ALGORITHMS)
+def runs(run_matrix):
+    cells = [network_bound(burst) for burst in BURSTS]
+    return dict(zip(BURSTS, run_matrix(cells, ALL_ALGORITHMS)))
 
 
 @pytest.fixture(scope="module")
-def high():
-    return run_matrix(network_bound("high"), ALL_ALGORITHMS)
+def low(runs):
+    return runs["low"]
 
 
-def test_fig8a_regenerate(benchmark, low):
-    benchmark.pedantic(lambda: network_bound("low").run("network"), rounds=1, iterations=1)
+@pytest.fixture(scope="module")
+def high(runs):
+    return runs["high"]
+
+
+def test_fig8a_regenerate(low):
     print_figure("Figure 8a: network-bound, low burst", low)
-    for name, s in low.items():
-        benchmark.extra_info[f"{name}_rt"] = round(s.avg_response_time, 3)
-    assert min(low, key=lambda n: low[n].avg_response_time) == "network"
 
 
-def test_fig8b_regenerate(benchmark, high):
-    benchmark.pedantic(lambda: network_bound("high").run("kubernetes"), rounds=1, iterations=1)
+def test_fig8b_regenerate(high):
     print_figure("Figure 8b: network-bound, high burst", high)
-    assert min(high, key=lambda n: high[n].avg_response_time) == "network"
 
 
 def test_fig8_network_scaler_fastest(low, high):

@@ -5,44 +5,42 @@ algorithms, and 1.69x speedups for our network algorithm under high-burst
 network loads" — plus the 10x failure reduction and >= 99.8 % availability.
 
 This benchmark aggregates the whole evaluation matrix and prints our
-measured counterparts next to the published values.
+measured counterparts next to the published values.  The Figure 6 and
+Figure 8 runs come from the session's shard cache when those modules ran
+first.
 """
 
 import pytest
 
-from benchmarks.conftest import ALL_ALGORITHMS, run_matrix
+from benchmarks.conftest import ALL_ALGORITHMS
 from repro.analysis.speedup import failure_reduction, response_speedup
-from repro.experiments.configs import cpu_bound, network_bound
+from repro.experiments.configs import BURSTS, cpu_bound, network_bound
 from repro.experiments.report import format_table
 
 
 @pytest.fixture(scope="module")
-def cpu_runs():
-    return {burst: run_matrix(cpu_bound(burst)) for burst in ("low", "high")}
+def cpu_runs(run_matrix):
+    return dict(zip(BURSTS, run_matrix([cpu_bound(burst) for burst in BURSTS])))
 
 
 @pytest.fixture(scope="module")
-def net_runs():
-    return {burst: run_matrix(network_bound(burst), ALL_ALGORITHMS) for burst in ("low", "high")}
+def net_runs(run_matrix):
+    cells = [network_bound(burst) for burst in BURSTS]
+    return dict(zip(BURSTS, run_matrix(cells, ALL_ALGORITHMS)))
 
 
-def test_headline_table(benchmark, cpu_runs, net_runs):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_headline_table(cpu_runs, net_runs):
     rows = []
-    measured = {}
-
     for burst, paper in (("low", 1.49), ("high", 1.43)):
         best = max(
             response_speedup(cpu_runs[burst][h], cpu_runs[burst]["kubernetes"])
             for h in ("hybrid", "hybridmem")
         )
-        measured[f"cpu_{burst}"] = best
         rows.append([f"hybrid speedup, CPU {burst}-burst", f"{paper:.2f}x", f"{best:.2f}x"])
 
     net_speedup = response_speedup(
         net_runs["high"]["network"], net_runs["high"]["hybrid"]
     )
-    measured["network_high"] = net_speedup
     rows.append(["network speedup vs others, high burst", "1.69x", f"{net_speedup:.2f}x"])
 
     reduction = failure_reduction(
@@ -61,11 +59,6 @@ def test_headline_table(benchmark, cpu_runs, net_runs):
 
     print()
     print(format_table(["headline metric", "paper", "measured"], rows))
-    for key, value in measured.items():
-        benchmark.extra_info[key] = round(value, 3)
-    # Headline claims, asserted here for --benchmark-only runs.
-    assert measured["cpu_low"] > 1.2 and measured["cpu_high"] > 1.2
-    assert measured["network_high"] > 1.1
 
 
 def test_hybrid_speedups_reproduce(cpu_runs):

@@ -5,11 +5,14 @@ determined in real-time, thus limiting the time spent searching the
 solution space."  The MONITOR calls ``decide()`` every 5 s; a policy that
 cannot decide well inside that period at data-centre scale is not viable.
 
-Unlike the figure benchmarks (single simulation runs), these are true
-micro-benchmarks: pytest-benchmark re-runs each ``decide()`` on a frozen
-synthetic snapshot of a large cluster — 100 services x up to 16 replicas on
-240 nodes — and reports the distribution.
+Unlike the figure benchmarks (simulation runs), these time ``decide()``
+itself: each case makes a fixed number of calls, each on a fresh policy,
+against a frozen synthetic snapshot of a large cluster — 100 services x up
+to 16 replicas on 240 nodes — with ``time.perf_counter``, prints the mean
+and the max, and bounds the mean.
 """
+
+import time
 
 import pytest
 
@@ -98,19 +101,25 @@ POLICIES = {
 }
 
 
+#: Timed ``decide()`` calls per policy.
+CALLS = 20
+
+
 @pytest.mark.parametrize("name", sorted(POLICIES))
-def test_decide_latency(benchmark, name):
+def test_decide_latency(name):
     """decide() on 100 services / 240 nodes must fit the 5 s period with
     orders of magnitude to spare."""
     policy_cls = POLICIES[name]
-
-    def run():
+    seconds = []
+    for _ in range(CALLS):
+        start = time.perf_counter()
         # Fresh policy per call: interval guards would otherwise mute
         # everything after the first decision.
-        return policy_cls().decide(VIEW)
-
-    actions = benchmark(run)
-    assert isinstance(actions, list)
-    benchmark.extra_info["actions"] = len(actions)
+        actions = policy_cls().decide(VIEW)
+        seconds.append(time.perf_counter() - start)
+        assert isinstance(actions, list)
+    mean = sum(seconds) / CALLS
+    print(f"\n{name}: decide() mean {1e3 * mean:.2f} ms, max {1e3 * max(seconds):.2f} ms "
+          f"over {CALLS} calls")
     # The real-time constraint, with a 100x safety margin on the 5 s period.
-    assert benchmark.stats["mean"] < 0.05
+    assert mean < 0.05

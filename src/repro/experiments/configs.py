@@ -151,8 +151,9 @@ class ExperimentSpec:
         ``"per_shard"`` draws an independent seed per algorithm from this
         cell's base seed via :func:`~repro.experiments.spec.derive_shard_seed`;
         ``"shared"`` replays the identical arrival sequence under every
-        algorithm (the paper's like-for-like method, and the historic
-        ``run_all`` behaviour).
+        algorithm (the paper's like-for-like method).  Run it with
+        :meth:`~repro.experiments.spec.SweepSpec.run`, which takes the
+        worker count and the shard cache.
         """
         shards = tuple(
             self.to_run_spec(
@@ -163,7 +164,9 @@ class ExperimentSpec:
         return SweepSpec(shards=shards, seed_mode=seed_mode)
 
     def run(self, policy: AutoscalingPolicy | str) -> RunSummary:
-        """Run this experiment under one algorithm (object or registered name)."""
+        """Run this experiment in-process under one algorithm (a policy
+        object or a registered name).  Several registered names run as one
+        sweep instead: ``to_sweep(names, seed_mode="shared").run()``."""
         from repro.experiments.runner import Simulation
 
         return Simulation.build(
@@ -174,27 +177,6 @@ class ExperimentSpec:
             workload_label=self.label,
             app=self.app,
         ).run(self.duration)
-
-    def run_all(
-        self,
-        algorithms: tuple[str, ...] = ALGORITHMS,
-        *,
-        seed_mode: str = "per_shard",
-        parallel: int = 1,
-        cache_dir: str | None = None,
-    ) -> dict[str, RunSummary]:
-        """Run the same workload under every algorithm, keyed by name.
-
-        Each algorithm now gets its own derived seed by default (the old
-        behaviour silently replayed one seed everywhere; pass
-        ``seed_mode="shared"`` for that bit-compatible like-for-like
-        replay).  ``parallel``/``cache_dir`` are forwarded to
-        :meth:`~repro.experiments.spec.SweepSpec.run`.
-        """
-        result = self.to_sweep(algorithms, seed_mode=seed_mode).run(
-            parallel=parallel, cache_dir=cache_dir
-        )
-        return dict(zip(algorithms, result.summaries))
 
 
 # ----------------------------------------------------------------------

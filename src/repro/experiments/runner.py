@@ -295,16 +295,18 @@ class Simulation:
 
         # Initial deployment: min_replicas per service, spread over the
         # cluster, already warm (the paper's experiments begin with every
-        # microservice running).
+        # microservice running).  Deploying adds containers, never nodes,
+        # so one node list serves every placement.
         place = placement or SpreadPlacement()
+        nodes = cluster.sorted_nodes()
         for spec in sorted(specs, key=lambda s: s.name):
             cluster.register_service(spec)
             for _ in range(spec.min_replicas):
                 node = place.choose(
-                    cluster.sorted_nodes(),
+                    nodes,
                     spec.initial_allocation(),
                     exclude_service=spec.name,
-                ) or place.choose(cluster.sorted_nodes(), spec.initial_allocation())
+                ) or place.choose(nodes, spec.initial_allocation())
                 if node is None:
                     raise ExperimentError(
                         f"cluster too small for initial deployment of {spec.name}"

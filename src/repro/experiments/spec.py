@@ -22,12 +22,17 @@ documented modes, recorded in the codec as ``seed_mode``:
 
       RngStreams(base_seed).stream(f"sweep/{label}/{policy}").integers(0, 2**63 - 1)
 
-  so no two shards share an entropy universe by accident (the old
-  ``run_all`` silently reused one seed for every algorithm).
+  so no two shards share an entropy universe by accident.
 * ``"shared"`` — every shard runs under the base seed verbatim.  This is
   the paper's like-for-like method: the same arrival sequence replayed
-  under each algorithm, and the bit-compatible fallback for the historic
-  behaviour.
+  under each algorithm.  A shared shard builds the very simulation
+  :meth:`ExperimentSpec.run <repro.experiments.configs.ExperimentSpec.run>`
+  builds for the same name.
+
+:meth:`ExperimentSpec.to_sweep <repro.experiments.configs.ExperimentSpec.to_sweep>`
+is the one place shard seeds are derived; :meth:`SweepSpec.from_grid`,
+``reproduce_evaluation`` and the multi-seed helpers in
+:mod:`repro.analysis.stats` all take their shards from it.
 
 Only registered policy *names* are allowed in a spec (not policy objects):
 a name is serialisable, a closure is not.  Use
@@ -38,7 +43,7 @@ policy inside a sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -376,15 +381,19 @@ class SweepSpec:
     ) -> "SweepSpec":
         """The cartesian grid the paper's evaluation is made of.
 
-        Builds each ``(workload, burst)`` fleet **once** per base seed via
+        Builds each ``(workload, burst)`` cell **once** per base seed via
         the canonical factories in :mod:`repro.experiments.configs` — so
         every algorithm on that cell sees the identical fleet and load
-        curves — then fans out per algorithm.  Shard order is the grid
-        order: workload, then burst, then base seed, then algorithm.
+        curves — and takes its shards from the cell's
+        :meth:`~repro.experiments.configs.ExperimentSpec.to_sweep`.  Shard
+        order is the grid order: workload, then burst, then base seed,
+        then algorithm.
 
         ``duration`` overrides every shard's duration (handy for smoke
         sweeps); seeds follow ``seed_mode`` as documented in the module
-        docstring.
+        docstring.  A registered factory must build its cell with
+        ``config.seed`` equal to the seed it was called with, since the
+        shards derive their seeds from the cell's config.
         """
         from repro.workloads.registry import registered_workloads, resolve_workload
 
@@ -401,16 +410,15 @@ class SweepSpec:
                     experiment = (
                         factory(burst, seed=base_seed) if takes_burst else factory(seed=base_seed)
                     )
-                    for algorithm in algorithms:
-                        shards.append(
-                            experiment.to_run_spec(
-                                algorithm,
-                                seed=_shard_seed(
-                                    base_seed, f"{experiment.label}/{algorithm}", seed_mode
-                                ),
-                                duration=duration,
-                            )
+                    if experiment.config.seed != base_seed:
+                        raise ExperimentError(
+                            f"workload {workload!r} built a cell with config.seed "
+                            f"{experiment.config.seed} when called with seed {base_seed}"
                         )
+                    cell = experiment.to_sweep(algorithms, seed_mode=seed_mode).shards
+                    if duration is not None:
+                        cell = tuple(replace(shard, duration=duration) for shard in cell)
+                    shards.extend(cell)
         return cls(shards=tuple(shards), seed_mode=seed_mode)
 
     # -- execution -----------------------------------------------------

@@ -94,9 +94,7 @@ def reproduce_evaluation(
     figure_of: dict[str, str] = {}
     for figure in selected:
         factory, algorithms = FIGURES[figure]
-        spec = factory(seed)
-        for algorithm in algorithms:
-            shard = spec.to_run_spec(algorithm)
+        for shard in factory(seed).to_sweep(algorithms, seed_mode="shared").shards:
             shards.append(shard)
             figure_of[shard.key] = figure
 

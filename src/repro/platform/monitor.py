@@ -333,12 +333,11 @@ class Monitor:
             node_name = None  # pinned node filled up since the snapshot
         if node_name is None:
             exclude = action.service if action.exclude_hosting else None
-            chosen = self.placement.choose(
-                self.cluster.sorted_nodes(), request, exclude_service=exclude
-            )
+            nodes = self.cluster.sorted_nodes()
+            chosen = self.placement.choose(nodes, request, exclude_service=exclude)
             if chosen is None and action.exclude_hosting:
                 # Anti-affinity is a preference, capacity is a constraint.
-                chosen = self.placement.choose(self.cluster.sorted_nodes(), request)
+                chosen = self.placement.choose(nodes, request)
             if chosen is None:
                 self.log.placement_failures += 1
                 raise DockerSimError(

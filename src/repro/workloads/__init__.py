@@ -9,7 +9,6 @@ from repro.workloads.graph import (
     ApplicationSpec,
     CallEdge,
     ServiceGraph,
-    ServiceSpec,
     three_tier_app,
     three_tier_graph,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "ApplicationSpec",
     "CallEdge",
     "ServiceGraph",
-    "ServiceSpec",
     "three_tier_app",
     "three_tier_graph",
     "register_app",

@@ -6,9 +6,10 @@ per-request fan-out — where a saturated downstream tier back-pressures
 upstream response times.  This module is the value-object layer for that
 model:
 
-- :class:`ServiceSpec` — one tier: an existing resource profile (by
-  registry name) plus the replica bounds and target utilization the
-  Monitor scales against.
+- a tier is a :class:`~repro.cluster.microservice.MicroserviceSpec`: an
+  existing resource profile (by registry name) plus the replica bounds,
+  target utilization and per-replica allocations the Monitor scales
+  against — the same spec a plain fleet deploys.
 - :class:`CallEdge` — "each request handled by *caller* issues *calls*
   requests to *callee*", with an optional per-edge routing-policy name.
 - :class:`ServiceGraph` — tiers + edges, validated acyclic with a pinned
@@ -32,10 +33,8 @@ order and omit-when-default rules here are load-bearing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
-
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.cluster.microservice import MicroserviceSpec
@@ -44,97 +43,6 @@ from repro.workloads.requests import Request, RequestState
 
 #: Schema tag embedded in canonical application JSON.
 GRAPH_SCHEMA = "repro.app/1"
-
-
-@dataclass(frozen=True)
-class ServiceSpec:
-    """One tier of an application graph.
-
-    Wraps an existing :class:`~repro.workloads.profiles.MicroserviceProfile`
-    (by workload-registry name, resolved lazily so specs can be built
-    before custom profiles are registered) together with the knobs the
-    Monitor and placement layers need: replica bounds, target utilization,
-    and per-replica allocations.  ``to_microservice_spec`` adapts to the
-    existing fleet API without deprecation shims.
-    """
-
-    name: str
-    profile: str = "cpu_bound"
-    cpu_request: float = 0.5
-    mem_limit: float = 512.0
-    net_rate: float = 50.0
-    disk_quota: float = 50.0
-    min_replicas: int = 1
-    max_replicas: int = 16
-    target_utilization: float = 0.5
-    max_concurrency: int = 16
-    stateful: bool = False
-    state_size_mb: float = 256.0
-
-    def __post_init__(self) -> None:
-        # Delegate numeric validation to the fleet spec so the two APIs
-        # can never drift apart on what a legal tier looks like.
-        self.to_microservice_spec()
-
-    def to_microservice_spec(self) -> "MicroserviceSpec":
-        """Adapt to the single-service fleet API (validates on build)."""
-        # Imported here, not at module top: cluster.microservice itself
-        # imports repro.workloads (for Request), so a top-level import
-        # would cycle during package init.
-        from repro.cluster.microservice import MicroserviceSpec
-
-        return MicroserviceSpec(
-            name=self.name,
-            cpu_request=self.cpu_request,
-            mem_limit=self.mem_limit,
-            net_rate=self.net_rate,
-            disk_quota=self.disk_quota,
-            min_replicas=self.min_replicas,
-            max_replicas=self.max_replicas,
-            target_utilization=self.target_utilization,
-            max_concurrency=self.max_concurrency,
-            stateful=self.stateful,
-            state_size_mb=self.state_size_mb,
-            profile=self.profile,
-        )
-
-    @classmethod
-    def from_microservice_spec(cls, spec: "MicroserviceSpec") -> "ServiceSpec":
-        """Wrap an existing fleet spec as a graph tier."""
-        return cls(
-            name=spec.name,
-            profile=spec.profile,
-            cpu_request=spec.cpu_request,
-            mem_limit=spec.mem_limit,
-            net_rate=spec.net_rate,
-            disk_quota=spec.disk_quota,
-            min_replicas=spec.min_replicas,
-            max_replicas=spec.max_replicas,
-            target_utilization=spec.target_utilization,
-            max_concurrency=spec.max_concurrency,
-            stateful=spec.stateful,
-            state_size_mb=spec.state_size_mb,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "profile": self.profile,
-            "cpu_request": self.cpu_request,
-            "mem_limit": self.mem_limit,
-            "net_rate": self.net_rate,
-            "disk_quota": self.disk_quota,
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "target_utilization": self.target_utilization,
-            "max_concurrency": self.max_concurrency,
-            "stateful": self.stateful,
-            "state_size_mb": self.state_size_mb,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ServiceSpec":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -196,7 +104,7 @@ class ServiceGraph:
     acyclicity — proven by computing the pinned topological order.
     """
 
-    services: tuple[ServiceSpec, ...]
+    services: tuple[MicroserviceSpec, ...]
     edges: tuple[CallEdge, ...] = ()
 
     def __post_init__(self) -> None:
@@ -229,7 +137,7 @@ class ServiceGraph:
     # ------------------------------------------------------------------
     # Structure queries
     # ------------------------------------------------------------------
-    def service(self, name: str) -> ServiceSpec:
+    def service(self, name: str) -> MicroserviceSpec:
         """Tier spec by name, or raise."""
         for spec in self.services:
             if spec.name == name:
@@ -288,14 +196,19 @@ class ServiceGraph:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         return {
-            "services": [spec.to_dict() for spec in self.services],
+            "services": [asdict(spec) for spec in self.services],
             "edges": [edge.to_dict() for edge in self.edges],
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServiceGraph":
+        # Imported here, not at module top: cluster.microservice's package
+        # imports repro.workloads (for Request), so a top-level import
+        # would cycle during package init.
+        from repro.cluster.microservice import MicroserviceSpec
+
         return cls(
-            services=tuple(ServiceSpec.from_dict(s) for s in data["services"]),
+            services=tuple(MicroserviceSpec(**s) for s in data["services"]),
             edges=tuple(CallEdge.from_dict(e) for e in data.get("edges", ())),
         )
 
@@ -305,10 +218,10 @@ class ApplicationSpec:
     """A named application: a service graph plus its ingress tiers.
 
     ``ingress`` names the tiers that receive user traffic; it defaults to
-    the graph's roots.  :meth:`service_specs` adapts every tier to the
-    existing fleet API in topological order, so the Monitor evaluates its
-    per-service policies — HYSCALE_CPU, CPU+Mem, Kubernetes-HPA — per
-    tier with no further wiring.
+    the graph's roots.  :meth:`service_specs` lists every tier's fleet
+    spec in topological order, so the Monitor evaluates its per-service
+    policies — HYSCALE_CPU, CPU+Mem, Kubernetes-HPA — per tier with no
+    further wiring.
     """
 
     name: str
@@ -338,10 +251,7 @@ class ApplicationSpec:
 
     def service_specs(self) -> tuple["MicroserviceSpec", ...]:
         """Every tier as a fleet spec, in the pinned topological order."""
-        return tuple(
-            self.graph.service(name).to_microservice_spec()
-            for name in self.graph.topological_order()
-        )
+        return tuple(self.graph.service(name) for name in self.graph.topological_order())
 
     @classmethod
     def single_service(cls, spec: "MicroserviceSpec", name: str | None = None) -> "ApplicationSpec":
@@ -353,7 +263,7 @@ class ApplicationSpec:
         """
         return cls(
             name=name or spec.name,
-            graph=ServiceGraph(services=(ServiceSpec.from_microservice_spec(spec),)),
+            graph=ServiceGraph(services=(spec,)),
         )
 
     # ------------------------------------------------------------------
@@ -442,23 +352,25 @@ def three_tier_graph(
     the db saturates, api requests block on their reads, frontend blocks
     on api, and ingress p99 climbs.
     """
+    from repro.cluster.microservice import MicroserviceSpec  # lazy: see ServiceGraph.from_dict
+
     return ServiceGraph(
         services=(
-            ServiceSpec(
+            MicroserviceSpec(
                 name="frontend",
                 profile=frontend_profile,
                 cpu_request=0.5,
                 mem_limit=512.0,
                 max_replicas=16,
             ),
-            ServiceSpec(
+            MicroserviceSpec(
                 name="api",
                 profile=api_profile,
                 cpu_request=0.5,
                 mem_limit=512.0,
                 max_replicas=16,
             ),
-            ServiceSpec(
+            MicroserviceSpec(
                 name="db",
                 profile=db_profile,
                 cpu_request=0.5,

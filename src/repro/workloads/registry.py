@@ -11,7 +11,8 @@ policy (:mod:`repro.core.registry`) and routing
   flag (the Bitbrains trace ignores the burst knob).
 * **profiles** — ``register_profile`` / ``resolve_profile`` /
   ``registered_profiles``: per-request resource demand profiles keyed by
-  name; :class:`~repro.workloads.graph.ServiceSpec` tiers resolve their
+  name; application-graph tiers
+  (:class:`~repro.cluster.microservice.MicroserviceSpec`) resolve their
   profiles here.
 * **apps** — ``register_app`` / ``resolve_app`` / ``registered_apps``:
   multi-tier :class:`~repro.workloads.graph.ApplicationSpec` experiment

@@ -17,6 +17,8 @@ Plus the registry satellite: workload/app/profile/routing names resolve
 through one instance-held table each.
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -42,7 +44,6 @@ from repro.workloads.graph import (
     ApplicationSpec,
     CallEdge,
     ServiceGraph,
-    ServiceSpec,
     three_tier_app,
     three_tier_graph,
 )
@@ -59,8 +60,30 @@ from repro.workloads.registry import (
 )
 
 
-def _tiers(*names: str) -> tuple[ServiceSpec, ...]:
-    return tuple(ServiceSpec(name=name) for name in names)
+#: ``three_tier_app().canonical_json()`` as written when graph tiers were
+#: their own spec type.
+PINNED_THREE_TIER_DOCUMENT = (
+    '{"graph":{"edges":[{"callee":"api","caller":"frontend","calls":1},'
+    '{"callee":"db","caller":"api","calls":2}],"services":['
+    '{"cpu_request":0.5,"disk_quota":50.0,"max_concurrency":16,"max_replicas":16,'
+    '"mem_limit":512.0,"min_replicas":1,"name":"frontend","net_rate":50.0,'
+    '"profile":"cpu_bound","state_size_mb":256.0,"stateful":false,"target_utilization":0.5},'
+    '{"cpu_request":0.5,"disk_quota":50.0,"max_concurrency":16,"max_replicas":16,'
+    '"mem_limit":512.0,"min_replicas":1,"name":"api","net_rate":50.0,'
+    '"profile":"cpu_bound","state_size_mb":256.0,"stateful":false,"target_utilization":0.5},'
+    '{"cpu_request":0.5,"disk_quota":50.0,"max_concurrency":16,"max_replicas":16,'
+    '"mem_limit":768.0,"min_replicas":1,"name":"db","net_rate":50.0,'
+    '"profile":"cpu_bound","state_size_mb":256.0,"stateful":true,"target_utilization":0.5}]},'
+    '"ingress":["frontend"],"name":"three-tier","schema":"repro.app/1"}'
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _tiers(*names: str) -> tuple[MicroserviceSpec, ...]:
+    return tuple(MicroserviceSpec(name=name) for name in names)
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +165,20 @@ class TestGraphValidation:
         assert GRAPH_SCHEMA in app.canonical_json()
         with pytest.raises(WorkloadError, match="unsupported application schema"):
             ApplicationSpec.from_dict({**app.to_dict(), "schema": "repro.app/99"})
+
+    def test_codec_bytes_are_pinned(self):
+        """``repro.app/1`` is unchanged by tiers being plain fleet specs: the
+        app document and a run spec carrying it (the shard-cache key input)
+        hash to the digests recorded when tiers had their own spec type."""
+        assert _sha256(three_tier_app().canonical_json()) == (
+            "a991f6c20b85c4c82423e24ecd8073c0c67233a7b5c37f401222a68f040cf3f9"
+        )
+        assert _sha256(three_tier("low").to_run_spec("hybrid").canonical_json()) == (
+            "fa81f8c1e63a3c5a5fdcd07308d738509dd0aa6759784a4f6b33a9ae06a7b656"
+        )
+
+    def test_decodes_the_pinned_document_to_an_equal_app(self):
+        assert ApplicationSpec.from_dict(json.loads(PINNED_THREE_TIER_DOCUMENT)) == three_tier_app()
 
     def test_codec_rejects_a_nan_tier_field(self):
         document = three_tier_app().to_dict()

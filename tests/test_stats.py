@@ -1,5 +1,6 @@
 """Tests for multi-seed aggregation."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,10 @@ import pytest
 from repro.analysis.stats import multi_seed, ordering_holds
 from repro.errors import ExperimentError
 from repro.experiments.configs import cpu_bound
+
+
+def canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def small_factory(seed: int):
@@ -36,6 +41,19 @@ class TestMultiSeed:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ExperimentError):
             multi_seed(small_factory, "hybrid", seeds=())
+
+    def test_runs_match_per_seed_experiment_runs(self):
+        aggregate = multi_seed(small_factory, "hybrid", seeds=(0, 1))
+        direct = [small_factory(seed).run("hybrid") for seed in (0, 1)]
+        assert [canonical(run.to_dict()) for run in aggregate.runs] == [
+            canonical(run.to_dict()) for run in direct
+        ]
+
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ExperimentError, match="duplicate shard keys"):
+            multi_seed(small_factory, "hybrid", seeds=(0, 0))
+        with pytest.raises(ExperimentError, match="duplicate shard keys"):
+            ordering_holds(small_factory, faster="hybrid", slower="kubernetes", seeds=(1, 1))
 
 
 class TestOrderingHolds:

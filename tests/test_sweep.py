@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.configs import ALGORITHMS, cpu_bound
+from repro.experiments.configs import ALGORITHMS, cpu_bound, network_bound
 from repro.experiments.spec import (
     SEED_MODES,
     SWEEP_SCHEMA,
@@ -30,6 +30,7 @@ from repro.workloads.patterns import (
     LowBurstLoad,
     TraceLoad,
 )
+from repro.workloads.registry import _WORKLOADS, register_workload
 
 
 def canonical(payload):
@@ -194,21 +195,21 @@ class TestSeedDerivation:
         with pytest.raises(ExperimentError):
             small_experiment().to_sweep(("hybrid",), seed_mode="lucky")
 
-    def test_run_all_shared_matches_serial_per_algorithm_runs(self):
+    def test_to_sweep_shared_run_matches_serial_per_algorithm_runs(self):
         experiment = small_experiment()
-        historic = {name: experiment.run(name) for name in ("kubernetes", "hybrid")}
-        via_sweep = experiment.run_all(("kubernetes", "hybrid"), seed_mode="shared")
-        assert {k: canonical(v.to_dict()) for k, v in via_sweep.items()} == {
-            k: canonical(v.to_dict()) for k, v in historic.items()
-        }
+        serial = [experiment.run(name) for name in ("kubernetes", "hybrid")]
+        via_sweep = experiment.to_sweep(("kubernetes", "hybrid"), seed_mode="shared").run()
+        assert [canonical(s.to_dict()) for s in via_sweep.summaries] == [
+            canonical(s.to_dict()) for s in serial
+        ]
 
-    def test_run_all_per_shard_changes_the_arrival_sequence(self):
+    def test_to_sweep_per_shard_run_changes_the_arrival_sequence(self):
         experiment = small_experiment()
-        shared = experiment.run_all(("kubernetes",), seed_mode="shared")
-        per_shard = experiment.run_all(("kubernetes",), seed_mode="per_shard")
+        [shared] = experiment.to_sweep(("kubernetes",), seed_mode="shared").run().summaries
+        [per_shard] = experiment.to_sweep(("kubernetes",), seed_mode="per_shard").run().summaries
         assert (
-            shared["kubernetes"].total_requests != per_shard["kubernetes"].total_requests
-            or shared["kubernetes"].to_dict() != per_shard["kubernetes"].to_dict()
+            shared.total_requests != per_shard.total_requests
+            or shared.to_dict() != per_shard.to_dict()
         )
 
 
@@ -235,6 +236,42 @@ class TestSweepSpec:
     def test_from_grid_unknown_workload_rejected(self):
         with pytest.raises(ExperimentError):
             SweepSpec.from_grid(("quantum",))
+
+    @pytest.mark.parametrize("seed_mode", SEED_MODES)
+    def test_from_grid_takes_each_cells_to_sweep_shards(self, seed_mode):
+        algorithms = ("kubernetes", "hybrid")
+        sweep = SweepSpec.from_grid(
+            ("cpu", "network"),
+            bursts=("low", "high"),
+            algorithms=algorithms,
+            seeds=(0, 3),
+            seed_mode=seed_mode,
+            duration=30.0,
+        )
+        cells = [
+            factory(burst, seed=seed)
+            for factory in (cpu_bound, network_bound)
+            for burst in ("low", "high")
+            for seed in (0, 3)
+        ]
+        expected = [
+            replace(shard, duration=30.0)
+            for cell in cells
+            for shard in cell.to_sweep(algorithms, seed_mode=seed_mode).shards
+        ]
+        assert [s.canonical_json() for s in sweep.shards] == [
+            s.canonical_json() for s in expected
+        ]
+        assert sweep.seed_mode == seed_mode
+
+    def test_from_grid_rejects_a_factory_that_ignores_its_seed(self):
+        register_workload("test-seedless", lambda burst, seed=0: cpu_bound(burst))
+        try:
+            SweepSpec.from_grid(("test-seedless",), seeds=(0,))
+            with pytest.raises(ExperimentError, match="config.seed 0 when called with seed 1"):
+                SweepSpec.from_grid(("test-seedless",), seeds=(1,))
+        finally:
+            _WORKLOADS._entries.pop("test-seedless", None)
 
     def test_round_trip(self):
         sweep = small_experiment().to_sweep(ALGORITHMS)
