@@ -13,6 +13,11 @@ for, so a reader can see *why* each knob exists:
   only pays replication overheads — the hybrid takes both benefits;
 * **memory-bound loads** (Section VI): why the paper had to omit Kubernetes
   and HYSCALE_CPU results — memory-blind scaling collapses.
+
+A variant that is a registered algorithm on a paper cell (``kubernetes``,
+``hybrid`` or ``hybridmem`` on the high-burst CPU-bound or mixed cell) is
+taken from the session's matrix, which Figures 6 and 7 already ran; only
+the variants no registered name spells run here.
 """
 
 from dataclasses import replace
@@ -22,15 +27,22 @@ import pytest
 from repro.core.hyscale import HyScaleCpu
 from repro.core.hyscale_mem import HyScaleCpuMem
 from repro.core.kubernetes import KubernetesHpa
-from repro.experiments.configs import cpu_bound, memory_bound
+from repro.experiments.configs import cpu_bound, memory_bound, mixed
 from repro.experiments.report import format_table
 
 
 @pytest.fixture(scope="module")
-def guard_ablation():
-    spec = cpu_bound("high")
-    guarded = spec.run(KubernetesHpa(scale_up_interval=3.0, scale_down_interval=50.0))
-    unguarded = spec.run(KubernetesHpa(scale_up_interval=0.0, scale_down_interval=0.0))
+def paper_cells(run_matrix):
+    """The registered algorithms on the high-burst CPU-bound and mixed cells."""
+    return run_matrix([cpu_bound("high"), mixed("high")])
+
+
+@pytest.fixture(scope="module")
+def guard_ablation(paper_cells):
+    cpu, _ = paper_cells
+    # The registered ``kubernetes`` runs with the paper's 3 s/50 s intervals.
+    guarded = cpu["kubernetes"]
+    unguarded = cpu_bound("high").run(KubernetesHpa(scale_up_interval=0.0, scale_down_interval=0.0))
     return guarded, unguarded
 
 
@@ -54,11 +66,11 @@ def test_ablation_interval_guard(guard_ablation):
 
 
 @pytest.fixture(scope="module")
-def cadence_ablation():
+def cadence_ablation(paper_cells):
+    cpu, _ = paper_cells
     spec = cpu_bound("high")
-    fast = spec.run(HyScaleCpu())
     slow = replace(spec, config=spec.config.with_overrides(monitor_period=30.0)).run(HyScaleCpu())
-    return fast, slow
+    return cpu["hybrid"], slow
 
 
 def test_ablation_monitor_cadence(cadence_ablation):
@@ -80,15 +92,14 @@ def test_ablation_monitor_cadence(cadence_ablation):
 
 
 @pytest.fixture(scope="module")
-def hybrid_ablation():
+def hybrid_ablation(paper_cells):
+    cpu, _ = paper_cells
     spec = cpu_bound("high")
-    hybrid = spec.run(HyScaleCpu())
-    horizontal_only = spec.run(KubernetesHpa())
     # Vertical-only: forbid replication by capping max replicas at the
     # current minimum.
     vertical_specs = tuple(replace(s, max_replicas=s.min_replicas) for s in spec.specs)
     vertical_only = replace(spec, specs=vertical_specs).run(HyScaleCpu())
-    return hybrid, horizontal_only, vertical_only
+    return cpu["hybrid"], cpu["kubernetes"], vertical_only
 
 
 def test_ablation_hybrid_vs_pure_strategies(hybrid_ablation):
@@ -141,15 +152,14 @@ def test_ablation_memory_bound_omitted_results(memory_crash):
 
 
 @pytest.fixture(scope="module")
-def multimetric_ablation():
+def multimetric_ablation(paper_cells):
     from repro.core.kubernetes_multi import KubernetesMultiMetricHpa
-    from repro.experiments.configs import mixed
 
-    spec = mixed("high")
-    plain = spec.run(KubernetesHpa())
-    multi = spec.run(KubernetesMultiMetricHpa(scale_up_interval=3.0, scale_down_interval=50.0))
-    hybridmem = spec.run(HyScaleCpuMem())
-    return plain, multi, hybridmem
+    _, mixed_runs = paper_cells
+    multi = mixed("high").run(
+        KubernetesMultiMetricHpa(scale_up_interval=3.0, scale_down_interval=50.0)
+    )
+    return mixed_runs["kubernetes"], multi, mixed_runs["hybridmem"]
 
 
 def test_ablation_multimetric_kubernetes(multimetric_ablation):

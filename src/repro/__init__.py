@@ -53,7 +53,7 @@ from repro.metrics import (
     TimelinePoint,
     evaluate_sla,
 )
-from repro.obs import DecisionTracer, NullTracer, PhaseProfiler, Tracer
+from repro.obs import DecisionTracer, PhaseProfiler, Tracer
 from repro.parallel import ShardCache, ShardError, SweepExecutor, SweepResult
 from repro.sanitizer import Sanitizer, SanViolation, SimSanitizer
 from repro.telemetry import MetricRegistry, RunTelemetry, SloTracker
@@ -102,7 +102,6 @@ __all__ = [
     # observability: one Observe bundle per run
     "Observe",
     "Tracer",
-    "NullTracer",
     "DecisionTracer",
     "PhaseProfiler",
     # streaming telemetry

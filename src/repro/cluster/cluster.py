@@ -115,17 +115,6 @@ class Cluster:
         return [self.services[name] for name in sorted(self.services)]
 
     # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    def total_capacity(self) -> ResourceVector:
-        """Sum of node capacities."""
-        return ResourceVector.sum(n.capacity for n in self.nodes.values())
-
-    def total_allocated(self) -> ResourceVector:
-        """Sum of node allocations."""
-        return ResourceVector.sum(n.allocated() for n in self.nodes.values())
-
-    # ------------------------------------------------------------------
     # Engine integration
     # ------------------------------------------------------------------
     def on_step(self, clock: SimClock) -> None:

@@ -8,7 +8,7 @@ availability reports are all instances of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 #: Axis names, in canonical order.
@@ -79,16 +79,6 @@ class ResourceVector:
         """Element-wise minimum."""
         return ResourceVector(min(self.cpu, other.cpu), min(self.memory, other.memory), min(self.network, other.network))
 
-    def elementwise_max(self, other: "ResourceVector") -> "ResourceVector":
-        """Element-wise maximum."""
-        return ResourceVector(max(self.cpu, other.cpu), max(self.memory, other.memory), max(self.network, other.network))
-
-    def with_axis(self, axis: str, value: float) -> "ResourceVector":
-        """Return a copy with one named axis replaced."""
-        if axis not in AXES:
-            raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
-        return replace(self, **{axis: value})
-
     def axis(self, axis: str) -> float:
         """Read one named axis."""
         if axis not in AXES:
@@ -109,18 +99,6 @@ class ResourceVector:
     def is_nonnegative(self, tolerance: float = 1e-9) -> bool:
         """True if every axis is >= 0 (within tolerance)."""
         return self.cpu >= -tolerance and self.memory >= -tolerance and self.network >= -tolerance
-
-    def is_zero(self, tolerance: float = 1e-9) -> bool:
-        """True if every axis is 0 (within tolerance)."""
-        return abs(self.cpu) <= tolerance and abs(self.memory) <= tolerance and abs(self.network) <= tolerance
-
-    def utilization_of(self, capacity: "ResourceVector") -> "ResourceVector":
-        """Element-wise ratio self/capacity (axes with zero capacity give 0)."""
-        return ResourceVector(
-            self.cpu / capacity.cpu if capacity.cpu > 0 else 0.0,
-            self.memory / capacity.memory if capacity.memory > 0 else 0.0,
-            self.network / capacity.network if capacity.network > 0 else 0.0,
-        )
 
     def __repr__(self) -> str:
         return f"ResourceVector(cpu={self.cpu:.3f}, memory={self.memory:.1f}, network={self.network:.1f})"

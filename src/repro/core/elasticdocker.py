@@ -36,6 +36,7 @@ from repro.core.actions import MigrateReplica, ScalingAction, VerticalScale
 from repro.core.policy import AutoscalingPolicy, NodeLedger
 from repro.core.view import ClusterView, ReplicaView
 from repro.errors import PolicyError
+from repro.obs.tracer import Tracer
 from repro.units import same_quantity
 
 
@@ -88,8 +89,8 @@ class ElasticDockerPolicy(AutoscalingPolicy):
         cpu_util = replica.cpu_utilization
         mem_util = replica.mem_utilization
         # Resolved once: this runs per replica per step (HOT003).
-        tracing = self.tracer.enabled
-        if tracing:
+        tracer = self.tracer
+        if tracer is not None:
             for metric, util in (("cpu", cpu_util), ("memory", mem_util)):
                 verdict = (
                     "grow" if util > self.high_watermark
@@ -97,7 +98,7 @@ class ElasticDockerPolicy(AutoscalingPolicy):
                     else "hold"
                 )
                 threshold = self.high_watermark if util > self.high_watermark else self.low_watermark
-                self.tracer.record_metric(
+                tracer.record_metric(
                     service=replica.service, metric=metric,
                     value=util, threshold=threshold, verdict=verdict,
                 )
@@ -130,9 +131,9 @@ class ElasticDockerPolicy(AutoscalingPolicy):
             shrink_mem = max(0.0, replica.mem_limit - wanted_mem)
             if shrink_cpu > 0 or shrink_mem > 0:
                 ledger.release(replica.node, ResourceVector(cpu=shrink_cpu, memory=shrink_mem))
-            if tracing:
+            if tracer is not None:
                 self._record_adjust(
-                    replica, "elastic", cpu_util, mem_util, wanted_cpu, wanted_mem
+                    tracer, replica, "elastic", cpu_util, mem_util, wanted_cpu, wanted_mem
                 )
             return [
                 VerticalScale(
@@ -179,9 +180,9 @@ class ElasticDockerPolicy(AutoscalingPolicy):
                     memory=capped_mem - replica.mem_limit,
                 ),
             )
-            if tracing:
+            if tracer is not None:
                 self._record_adjust(
-                    replica, "elastic-capped", cpu_util, mem_util, capped_cpu, capped_mem
+                    tracer, replica, "elastic-capped", cpu_util, mem_util, capped_cpu, capped_mem
                 )
             return [
                 VerticalScale(
@@ -202,15 +203,15 @@ class ElasticDockerPolicy(AutoscalingPolicy):
             ledger.available(target)
         )
         ledger.plan_placement(target, replica.service, landing)
-        if tracing:
-            self.tracer.record_action(
+        if tracer is not None:
+            tracer.record_action(
                 kind="migrate-replica", service=replica.service,
                 target=replica.container_id, reason="elastic-migrate", metric="cpu",
                 value=cpu_util, threshold=self.high_watermark,
                 detail=f"{replica.node}->{target}",
             )
             self._record_adjust(
-                replica, "elastic-after-migrate", cpu_util, mem_util, wanted_cpu, wanted_mem
+                tracer, replica, "elastic-after-migrate", cpu_util, mem_util, wanted_cpu, wanted_mem
             )
         return [
             MigrateReplica(replica.container_id, target, reason="elastic-migrate"),
@@ -224,6 +225,7 @@ class ElasticDockerPolicy(AutoscalingPolicy):
 
     def _record_adjust(
         self,
+        tracer: Tracer,
         replica: ReplicaView,
         reason: str,
         cpu_util: float,
@@ -237,7 +239,7 @@ class ElasticDockerPolicy(AutoscalingPolicy):
         else:
             metric, value = "memory", mem_util
         threshold = self.high_watermark if value > self.high_watermark else self.low_watermark
-        self.tracer.record_action(
+        tracer.record_action(
             kind="vertical-scale", service=replica.service,
             target=replica.container_id, reason=reason, metric=metric,
             value=value, threshold=threshold,

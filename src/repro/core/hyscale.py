@@ -125,7 +125,7 @@ class HyScaleCpu(AutoscalingPolicy):
             actions.extend(self._enforce_bounds(service, view, ledger, removed))
 
         missing = {s.name: self.missing_cpus(s) for s in view.services}
-        if self.tracer.enabled:
+        if self.tracer is not None:
             for service in view.services:
                 deficit = missing[service.name]
                 verdict = (
@@ -172,7 +172,7 @@ class HyScaleCpu(AutoscalingPolicy):
             if placed is None:
                 break
             actions.append(placed)
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.record_action(
                     kind="add-replica", service=service.name, target=placed.node or "",
                     reason="min-replicas", metric="replicas",
@@ -187,7 +187,7 @@ class HyScaleCpu(AutoscalingPolicy):
                 actions.append(RemoveReplica(victim.container_id, reason="max-replicas"))
                 removed.add(victim.container_id)
                 ledger.release(victim.node, _reservation(victim))
-                if self.tracer.enabled:
+                if self.tracer is not None:
                     self.tracer.record_action(
                         kind="remove-replica", service=service.name, target=victim.container_id,
                         reason="max-replicas", metric="replicas",
@@ -228,7 +228,7 @@ class HyScaleCpu(AutoscalingPolicy):
                     ledger.release(replica.node, _reservation(replica))
                     self.guard.record_scale_down(service.name, view.now)
                     live -= 1
-                    if self.tracer.enabled:
+                    if self.tracer is not None:
                         self.tracer.record_action(
                             kind="remove-replica", service=service.name,
                             target=replica.container_id, reason="reclaim-remove", metric="cpu",
@@ -248,7 +248,7 @@ class HyScaleCpu(AutoscalingPolicy):
                 VerticalScale(replica.container_id, cpu_request=new_request, reason="reclaim")
             )
             ledger.release(replica.node, ResourceVector(cpu=replica.cpu_request - new_request))
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.record_action(
                     kind="vertical-scale", service=service.name,
                     target=replica.container_id, reason="reclaim", metric="cpu",
@@ -290,7 +290,7 @@ class HyScaleCpu(AutoscalingPolicy):
             )
             ledger.take(replica.node, ResourceVector(cpu=acquired))
             acquired_total += acquired
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 new_request = replica.cpu_request + acquired
                 self.tracer.record_action(
                     kind="vertical-scale", service=service.name,
@@ -321,7 +321,7 @@ class HyScaleCpu(AutoscalingPolicy):
             if placed is None:
                 break
             actions.append(placed)
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.record_action(
                     kind="add-replica", service=service.name, target=placed.node or "",
                     reason="spill", metric="missing-cpu",

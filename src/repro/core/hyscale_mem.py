@@ -108,7 +108,7 @@ class HyScaleCpuMem(HyScaleCpu):
 
         missing_cpu = {s.name: self.missing_cpus(s) for s in view.services}
         missing_mem = {s.name: self.missing_mem(s) for s in view.services}
-        if self.tracer.enabled:
+        if self.tracer is not None:
             for service in view.services:
                 for metric, deficit in (
                     ("missing-cpu", missing_cpu[service.name]),
@@ -199,7 +199,7 @@ class HyScaleCpuMem(HyScaleCpu):
                     ledger.release(replica.node, _reservation(replica))
                     self.guard.record_scale_down(service.name, view.now)
                     live -= 1
-                    if self.tracer.enabled:
+                    if self.tracer is not None:
                         self.tracer.record_action(
                             kind="remove-replica", service=service.name,
                             target=replica.container_id, reason="reclaim-remove", metric="cpu+mem",
@@ -235,7 +235,7 @@ class HyScaleCpuMem(HyScaleCpu):
                 replica.node,
                 ResourceVector(cpu=max(cpu_delta, 0.0), memory=max(mem_delta, 0.0)),
             )
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.record_action(
                     kind="vertical-scale", service=service.name,
                     target=replica.container_id, reason="reclaim", metric="cpu+mem",
@@ -288,7 +288,7 @@ class HyScaleCpuMem(HyScaleCpu):
             ledger.take(replica.node, ResourceVector(cpu=got_cpu, memory=got_mem))
             acquired_cpu += got_cpu
             acquired_mem += got_mem
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.record_action(
                     kind="vertical-scale", service=service.name,
                     target=replica.container_id, reason="acquire", metric="cpu+mem",
@@ -345,7 +345,7 @@ class HyScaleCpuMem(HyScaleCpu):
                     reason="spill",
                 )
             )
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.record_action(
                     kind="add-replica", service=service.name, target=node,
                     reason="spill", metric="missing-cpu",

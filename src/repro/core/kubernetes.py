@@ -108,7 +108,7 @@ class KubernetesHpa(AutoscalingPolicy):
     def _reconcile(self, service: ServiceView, now: float) -> list[ScalingAction]:
         current = service.replica_count
         actions, verdict = self._reconcile_actions(service, now)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             value = self.average_utilization(service)
             threshold = service.target_utilization
             self.tracer.record_metric(

@@ -20,7 +20,7 @@ from repro.cluster.resources import ResourceVector
 from repro.core.actions import ScalingAction
 from repro.core.view import ClusterView
 from repro.errors import PolicyError
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 
 
 class AutoscalingPolicy(abc.ABC):
@@ -30,17 +30,17 @@ class AutoscalingPolicy(abc.ABC):
     #: (e.g. ``"kubernetes"``, ``"hybrid"``, ``"hybridmem"``, ``"network"``).
     name: str = "abstract"
 
-    #: Decision-trace sink.  The default :class:`~repro.obs.NullTracer` is a
-    #: shared, stateless no-op, so untraced policies pay nothing; the
-    #: MONITOR re-points this at the run's tracer (see
+    #: Decision-trace sink, or ``None`` (the default) when the run is not
+    #: traced, so untraced policies build no evidence; the MONITOR
+    #: re-points this at the run's tracer (see
     #: :meth:`repro.platform.monitor.Monitor.set_policy`).
-    tracer: Tracer = NULL_TRACER
+    tracer: Tracer | None = None
 
     @abc.abstractmethod
     def decide(self, view: ClusterView) -> list[ScalingAction]:
         """Produce this period's scaling actions from a cluster snapshot."""
 
-    def set_tracer(self, tracer: Tracer) -> None:
+    def set_tracer(self, tracer: Tracer | None) -> None:
         """Point this policy's decision-evidence hooks at ``tracer``."""
         self.tracer = tracer
 
@@ -55,7 +55,7 @@ class NodeLedger:
     replicas of the same service (the HyScale constraint).
     """
 
-    def __init__(self, view: ClusterView, tracer: Tracer = NULL_TRACER):
+    def __init__(self, view: ClusterView, tracer: Tracer | None = None):
         self._available: dict[str, ResourceVector] = {}
         self._hosted: dict[str, set[str]] = {}
         self._tracer = tracer
@@ -116,7 +116,7 @@ class NodeLedger:
                 f"ledger overdraft on {node}: taking {amount} from {self.available(node)}"
             )
         self._available[node] = remaining
-        if self._tracer.enabled:
+        if self._tracer is not None:
             self._tracer.record_ledger(
                 op="take", node=node, cpu=amount.cpu, memory=amount.memory, network=amount.network
             )
@@ -126,7 +126,7 @@ class NodeLedger:
         if not amount.is_nonnegative():
             raise PolicyError("cannot release a negative amount")
         self._available[node] = self.available(node) + amount
-        if self._tracer.enabled:
+        if self._tracer is not None:
             self._tracer.record_ledger(
                 op="release", node=node, cpu=amount.cpu, memory=amount.memory, network=amount.network
             )
@@ -135,7 +135,7 @@ class NodeLedger:
         """Reserve a new replica's allocation and mark the node as hosting."""
         self.take(node, allocation)
         self._hosted[node].add(service)
-        if self._tracer.enabled:
+        if self._tracer is not None:
             self._tracer.record_ledger(
                 op="plan-placement",
                 node=node,

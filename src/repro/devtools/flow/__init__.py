@@ -16,9 +16,8 @@
   catalogued nondeterminism sources along the call graph into the
   canonical byte-stable sinks, killing it at catalogued sanitizers, and
   emits ranked source→sink witness chains.
-* :mod:`~repro.devtools.flow.contracts` checks every implementation
-  registered through ``register_policy`` / ``register_sampling_policy``
-  against its protocol.
+* :mod:`~repro.devtools.flow.contracts` checks every autoscaling policy
+  and sampling controller against its protocol.
 * :mod:`~repro.devtools.flow.rules` turns those analyses into the HOT,
   PAR, DET1xx and CON rules of the one catalogue.
 

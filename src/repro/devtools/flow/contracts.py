@@ -1,12 +1,14 @@
 """Registry-contract checking for pluggable implementations.
 
-The two extension registries — :func:`repro.core.registry.register_policy`
-and :func:`repro.telemetry.sampling.register_sampling_policy` — are where
-contributor code enters the engine.  A policy that forgets ``decide``, a
-sampling controller holding module-level mutable state, or an autoscaler
-drawing from the ambient RNG will pass import time and only fail (or
-worse, silently diverge) mid-run.  This pass verifies the contracts
-statically, over the call graph the pass already built:
+Autoscaling policies (extensible through
+:func:`repro.core.registry.register_policy`) and the sampling controllers
+(the ``SamplingController`` subclasses in :mod:`repro.telemetry.sampling`)
+are the pluggable implementations the engine calls through a protocol.
+A policy that forgets ``decide``, a sampling controller holding
+module-level mutable state, or an autoscaler drawing from the ambient RNG
+will pass import time and only fail (or worse, silently diverge) mid-run.
+This pass verifies the contracts statically, over the call graph the pass
+already built:
 
 * **CON001** — the implementation does not conform to the protocol: it
   misses a required method, leaves an abstract method unimplemented, or
@@ -21,12 +23,12 @@ statically, over the call graph the pass already built:
 
 Implementations are discovered two ways: every concrete subclass of a
 protocol base class (the built-in registries are populated from literal
-tables of such classes), and every ``register_*`` call site whose
-factory argument resolves to a class — including classes that do *not*
-subclass the base, which is itself a CON001.  The other name tables
-(workloads, apps, routing, profiles) need no static check:
-``NameRegistry.register`` rejects a malformed registration when the
-module defining it is imported.
+tables of such classes), and, for a protocol with a registration
+function, every call site of it whose factory argument resolves to a
+class — including classes that do *not* subclass the base, which is
+itself a CON001.  The other name tables (workloads, apps, routing,
+profiles) need no static check: ``NameRegistry.register`` rejects a
+malformed registration when the module defining it is imported.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class ProtocolSpec:
     """One registry's contract."""
 
     registry: str  # short label used in messages ("policy", ...)
-    register_call: str  # bare name of the registration function
+    register_call: str | None  # bare name of the registration function, if any
     base: str  # qualname of the protocol base class
     required: tuple[str, ...]  # methods that must resolve through the MRO
 
@@ -66,7 +68,7 @@ PROTOCOLS: tuple[ProtocolSpec, ...] = (
     ),
     ProtocolSpec(
         registry="sampling",
-        register_call="register_sampling_policy",
+        register_call=None,
         base="repro.telemetry.sampling.SamplingController",
         required=(
             "bind",
@@ -231,7 +233,8 @@ def _discover(
     """(implementations -> discovery line, registered-but-not-subclassing).
 
     Implementations are concrete classes whose ancestry includes the
-    protocol base, plus anything a ``register_*`` call site resolves to;
+    protocol base, plus anything a call to the protocol's registration
+    function (if it has one) resolves to;
     the second list holds registered classes outside the hierarchy.
     """
     implementations: dict[str, int] = {}
@@ -243,7 +246,8 @@ def _discover(
         if spec.base in _ancestors(graph, qualname, by_simple):
             implementations[qualname] = cls.lineno
 
-    for module_name in sorted(graph.modules):
+    registering = sorted(graph.modules) if spec.register_call is not None else []
+    for module_name in registering:
         info = graph.modules[module_name]
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):

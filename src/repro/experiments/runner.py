@@ -32,7 +32,6 @@ from repro.instrument import Observe, StepObserver
 from repro.metrics.collector import MetricsCollector, TimelinePoint
 from repro.metrics.summary import RunSummary
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.tracer import NULL_TRACER
 from repro.platform.faults import FaultInjector, NodeManagerFleet
 from repro.platform.graph import GraphRouter
 from repro.platform.lb_tier import LoadBalancerTier
@@ -220,7 +219,6 @@ class Simulation:
                     f"got {sorted(load_names - ingress)}"
                 )
 
-        tracer = NULL_TRACER if observe.tracer is None else observe.tracer
         rng = RngStreams(config.seed)
         cluster = Cluster.from_config(config.cluster, config.overheads)
         if observe.sanitizer is not None:
@@ -233,7 +231,6 @@ class Simulation:
                 observe.telemetry,
                 slo=observe.slo,
                 sample_every=timeline_every,
-                profiler=observe.profiler,
                 sampling=resolve_sampling(observe.sampling),
             )
 
@@ -288,7 +285,7 @@ class Simulation:
             config,
             collector,
             placement=placement or SpreadPlacement(),
-            tracer=tracer,
+            tracer=observe.tracer,
             telemetry=hub,
             sanitizer=observe.sanitizer,
         )

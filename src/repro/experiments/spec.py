@@ -172,6 +172,34 @@ def _canonical(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def decode_document(data: Any, kind: str, required: tuple[str, ...]) -> Mapping[str, Any]:
+    """Check a ``repro.sweep/1`` document's top level before decoding it.
+
+    Raises :class:`ExperimentError` when ``data`` is not an object, has
+    another schema or kind, or lacks one of the ``required`` fields.
+    """
+    if not isinstance(data, Mapping):
+        raise ExperimentError(f"{kind} document must be a JSON object, got {type(data).__name__}")
+    schema = data.get("schema")
+    if schema != SWEEP_SCHEMA:
+        raise ExperimentError(f"unsupported spec schema {schema!r} (want {SWEEP_SCHEMA!r})")
+    if data.get("kind") != kind:
+        raise ExperimentError(f"expected a {kind} document, got {data.get('kind')!r}")
+    for key in required:
+        if key not in data:
+            raise ExperimentError(f"{kind} document is missing required field {key!r}")
+    return data
+
+
+def list_field(data: Mapping[str, Any], key: str, kind: str) -> Any:
+    """``data[key]``, which must be a list (an absent optional key reads as
+    empty); raises :class:`ExperimentError` naming ``key``."""
+    value = data.get(key, ())
+    if not isinstance(value, (list, tuple)):
+        raise ExperimentError(f"{kind} field {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # RunSpec
 # ----------------------------------------------------------------------
@@ -305,11 +333,9 @@ class RunSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
         """Decode a ``repro.sweep/1`` run document."""
-        schema = data.get("schema")
-        if schema != SWEEP_SCHEMA:
-            raise ExperimentError(f"unsupported spec schema {schema!r} (want {SWEEP_SCHEMA!r})")
-        if data.get("kind") != "run_spec":
-            raise ExperimentError(f"expected a run_spec document, got {data.get('kind')!r}")
+        data = decode_document(
+            data, "run_spec", ("label", "policy", "seed", "duration", "config", "fleet", "loads")
+        )
         return cls(
             label=data["label"],
             policy=data["policy"],
@@ -338,8 +364,8 @@ class RunSpec:
 class SweepSpec:
     """An ordered list of :class:`RunSpec` shards — one whole sweep.
 
-    Shard order is contractual: serial execution, parallel merge, result
-    JSON, and telemetry concatenation all follow it, which is what makes
+    Shard order is contractual: serial execution, parallel merge and
+    result JSON all follow it, which is what makes
     ``parallel=N`` byte-identical to ``parallel=1``.
     """
 
@@ -427,32 +453,20 @@ class SweepSpec:
         parallel: int = 1,
         *,
         cache_dir: str | Path | None = None,
-        telemetry: bool = False,
         progress: Callable[[RunSpec, str], None] | None = None,
-        code_version: str | None = None,
     ) -> "SweepResult":
         """Execute every shard and merge the results in spec order.
 
         ``parallel`` is the worker-process count (1 = in-process serial,
         guaranteed byte-identical merge either way); ``cache_dir`` enables
-        the content-addressed shard cache; ``telemetry=True`` collects a
-        per-shard metric snapshot merged into the sweep-level snapshot.
-        See :class:`repro.parallel.SweepExecutor` for the mechanics.
+        the content-addressed shard cache.  See
+        :class:`repro.parallel.SweepExecutor` for the mechanics.
         """
         from repro.parallel.cache import ShardCache
         from repro.parallel.executor import SweepExecutor
 
-        cache = None
-        if cache_dir is not None:
-            cache = (
-                ShardCache(cache_dir)
-                if code_version is None
-                else ShardCache(cache_dir, code_version=code_version)
-            )
-        executor = SweepExecutor(
-            jobs=parallel, cache=cache, collect_telemetry=telemetry, progress=progress
-        )
-        return executor.run(self)
+        cache = ShardCache(cache_dir) if cache_dir is not None else None
+        return SweepExecutor(jobs=parallel, cache=cache, progress=progress).run(self)
 
     # -- codec ---------------------------------------------------------
     def to_dict(self) -> dict:
@@ -467,13 +481,11 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
         """Decode a ``repro.sweep/1`` sweep document."""
-        schema = data.get("schema")
-        if schema != SWEEP_SCHEMA:
-            raise ExperimentError(f"unsupported spec schema {schema!r} (want {SWEEP_SCHEMA!r})")
-        if data.get("kind") != "sweep_spec":
-            raise ExperimentError(f"expected a sweep_spec document, got {data.get('kind')!r}")
+        data = decode_document(data, "sweep_spec", ("shards",))
         return cls(
-            shards=tuple(RunSpec.from_dict(shard) for shard in data["shards"]),
+            shards=tuple(
+                RunSpec.from_dict(shard) for shard in list_field(data, "shards", "sweep_spec")
+            ),
             seed_mode=data.get("seed_mode", "per_shard"),
         )
 

@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (keeps repro.sim import-ligh
     from repro.obs.tracer import Tracer
     from repro.sanitizer.api import Sanitizer
     from repro.telemetry.registry import MetricRegistry
-    from repro.telemetry.sampling import SamplingController, SamplingSpec
     from repro.telemetry.slo import SloTracker
 
 
@@ -72,9 +71,8 @@ class Observe:
     telemetry: MetricRegistry | None = None
     slo: SloTracker | None = None
     sanitizer: Sanitizer | None = None
-    #: A registered sampling-policy name, a ``SamplingSpec`` or a
-    #: controller instance; ``None`` is full-cadence sampling.
-    sampling: SamplingController | SamplingSpec | str | None = None
+    #: A registered sampling-policy name; ``None`` is full-cadence sampling.
+    sampling: str | None = None
 
     def __post_init__(self) -> None:
         if self.slo is not None and self.telemetry is None:

@@ -4,8 +4,8 @@ The paper's MONITOR is an arbiter whose scaling decisions *are* the
 contribution (Section V); this package makes those decisions auditable and
 the simulator's wall-time measurable:
 
-* :mod:`repro.obs.tracer` — the :class:`Tracer` protocol, the zero-overhead
-  :class:`NullTracer` default, and the recording :class:`DecisionTracer`.
+* :mod:`repro.obs.tracer` — the :class:`Tracer` protocol and the recording
+  :class:`DecisionTracer` (an untraced run holds no tracer at all).
 * :mod:`repro.obs.spans` — the plain-data span records one tick produces.
 * :mod:`repro.obs.export` — deterministic JSONL persistence.
 * :mod:`repro.obs.explain` — the operator-facing "why did it scale?" view.
@@ -35,13 +35,11 @@ from repro.obs.spans import (
     span_from_dict,
     span_to_dict,
 )
-from repro.obs.tracer import NULL_TRACER, DecisionTracer, NullTracer, Tracer
+from repro.obs.tracer import DecisionTracer, Tracer
 
 __all__ = [
     # the contract
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "DecisionTracer",
     # span records
     "DecisionSpan",

@@ -1,14 +1,12 @@
-"""The :class:`Tracer` contract and its two implementations.
+"""The :class:`Tracer` contract and its recording implementation.
 
-The MONITOR and every policy emit decision evidence through a tracer:
-
-* :class:`NullTracer` — the default.  Every hook is a constant-time no-op
-  and ``enabled`` is ``False``, so instrumented code can skip building
-  evidence strings entirely (``if tracer.enabled: ...``).  Runs without
-  tracing pay nothing measurable.
-* :class:`DecisionTracer` — records one :class:`~repro.obs.spans.DecisionSpan`
-  per monitor tick, suitable for JSONL export (:mod:`repro.obs.export`) and
-  human rendering (:mod:`repro.obs.explain`).
+The MONITOR and every policy emit decision evidence through a tracer.  An
+untraced run holds ``None`` instead, and instrumented code skips building
+evidence entirely (``if tracer is not None: ...``), so runs without
+tracing pay nothing measurable.  :class:`DecisionTracer` records one
+:class:`~repro.obs.spans.DecisionSpan` per monitor tick, suitable for
+JSONL export (:mod:`repro.obs.export`) and human rendering
+(:mod:`repro.obs.explain`).
 
 Span lifecycle is strictly bracketed: ``begin_tick`` opens a span, the
 ``record_*`` hooks append evidence to it, ``end_tick`` freezes and stores
@@ -32,10 +30,6 @@ class Tracer(Protocol):
     All hooks are keyword-only so traces stay self-describing and
     implementations can evolve without positional breakage.
     """
-
-    #: ``False`` on no-op tracers: instrumented code may skip building
-    #: expensive evidence (digests, detail strings) when this is unset.
-    enabled: bool
 
     def begin_tick(
         self, *, now: float, policy: str, digest: str, services: int, nodes: int, replicas: int
@@ -82,64 +76,8 @@ class Tracer(Protocol):
         ...  # pragma: no cover - protocol stub
 
 
-class NullTracer:
-    """The zero-overhead default: every hook is a no-op.
-
-    Stateless and slot-free, so one shared instance serves every run.
-    """
-
-    __slots__ = ()
-
-    enabled: bool = False
-
-    def begin_tick(
-        self, *, now: float, policy: str, digest: str, services: int, nodes: int, replicas: int
-    ) -> None:
-        """No-op."""
-
-    def record_metric(
-        self, *, service: str, metric: str, value: float, threshold: float, verdict: str
-    ) -> None:
-        """No-op."""
-
-    def record_ledger(
-        self,
-        *,
-        op: str,
-        node: str,
-        service: str = "",
-        cpu: float = 0.0,
-        memory: float = 0.0,
-        network: float = 0.0,
-    ) -> None:
-        """No-op."""
-
-    def record_action(
-        self,
-        *,
-        kind: str,
-        service: str,
-        target: str = "",
-        reason: str = "",
-        metric: str = "",
-        value: float = 0.0,
-        threshold: float = 0.0,
-        detail: str = "",
-    ) -> None:
-        """No-op."""
-
-    def end_tick(self, *, emitted: int, applied: int, failed: int) -> None:
-        """No-op."""
-
-
-#: Shared default instance — NullTracer is stateless, so one is enough.
-NULL_TRACER = NullTracer()
-
-
 class DecisionTracer:
     """Records one :class:`DecisionSpan` per monitor tick."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._spans: list[DecisionSpan] = []

@@ -55,12 +55,11 @@ class ShardCache:
         """Where the shard's entry lives (whether or not it exists yet)."""
         return self.root / f"{self.key_for(spec)}.json"
 
-    def load(self, spec: "RunSpec", *, need_telemetry: bool = False) -> dict | None:
+    def load(self, spec: "RunSpec") -> dict | None:
         """Return the cached worker envelope for ``spec``, or ``None``.
 
-        An entry recorded without telemetry does not satisfy a request
-        *with* telemetry (and is treated as a miss so the shard re-runs
-        and re-stores with the snapshot included).
+        Fields other than the summary are ignored, so entries that carry
+        the ``telemetry`` field older versions wrote still load.
         """
         path = self.path_for(spec)
         try:
@@ -71,11 +70,8 @@ class ShardCache:
         if not self._entry_valid(entry, spec):
             self.misses += 1
             return None
-        if need_telemetry and entry.get("telemetry") is None:
-            self.misses += 1
-            return None
         self.hits += 1
-        return {"ok": True, "summary": entry["summary"], "telemetry": entry.get("telemetry")}
+        return {"ok": True, "summary": entry["summary"]}
 
     def store(self, spec: "RunSpec", result: dict) -> Path:
         """Persist a successful worker envelope for ``spec`` atomically."""
@@ -85,7 +81,6 @@ class ShardCache:
             "key": self.key_for(spec),
             "spec": spec.to_dict(),
             "summary": result["summary"],
-            "telemetry": result.get("telemetry"),
         }
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(spec)

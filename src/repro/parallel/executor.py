@@ -56,9 +56,7 @@ class SweepExecutor:
     ``jobs`` caps the worker-process count (``<= 1`` runs every shard
     in-process, through the identical worker function).  ``cache`` is an
     optional :class:`~repro.parallel.ShardCache` consulted before any
-    dispatch and fed after every fresh run.  ``collect_telemetry`` makes
-    each shard record a :class:`~repro.telemetry.MetricRegistry` and
-    return its canonical snapshot.  ``progress`` (if given) is called
+    dispatch and fed after every fresh run.  ``progress`` (if given) is called
     with ``(shard, status)`` where status is ``"cached"``, ``"running"``,
     or ``"done"``.
     """
@@ -68,14 +66,12 @@ class SweepExecutor:
         *,
         jobs: int = 1,
         cache: ShardCache | None = None,
-        collect_telemetry: bool = False,
         progress: Callable[[RunSpec, str], None] | None = None,
     ):
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.collect_telemetry = collect_telemetry
         self.progress = progress
 
     def run(self, sweep: SweepSpec) -> SweepResult:
@@ -86,7 +82,7 @@ class SweepExecutor:
 
         if self.cache is not None:
             for index, shard in enumerate(shards):
-                hit = self.cache.load(shard, need_telemetry=self.collect_telemetry)
+                hit = self.cache.load(shard)
                 if hit is not None:
                     envelopes[index] = hit
                     cached[index] = True
@@ -96,9 +92,7 @@ class SweepExecutor:
         if self.jobs <= 1 or len(missing) <= 1:
             for index in missing:
                 self._report(shards[index], "running")
-                envelopes[index] = run_shard_payload(
-                    shards[index].to_dict(), self.collect_telemetry
-                )
+                envelopes[index] = run_shard_payload(shards[index].to_dict())
                 self._finish(sweep, index, envelopes[index])
         else:
             self._run_pool(sweep, missing, envelopes)
@@ -115,9 +109,7 @@ class SweepExecutor:
             futures = {}
             for index in missing:
                 self._report(shards[index], "running")
-                futures[index] = pool.submit(
-                    run_shard_payload, shards[index].to_dict(), self.collect_telemetry
-                )
+                futures[index] = pool.submit(run_shard_payload, shards[index].to_dict())
             try:
                 # Collect in spec order; completion order is irrelevant
                 # because results land in their own slot.
@@ -160,17 +152,10 @@ class SweepExecutor:
         self, sweep: SweepSpec, envelopes: list[dict | None], cached: list[bool]
     ) -> SweepResult:
         summaries = []
-        telemetry = []
         for envelope in envelopes:
             assert envelope is not None  # every index was filled or raised
             summaries.append(RunSummary.from_dict(envelope["summary"]))
-            telemetry.append(tuple(envelope.get("telemetry") or ()))
-        return SweepResult(
-            sweep=sweep,
-            summaries=tuple(summaries),
-            cached=tuple(cached),
-            telemetry=tuple(telemetry) if self.collect_telemetry else (),
-        )
+        return SweepResult(sweep=sweep, summaries=tuple(summaries), cached=tuple(cached))
 
     def _report(self, shard: RunSpec, status: str) -> None:
         if self.progress is not None:

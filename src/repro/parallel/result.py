@@ -1,10 +1,9 @@
 """Merged sweep results, in shard order.
 
 A :class:`SweepResult` pairs the sweep's spec with one
-:class:`~repro.metrics.summary.RunSummary` per shard (same order), which
-shards came from the cache, and — when telemetry was collected — each
-shard's canonical metric-snapshot lines.  Because the executor merges in
-spec order regardless of completion order, everything here (including
+:class:`~repro.metrics.summary.RunSummary` per shard (same order) and
+which shards came from the cache.  Because the executor merges in spec
+order regardless of completion order, everything here (including
 :meth:`to_json`) is byte-identical between serial and parallel execution.
 """
 
@@ -12,11 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import ExperimentError
-from repro.experiments.spec import SWEEP_SCHEMA, RunSpec, SweepSpec
+from repro.experiments.spec import SWEEP_SCHEMA, RunSpec, SweepSpec, decode_document, list_field
 from repro.metrics.summary import RunSummary
 
 
@@ -28,9 +26,6 @@ class SweepResult:
     summaries: tuple[RunSummary, ...]
     #: Per shard: ``True`` when the result came from the shard cache.
     cached: tuple[bool, ...] = ()
-    #: Per shard: canonical telemetry snapshot lines (empty tuple when the
-    #: sweep ran without telemetry collection).
-    telemetry: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.summaries) != len(self.sweep.shards):
@@ -41,8 +36,6 @@ class SweepResult:
             object.__setattr__(self, "cached", tuple(False for _ in self.summaries))
         if len(self.cached) != len(self.summaries):
             raise ExperimentError("cached flags must match the shard count")
-        if self.telemetry and len(self.telemetry) != len(self.summaries):
-            raise ExperimentError("telemetry snapshots must match the shard count")
 
     def __len__(self) -> int:
         return len(self.summaries)
@@ -87,28 +80,6 @@ class SweepResult:
             )
         return next(iter(grouped.values()))
 
-    # -- telemetry -----------------------------------------------------
-    def telemetry_lines(self) -> list[str]:
-        """The sweep-level snapshot: every shard's lines, shard-stamped.
-
-        Each per-shard line is re-encoded canonically with an extra
-        ``"shard": <key>`` field (the telemetry parser tolerates extra
-        keys), concatenated in shard order.
-        """
-        merged: list[str] = []
-        for spec, lines in zip(self.sweep.shards, self.telemetry):
-            for line in lines:
-                payload = json.loads(line)
-                payload["shard"] = spec.key
-                merged.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        return merged
-
-    def write_telemetry_jsonl(self, path: str | Path) -> int:
-        """Write the merged sweep snapshot; returns the line count."""
-        lines = self.telemetry_lines()
-        Path(path).write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
-        return len(lines)
-
     # -- codec ---------------------------------------------------------
     def to_dict(self) -> dict:
         """This result as a ``repro.sweep/1`` document."""
@@ -118,22 +89,26 @@ class SweepResult:
             "sweep": self.sweep.to_dict(),
             "summaries": [summary.to_dict() for summary in self.summaries],
             "cached": list(self.cached),
-            "telemetry": [list(lines) for lines in self.telemetry],
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepResult":
-        """Decode a ``repro.sweep/1`` result document."""
-        schema = data.get("schema")
-        if schema != SWEEP_SCHEMA:
-            raise ExperimentError(f"unsupported spec schema {schema!r} (want {SWEEP_SCHEMA!r})")
-        if data.get("kind") != "sweep_result":
-            raise ExperimentError(f"expected a sweep_result document, got {data.get('kind')!r}")
+        """Decode a ``repro.sweep/1`` result document.
+
+        The ``telemetry`` field older versions wrote is ignored.
+        """
+        data = decode_document(data, "sweep_result", ("sweep", "summaries"))
+        sweep = data["sweep"]
+        if not isinstance(sweep, Mapping):
+            raise ExperimentError(
+                f"sweep_result field 'sweep' must be an object, got {type(sweep).__name__}"
+            )
         return cls(
-            sweep=SweepSpec.from_dict(data["sweep"]),
-            summaries=tuple(RunSummary.from_dict(s) for s in data["summaries"]),
-            cached=tuple(bool(flag) for flag in data.get("cached", ())),
-            telemetry=tuple(tuple(lines) for lines in data.get("telemetry", ())),
+            sweep=SweepSpec.from_dict(sweep),
+            summaries=tuple(
+                RunSummary.from_dict(s) for s in list_field(data, "summaries", "sweep_result")
+            ),
+            cached=tuple(bool(flag) for flag in list_field(data, "cached", "sweep_result")),
         )
 
     def to_json(self) -> str:

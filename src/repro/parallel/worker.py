@@ -20,11 +20,10 @@ import traceback
 from typing import Any, Mapping
 
 
-def run_shard_payload(payload: Mapping[str, Any], collect_telemetry: bool = False) -> dict:
+def run_shard_payload(payload: Mapping[str, Any]) -> dict:
     """Execute one ``repro.sweep/1`` run document and envelope the result.
 
-    Returns ``{"ok": True, "summary": <RunSummary dict>, "telemetry":
-    <list of canonical snapshot lines or None>}`` on success and
+    Returns ``{"ok": True, "summary": <RunSummary dict>}`` on success and
     ``{"ok": False, "error": {"type", "message", "traceback"}}`` on any
     failure inside the shard.
     """
@@ -33,22 +32,8 @@ def run_shard_payload(payload: Mapping[str, Any], collect_telemetry: bool = Fals
         # a bare spawn child before the heavy experiment stack is needed.
         from repro.experiments.spec import RunSpec
 
-        spec = RunSpec.from_dict(payload)
-        if collect_telemetry:
-            from repro.instrument import Observe
-            from repro.telemetry.registry import MetricRegistry
-            from repro.telemetry.snapshot import snapshot_lines
-
-            registry = MetricRegistry()
-            simulation = spec.build(observe=Observe(telemetry=registry))
-            summary = simulation.run(spec.duration)
-            telemetry: list[str] | None = snapshot_lines(
-                registry, now=simulation.engine.clock.now
-            )
-        else:
-            summary = spec.run()
-            telemetry = None
-        return {"ok": True, "summary": summary.to_dict(), "telemetry": telemetry}
+        summary = RunSpec.from_dict(payload).run()
+        return {"ok": True, "summary": summary.to_dict()}
     except Exception as exc:  # noqa: BLE001 - the envelope *is* the handler
         return {
             "ok": False,

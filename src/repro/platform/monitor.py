@@ -49,7 +49,7 @@ from repro.dockersim.api import DockerClient
 from repro.errors import DockerSimError, PolicyError, ReproError
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.events import EventKind, ScalingEvent
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.platform.node_manager import NodeManager, Row
 from repro.sanitizer.api import Sanitizer
 from repro.sim.clock import SimClock
@@ -90,7 +90,7 @@ class Monitor:
         config: SimulationConfig,
         collector: MetricsCollector,
         placement: PlacementStrategy | None = None,
-        tracer: Tracer = NULL_TRACER,
+        tracer: Tracer | None = None,
         telemetry: RunTelemetry | None = None,
         sanitizer: Sanitizer | None = None,
     ):
@@ -154,11 +154,11 @@ class Monitor:
             # Audit the snapshot before the policy plans against it: the
             # view's allocation vectors seed the NodeLedger balances.
             self.sanitizer.check_view(now=now, view=view)
-        tracing = self.tracer.enabled
+        tracer = self.tracer
         applied_before = self.log.actions_applied
         failed_before = self.log.actions_failed
-        if tracing:
-            self.tracer.begin_tick(
+        if tracer is not None:
+            tracer.begin_tick(
                 now=now,
                 policy=self.policy.name,
                 digest=view.digest(),
@@ -173,8 +173,8 @@ class Monitor:
             self.telemetry.monitor_ticks.inc()
             if actions:
                 self.telemetry.monitor_actions_emitted.inc(len(actions))
-        if tracing:
-            self.tracer.end_tick(
+        if tracer is not None:
+            tracer.end_tick(
                 emitted=len(actions),
                 applied=self.log.actions_applied - applied_before,
                 failed=self.log.actions_failed - failed_before,

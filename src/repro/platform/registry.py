@@ -21,10 +21,6 @@ class ServiceRegistry:
     def __init__(self, cluster: Cluster):
         self._cluster = cluster
 
-    def services(self) -> list[str]:
-        """All registered service names, sorted."""
-        return sorted(self._cluster.services)
-
     def service(self, name: str) -> Microservice:
         """The registered microservice ``name``: its live replica set and spec.
 

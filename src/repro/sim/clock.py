@@ -56,9 +56,5 @@ class SimClock:
         self._now = self._step * self._dt
         return self._now
 
-    def elapsed_since(self, t: float) -> float:
-        """Seconds elapsed since time ``t`` (negative if ``t`` is ahead)."""
-        return self._now - t
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimClock(now={self._now:.3f}, dt={self._dt}, step={self._step})"

@@ -17,16 +17,16 @@ post-hoc summaries in :mod:`repro.metrics` and the decision traces in
 * :func:`render_openmetrics` / :func:`write_snapshot_jsonl` and friends —
   byte-deterministic exporters (and their strict parsers).
 * :func:`render_top` / :func:`run_top` — the live ``top`` dashboard.
-* :class:`SamplingController` / :class:`SamplingSpec` /
-  :func:`resolve_sampling` — adaptive sampling policies (``full``,
-  ``adaptive``, ``threshold-aware``) with an
-  :class:`ObservationCostModel`-charged :class:`MonitorBudget`.
+* :class:`SamplingController` / :func:`resolve_sampling` — adaptive
+  sampling policies (``full``, ``adaptive``, ``threshold-aware``) that
+  charge a :class:`MonitorBudget` at the prices in
+  :mod:`repro.telemetry.cost`.
 
 See ``docs/telemetry.md`` for the instrument catalogue and conventions,
 including the "Scaling the observer" section for sampling.
 """
 
-from repro.telemetry.cost import DEFAULT_COST_MODEL, MonitorBudget, ObservationCostModel
+from repro.telemetry.cost import MonitorBudget
 from repro.telemetry.hub import RunTelemetry
 from repro.telemetry.instruments import (
     DEFAULT_LATENCY_BUCKETS,
@@ -47,10 +47,7 @@ from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.sampling import (
     AdaptiveSamplingController,
     SamplingController,
-    SamplingSpec,
     ThresholdAwareSamplingController,
-    make_sampling,
-    register_sampling_policy,
     registered_sampling_policies,
     resolve_sampling,
 )
@@ -92,15 +89,10 @@ __all__ = [
     "read_snapshot_jsonl",
     "render_top",
     "run_top",
-    "ObservationCostModel",
-    "DEFAULT_COST_MODEL",
     "MonitorBudget",
-    "SamplingSpec",
     "SamplingController",
     "AdaptiveSamplingController",
     "ThresholdAwareSamplingController",
     "registered_sampling_policies",
-    "register_sampling_policy",
-    "make_sampling",
     "resolve_sampling",
 ]

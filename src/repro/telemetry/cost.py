@@ -5,9 +5,9 @@ they scrape; at 24 nodes that cost is noise, at 1,000 nodes / 50k
 containers the observer becomes the workload.  This module makes that
 cost a first-class **simulated** quantity:
 
-* :class:`ObservationCostModel` — fixed per-capture / per-node /
-  per-container / per-series prices, in simulated seconds of collector
-  CPU.  The defaults are cadvisor-shaped (tens of microseconds per
+* the ``PER_*_SECONDS`` prices — fixed per-capture / per-node /
+  per-container / per-series / per-skip costs, in simulated seconds of
+  collector CPU.  They are cadvisor-shaped (tens of microseconds per
   container housekeeping pass), but the absolute scale matters less than
   the *ratios* the sampling policies change.
 * :class:`MonitorBudget` — the running ledger a
@@ -23,60 +23,24 @@ same-seed runs (the telemetry package contract, lint rule OBS001).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import TelemetryError
-
-
-@dataclass(frozen=True)
-class ObservationCostModel:
-    """Fixed prices, in simulated seconds, for one collection pass.
-
-    ``per_capture_seconds`` is the fixed cost of waking the collector;
-    ``per_node_seconds`` the cost of visiting one node's stats endpoint;
-    ``per_container_seconds`` the cadvisor-style housekeeping cost per
-    active container touched; ``per_series_seconds`` the cost of writing
-    one series point into retention; ``per_skip_seconds`` the (tiny)
-    bookkeeping cost of consulting the sampling controller for a node
-    that is then *not* collected.
-    """
-
-    per_capture_seconds: float = 1e-3
-    per_node_seconds: float = 5e-5
-    per_container_seconds: float = 2e-5
-    per_series_seconds: float = 2e-6
-    per_skip_seconds: float = 1e-6
-
-    def __post_init__(self) -> None:
-        for field in (
-            "per_capture_seconds",
-            "per_node_seconds",
-            "per_container_seconds",
-            "per_series_seconds",
-            "per_skip_seconds",
-        ):
-            if getattr(self, field) < 0:
-                raise TelemetryError(f"observation cost {field} must be >= 0")
-
-    def node_cost(self, containers: int) -> float:
-        """Cost of freshly collecting one node with ``containers`` active."""
-        return self.per_node_seconds + containers * self.per_container_seconds
-
-    def capture_cost(self, series: int) -> float:
-        """Fixed wake-up cost plus the retention write for ``series`` series."""
-        return self.per_capture_seconds + series * self.per_series_seconds
-
-
-#: Shared default price list (frozen, so sharing is safe).
-DEFAULT_COST_MODEL = ObservationCostModel()
+#: Fixed cost of waking the collector for one capture.
+PER_CAPTURE_SECONDS = 1e-3
+#: Cost of visiting one node's stats endpoint.
+PER_NODE_SECONDS = 5e-5
+#: cadvisor-style housekeeping cost per active container touched.
+PER_CONTAINER_SECONDS = 2e-5
+#: Cost of writing one series point into retention.
+PER_SERIES_SECONDS = 2e-6
+#: Bookkeeping cost of consulting the controller for a node it then skips.
+PER_SKIP_SECONDS = 1e-6
 
 
 class MonitorBudget:
     """Running ledger of simulated observation cost for one run.
 
     Charged exclusively by the run's sampling controller (one ledger per
-    controller, one controller per run), read by the scale bench and the
-    ``top`` dashboard.  All quantities are cumulative.
+    controller, one controller per run), read by ``run --sampling`` and
+    the ``top`` dashboard.  All quantities are cumulative.
     """
 
     __slots__ = (
@@ -96,25 +60,25 @@ class MonitorBudget:
         self.containers_observed = 0
         self.series_captured = 0
 
-    def charge_node(self, cost: ObservationCostModel, containers: int) -> None:
+    def charge_node(self, containers: int) -> None:
         """One freshly collected node with ``containers`` active containers."""
         self.nodes_observed += 1
         self.containers_observed += containers
-        self.collection_cost_seconds += cost.node_cost(containers)
+        self.collection_cost_seconds += PER_NODE_SECONDS + containers * PER_CONTAINER_SECONDS
 
-    def charge_skip(self, cost: ObservationCostModel) -> None:
+    def charge_skip(self) -> None:
         """One node the controller decided not to collect this pass."""
         self.nodes_skipped += 1
-        self.collection_cost_seconds += cost.per_skip_seconds
+        self.collection_cost_seconds += PER_SKIP_SECONDS
 
-    def charge_capture(self, cost: ObservationCostModel, series: int) -> None:
+    def charge_capture(self, series: int) -> None:
         """One registry capture writing ``series`` series points."""
         self.captures += 1
         self.series_captured += series
-        self.collection_cost_seconds += cost.capture_cost(series)
+        self.collection_cost_seconds += PER_CAPTURE_SECONDS + series * PER_SERIES_SECONDS
 
     def to_dict(self) -> dict:
-        """The ledger as plain JSON types (bench report rows)."""
+        """The ledger as plain JSON types."""
         return {
             "collection_cost_seconds": round(self.collection_cost_seconds, 9),
             "captures": self.captures,

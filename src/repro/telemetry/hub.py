@@ -21,7 +21,6 @@ registry; an unobserved run has none and pays nothing.
 from __future__ import annotations
 
 from repro.cluster.cluster import Cluster
-from repro.obs.profiler import PhaseProfiler
 from repro.platform.lb_tier import LoadBalancerTier
 from repro.sim.clock import SimClock
 from repro.telemetry.registry import MetricRegistry
@@ -51,7 +50,6 @@ class RunTelemetry:
         *,
         slo: SloTracker | None = None,
         sample_every: float = 5.0,
-        profiler: PhaseProfiler | None = None,
         sampling: SamplingController | None = None,
     ) -> None:
         self.registry = registry
@@ -62,7 +60,6 @@ class RunTelemetry:
         self.sampling = sampling if sampling is not None else resolve_sampling(None)
         self._sample_every = sample_every
         self._next_sample = 0.0
-        self._profiler = profiler
         self._cluster: Cluster | None = None
         self._lb: LoadBalancerTier | None = None
         self._generator: ClientLoadGenerator | None = None
@@ -192,19 +189,6 @@ class RunTelemetry:
         )
         self.slo_alerts = registry.counter(
             "slo_alerts", "Burn-rate alerts fired.", labels=("service", "window")
-        )
-        self.profile_seconds = registry.gauge(
-            "profile_phase_seconds",
-            "Cumulative wall time per engine phase (volatile: excluded from exports).",
-            unit="seconds",
-            labels=("phase",),
-            volatile=True,
-        )
-        self.profile_calls = registry.gauge(
-            "profile_phase_calls",
-            "Phase invocations profiled (volatile: excluded from exports).",
-            labels=("phase",),
-            volatile=True,
         )
 
     # ------------------------------------------------------------------
@@ -336,11 +320,7 @@ class RunTelemetry:
                 self.slo_budget_remaining.set(
                     self.slo.budget_remaining(service), service=service
                 )
-        if self._profiler is not None:
-            for phase in self._profiler.phase_names():
-                self.profile_seconds.set(self._profiler.seconds(phase), phase=phase)
-                self.profile_calls.set(self._profiler.calls(phase), phase=phase)
-        self.sampling.finish_sample(now, profiler=self._profiler)
+        self.sampling.finish_sample(now)
         self.registry.capture(now)
 
     def _sample_cluster(self, now: float) -> None:

@@ -206,16 +206,11 @@ class MetricFamily(Generic[InstrumentT]):
         *,
         unit: str = "",
         label_names: tuple[str, ...] = (),
-        volatile: bool = False,
     ) -> None:
         self.name = validate_metric_name(name)
         self.help = help
         self.unit = unit
         self.label_names = tuple(label_names)
-        #: Volatile families carry host-dependent values (wall-clock phase
-        #: timings); exporters exclude them from persisted artifacts unless
-        #: explicitly asked, so snapshots stay run-for-run reproducible.
-        self.volatile = volatile
         self._children: dict[LabelValues, InstrumentT] = {}
 
     # ------------------------------------------------------------------
@@ -319,10 +314,9 @@ class HistogramFamily(MetricFamily[Histogram]):
         *,
         unit: str = "",
         label_names: tuple[str, ...] = (),
-        volatile: bool = False,
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
-        super().__init__(name, help, unit=unit, label_names=label_names, volatile=volatile)
+        super().__init__(name, help, unit=unit, label_names=label_names)
         #: Shared bucket bounds — fixed at declaration, identical across children.
         self.buckets = tuple(float(b) for b in buckets)
         Histogram(self.buckets)  # validate the bounds once, up front

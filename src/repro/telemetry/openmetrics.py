@@ -72,15 +72,10 @@ def _render_family(family: MetricFamily, lines: list[str]) -> None:
             lines.append(f"{name}{suffix}{block} {format_value(child.value)}")
 
 
-def render_openmetrics(registry: MetricRegistry, *, include_volatile: bool = False) -> str:
-    """The registry as an OpenMetrics text document (ends with ``# EOF``).
-
-    Volatile families (wall-clock phase timings) are excluded by default so
-    the document stays a deterministic function of the simulated run; pass
-    ``include_volatile=True`` for live views.
-    """
+def render_openmetrics(registry: MetricRegistry) -> str:
+    """The registry as an OpenMetrics text document (ends with ``# EOF``)."""
     lines: list[str] = []
-    for family in registry.families(include_volatile=include_volatile):
+    for family in registry.families():
         if len(family) == 0:
             continue  # OpenMetrics forbids metadata-only families
         _render_family(family, lines)
@@ -88,11 +83,9 @@ def render_openmetrics(registry: MetricRegistry, *, include_volatile: bool = Fal
     return "\n".join(lines) + "\n"
 
 
-def write_openmetrics(
-    registry: MetricRegistry, path: str | Path, *, include_volatile: bool = False
-) -> int:
+def write_openmetrics(registry: MetricRegistry, path: str | Path) -> int:
     """Write the exposition document; returns the number of sample lines."""
-    text = render_openmetrics(registry, include_volatile=include_volatile)
+    text = render_openmetrics(registry)
     Path(path).write_text(text, encoding="utf-8")
     return sum(1 for line in text.splitlines() if line and not line.startswith("#"))
 

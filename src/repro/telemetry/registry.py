@@ -54,12 +54,9 @@ class MetricRegistry:
         *,
         unit: str = "",
         labels: tuple[str, ...] = (),
-        volatile: bool = False,
     ) -> CounterFamily:
         """Register (or fetch) a counter family."""
-        return self._register(
-            CounterFamily(name, help, unit=unit, label_names=labels, volatile=volatile)
-        )
+        return self._register(CounterFamily(name, help, unit=unit, label_names=labels))
 
     def gauge(
         self,
@@ -68,12 +65,9 @@ class MetricRegistry:
         *,
         unit: str = "",
         labels: tuple[str, ...] = (),
-        volatile: bool = False,
     ) -> GaugeFamily:
         """Register (or fetch) a gauge family."""
-        return self._register(
-            GaugeFamily(name, help, unit=unit, label_names=labels, volatile=volatile)
-        )
+        return self._register(GaugeFamily(name, help, unit=unit, label_names=labels))
 
     def histogram(
         self,
@@ -82,14 +76,11 @@ class MetricRegistry:
         *,
         unit: str = "",
         labels: tuple[str, ...] = (),
-        volatile: bool = False,
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> HistogramFamily:
         """Register (or fetch) a histogram family with fixed bucket bounds."""
         return self._register(
-            HistogramFamily(
-                name, help, unit=unit, label_names=labels, volatile=volatile, buckets=buckets
-            )
+            HistogramFamily(name, help, unit=unit, label_names=labels, buckets=buckets)
         )
 
     def _register(self, family):  # type: ignore[no-untyped-def]
@@ -101,7 +92,6 @@ class MetricRegistry:
             type(existing) is not type(family)
             or existing.label_names != family.label_names
             or existing.unit != family.unit
-            or existing.volatile != family.volatile
             or getattr(existing, "buckets", None) != getattr(family, "buckets", None)
         ):
             raise TelemetryError(
@@ -118,14 +108,10 @@ class MetricRegistry:
         return self._families.get(name)
 
     def families(
-        self, *, include_volatile: bool = True
+        self,
     ) -> tuple[MetricFamily[Counter] | MetricFamily[Gauge] | MetricFamily[Histogram], ...]:
         """All families, sorted by name (the canonical export order)."""
-        return tuple(
-            family
-            for name, family in sorted(self._families.items())
-            if include_volatile or not family.volatile
-        )
+        return tuple(family for _, family in sorted(self._families.items()))
 
     def __len__(self) -> int:
         return len(self._families)

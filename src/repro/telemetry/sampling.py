@@ -9,9 +9,9 @@ values or keeps the last-known ones:
 * ``full`` — every node, every pass: byte-identical to the pre-sampling
   telemetry layer, and the default everywhere.
 * ``adaptive`` — full cadence for nodes whose utilization sits inside a
-  configurable guard band around the scaling thresholds, or with recent
-  OOM/boot/scale activity; exponentially decayed cadence (x2 per quiet
-  observation, capped at ``max_backoff``) elsewhere.
+  guard band (:data:`GUARD_BAND`) around the scaling thresholds, or with
+  recent OOM/boot/scale activity; exponentially decayed cadence (x2 per
+  quiet observation, capped at :data:`MAX_BACKOFF`) elsewhere.
 * ``threshold-aware`` — ``adaptive`` whose guard-band edges are derived
   from the deployed services' declared ``target_utilization`` instead of
   fixed bounds, so the controller watches exactly where the autoscaling
@@ -20,78 +20,50 @@ values or keeps the last-known ones:
 Skipped nodes keep **last-known values**: their gauges are not rewritten,
 and ``capture`` re-records the stale value, so every series stays dense.
 Staleness is *bounded*: a node is re-collected after at most
-``max_backoff`` sampling intervals (:meth:`SamplingController.max_staleness`
+:data:`MAX_BACKOFF` sampling intervals (:meth:`SamplingController.max_staleness`
 reports the bound).  Activity hotness is *targeted*: a node that showed
-boot/stop/OOM churn keeps full cadence for ``hot_seconds`` (an applied
+boot/stop/OOM churn keeps full cadence for :data:`HOT_SECONDS` (an applied
 scale action surfaces as churn on the affected node within the staleness
 bound), and an OOM kill — rare and correctness-critical — additionally
 forces one fleet-wide sweep so the reaped container's node is rediscovered
 immediately rather than at its next due pass.
 
 Every pass is charged to a :class:`~repro.telemetry.cost.MonitorBudget`
-using an :class:`~repro.telemetry.cost.ObservationCostModel`, so the
-observer's cost is a simulated quantity the scale bench can compare
-across policies.  Decisions are pure functions of simulated state — no
+at the prices in :mod:`repro.telemetry.cost`, so the observer's cost is a
+simulated quantity ``run --sampling`` reports and policies can be
+compared on.  Decisions are pure functions of simulated state — no
 clocks, no randomness — so sampled runs stay byte-deterministic.
 
-Policies are pluggable behind a :class:`~repro.names.NameRegistry`, the
-table type every name kind uses: :func:`registered_sampling_policies`,
-:func:`register_sampling_policy`, and :func:`resolve_sampling` (the one
-coercion point behind every API accepting a policy name).
+The three policies sit in a :class:`~repro.names.NameRegistry`, the
+table type every name kind uses: :func:`registered_sampling_policies`
+lists them and :func:`resolve_sampling` (the one coercion point behind
+every API accepting a policy name) builds a fresh controller by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import TelemetryError
 from repro.names import NameRegistry
-from repro.telemetry.cost import DEFAULT_COST_MODEL, MonitorBudget, ObservationCostModel
+from repro.telemetry.cost import MonitorBudget
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.cluster.cluster import Cluster
-    from repro.obs.profiler import PhaseProfiler
     from repro.telemetry.registry import MetricRegistry
 
-
-@dataclass(frozen=True)
-class SamplingSpec:
-    """Declarative sampling configuration (frozen, shareable).
-
-    ``policy`` names the controller (see
-    :func:`registered_sampling_policies`); the remaining knobs tune the
-    decaying controllers and are ignored by ``full``:
-
-    * ``guard_band`` — a node whose cpu/mem/net utilization is within
-      this distance of a threshold edge keeps full cadence;
-    * ``hot_low`` / ``hot_high`` — the fixed threshold edges used by
-      ``adaptive`` (``threshold-aware`` derives edges from the fleet);
-    * ``max_backoff`` — cadence decays x2 per quiet observation up to
-      this multiplier of the sampling interval (the staleness bound);
-    * ``hot_seconds`` — how long boot/stop/OOM churn keeps the affected
-      node at full cadence.
-    """
-
-    policy: str = "full"
-    guard_band: float = 0.1
-    hot_low: float = 0.2
-    hot_high: float = 0.8
-    max_backoff: int = 8
-    hot_seconds: float = 10.0
-    cost: ObservationCostModel = DEFAULT_COST_MODEL
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.guard_band <= 1.0:
-            raise TelemetryError(f"guard_band must be in [0, 1], got {self.guard_band}")
-        if not 0.0 <= self.hot_low <= self.hot_high <= 1.0:
-            raise TelemetryError(
-                f"need 0 <= hot_low <= hot_high <= 1, got {self.hot_low}/{self.hot_high}"
-            )
-        if self.max_backoff < 1:
-            raise TelemetryError(f"max_backoff must be >= 1, got {self.max_backoff}")
-        if self.hot_seconds < 0:
-            raise TelemetryError(f"hot_seconds must be >= 0, got {self.hot_seconds}")
+#: A node whose cpu/mem/net utilization is within this distance of a
+#: threshold edge keeps full cadence.
+GUARD_BAND = 0.1
+#: The fixed threshold edges ``adaptive`` watches (``threshold-aware``
+#: derives its edges from the fleet instead).
+HOT_LOW = 0.2
+HOT_HIGH = 0.8
+#: Cadence decays x2 per quiet observation up to this multiplier of the
+#: sampling interval (the staleness bound).
+MAX_BACKOFF = 8
+#: How long boot/stop/OOM churn keeps the affected node at full cadence.
+HOT_SECONDS = 10.0
 
 
 class SamplingController:
@@ -105,15 +77,14 @@ class SamplingController:
     per simulation.
     """
 
-    #: Registry name (overridden by subclasses / set by factories).
+    #: Registry name (overridden by subclasses).
     name = "full"
     #: Whether this controller mints ``monitoring_*`` families.  ``full``
     #: does not: the default export byte-layout must match a build that
     #: never heard of sampling.
     exports_metrics = False
 
-    def __init__(self, spec: SamplingSpec | None = None) -> None:
-        self.spec = spec if spec is not None else SamplingSpec(policy=self.name)
+    def __init__(self) -> None:
         self.budget = MonitorBudget()
         self._registry: "MetricRegistry | None" = None
         self._sample_every = 5.0
@@ -211,17 +182,17 @@ class SamplingController:
     ) -> None:
         """Account one fresh collection and update the node's cadence."""
         _ = cpu, memory, network, churn
-        self.budget.charge_node(self.spec.cost, containers)
+        self.budget.charge_node(containers)
         self._last_observed[node] = now
 
     def skip_node(self, node: str, now: float) -> None:
         """Account one skipped node; its series keep last-known values."""
-        self.budget.charge_skip(self.spec.cost)
+        self.budget.charge_skip()
         stale = now - self._last_observed.get(node, now)
         if stale > self._max_stale:
             self._max_stale = stale
 
-    def finish_sample(self, now: float, *, profiler: "PhaseProfiler | None" = None) -> None:
+    def finish_sample(self, now: float) -> None:
         """Close the pass: charge the capture, publish cost instruments."""
         _ = now
         registry = self._registry
@@ -229,7 +200,7 @@ class SamplingController:
         if registry is not None:
             series = sum(len(family) for family in registry.families())
         budget = self.budget
-        budget.charge_capture(self.spec.cost, series)
+        budget.charge_capture(series)
         published = self._published
         cost_delta = budget.collection_cost_seconds - published.collection_cost_seconds
         observed_delta = budget.nodes_observed - published.nodes_observed
@@ -248,17 +219,13 @@ class SamplingController:
             self._instruments["containers"].inc(containers_delta)  # type: ignore[attr-defined]
             self._instruments["series"].inc(series_delta)  # type: ignore[attr-defined]
             self._instruments["staleness"].set(self._max_stale)  # type: ignore[attr-defined]
-        if profiler is not None:
-            profiler.increment("telemetry.nodes_observed", observed_delta)
-            profiler.increment("telemetry.nodes_skipped", skipped_delta)
-            profiler.increment("telemetry.series_captured", series_delta)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def max_staleness(self) -> float:
         """Upper bound on how old a served last-known value can be."""
-        return self.spec.max_backoff * self._sample_every
+        return MAX_BACKOFF * self._sample_every
 
     def last_pass_staleness(self) -> float:
         """Oldest last-known value actually served in the latest pass."""
@@ -271,15 +238,15 @@ class AdaptiveSamplingController(SamplingController):
     name = "adaptive"
     exports_metrics = True
 
-    def __init__(self, spec: SamplingSpec | None = None) -> None:
-        super().__init__(spec if spec is not None else SamplingSpec(policy="adaptive"))
+    def __init__(self) -> None:
+        super().__init__()
         #: Current cadence multiplier per node (1 = every pass).
         self._interval: dict[str, int] = {}
         #: Simulated time each node's next fresh collection is due.
         self._due: dict[str, float] = {}
         #: Per-node activity window: churn keeps full cadence until then.
         self._node_hot: dict[str, float] = {}
-        self._edges: tuple[float, ...] = (self.spec.hot_low, self.spec.hot_high)
+        self._edges: tuple[float, ...] = (HOT_LOW, HOT_HIGH)
 
     def node_due(self, node: str, now: float) -> bool:
         if self._sweep:
@@ -288,14 +255,14 @@ class AdaptiveSamplingController(SamplingController):
 
     def _hot(self, node: str, now: float, cpu: float, memory: float, network: float, churn: int) -> bool:
         if churn:
-            self._node_hot[node] = now + self.spec.hot_seconds
+            self._node_hot[node] = now + HOT_SECONDS
             return True
         if now < self._node_hot.get(node, -1.0):
             return True
         edges = self._edges
         if not edges:
             return True
-        band = self.spec.guard_band
+        band = GUARD_BAND
         ceiling = edges[-1] - band
         for value in (cpu, memory, network):
             if value >= ceiling:
@@ -316,12 +283,12 @@ class AdaptiveSamplingController(SamplingController):
         containers: int,
         churn: int,
     ) -> None:
-        self.budget.charge_node(self.spec.cost, containers)
+        self.budget.charge_node(containers)
         self._last_observed[node] = now
         if self._hot(node, now, cpu, memory, network, churn):
             interval = 1
         else:
-            interval = min(self._interval.get(node, 1) * 2, self.spec.max_backoff)
+            interval = min(self._interval.get(node, 1) * 2, MAX_BACKOFF)
         self._interval[node] = interval
         self._due[node] = now + interval * self._sample_every
 
@@ -349,14 +316,11 @@ class ThresholdAwareSamplingController(AdaptiveSamplingController):
 # ----------------------------------------------------------------------
 # The name registry
 # ----------------------------------------------------------------------
-#: A factory builds a fresh controller for one run from its spec.
-SamplingFactory = Callable[[SamplingSpec], SamplingController]
-
-_SAMPLINGS: NameRegistry[SamplingFactory] = NameRegistry(
+_SAMPLINGS: NameRegistry[type[SamplingController]] = NameRegistry(
     "sampling policy",
     TelemetryError,
     callable,
-    "a controller factory (callable)",
+    "a controller class",
     {
         "full": SamplingController,
         "adaptive": AdaptiveSamplingController,
@@ -370,42 +334,17 @@ def registered_sampling_policies() -> tuple[str, ...]:
     return _SAMPLINGS.names()
 
 
-def register_sampling_policy(
-    name: str, factory: SamplingFactory, *, replace: bool = False
-) -> None:
-    """Add a sampling policy under ``name`` (see ``docs/telemetry.md``)."""
-    _SAMPLINGS.register(name, factory, replace=replace)
+def resolve_sampling(sampling: str | None) -> SamplingController:
+    """A fresh controller for one run (the one coercion point).
 
-
-def make_sampling(name: str, spec: SamplingSpec | None = None) -> SamplingController:
-    """Build a fresh controller by name, configured by ``spec``."""
-    factory = _SAMPLINGS.resolve(name)
-    if spec is None:
-        spec = SamplingSpec(policy=name)
-    elif spec.policy != name:
-        spec = replace(spec, policy=name)
-    return factory(spec)
-
-
-def resolve_sampling(
-    sampling: "SamplingController | SamplingSpec | str | None",
-) -> SamplingController:
-    """Coerce ``sampling`` to a fresh controller (the one coercion point).
-
-    ``None`` means the legacy default: a ``full`` controller whose runs
-    are byte-identical to builds that never passed ``sampling`` at all.
-    Controller instances pass through untouched (they carry per-run
-    state, so reusing one across runs is the caller's responsibility).
+    ``sampling`` is a registered policy name; ``None`` means ``full``,
+    whose runs are byte-identical to builds that never passed
+    ``sampling`` at all.
     """
     if sampling is None:
         return SamplingController()
-    if isinstance(sampling, SamplingController):
-        return sampling
-    if isinstance(sampling, SamplingSpec):
-        return make_sampling(sampling.policy, sampling)
-    if isinstance(sampling, str):
-        return make_sampling(sampling)
-    raise TelemetryError(
-        f"expected a SamplingController, SamplingSpec, or policy name, "
-        f"got {type(sampling).__name__}"
-    )
+    if not isinstance(sampling, str):
+        raise TelemetryError(
+            f"expected a sampling-policy name, got {type(sampling).__name__}"
+        )
+    return _SAMPLINGS.resolve(sampling)()

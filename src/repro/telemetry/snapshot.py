@@ -41,17 +41,15 @@ def snapshot_lines(
     registry: MetricRegistry,
     *,
     now: float,
-    include_volatile: bool = False,
     alerts: Iterable["SloAlert"] = (),
 ) -> list[str]:
     """Every series (and alert) as canonical single-line JSON encodings.
 
     ``now`` is the simulated time the snapshot was taken at (callers pass
-    ``engine.clock.now``); it is stamped into every line.  Volatile families
-    are excluded unless asked for, keeping persisted snapshots deterministic.
+    ``engine.clock.now``); it is stamped into every line.
     """
     lines: list[str] = []
-    for family in registry.families(include_volatile=include_volatile):
+    for family in registry.families():
         for values, child in family.children():
             payload: dict = {
                 "schema": TELEMETRY_SCHEMA,
@@ -80,13 +78,10 @@ def snapshot_to_jsonl(
     registry: MetricRegistry,
     *,
     now: float,
-    include_volatile: bool = False,
     alerts: Iterable["SloAlert"] = (),
 ) -> str:
     """The whole snapshot as JSONL text (trailing newline when non-empty)."""
-    lines = snapshot_lines(
-        registry, now=now, include_volatile=include_volatile, alerts=alerts
-    )
+    lines = snapshot_lines(registry, now=now, alerts=alerts)
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -95,13 +90,10 @@ def write_snapshot_jsonl(
     path: str | Path,
     *,
     now: float,
-    include_volatile: bool = False,
     alerts: Iterable["SloAlert"] = (),
 ) -> int:
     """Write a snapshot file; returns the number of lines written."""
-    text = snapshot_to_jsonl(
-        registry, now=now, include_volatile=include_volatile, alerts=alerts
-    )
+    text = snapshot_to_jsonl(registry, now=now, alerts=alerts)
     Path(path).write_text(text, encoding="utf-8")
     return len(text.splitlines())
 

@@ -26,7 +26,7 @@ class TestRegistry:
     def test_from_config(self):
         cluster = Cluster.from_config(ClusterConfig(worker_nodes=5))
         assert len(cluster.nodes) == 5
-        assert cluster.total_capacity().cpu == 20.0
+        assert sum(node.capacity.cpu for node in cluster.nodes.values()) == 20.0
 
     def test_duplicate_node_rejected(self, cluster, overheads):
         with pytest.raises(ClusterError):
@@ -53,13 +53,6 @@ class TestRegistry:
 
     def test_sorted_iteration(self, cluster):
         assert [n.name for n in cluster.sorted_nodes()] == ["n0", "n1", "n2"]
-
-
-class TestAggregates:
-    def test_totals(self, cluster, overheads):
-        cluster.node("n0").add_container(make_container(cpu=1.0, mem=1024.0, net=100.0, overheads=overheads))
-        assert cluster.total_allocated() == ResourceVector(1.0, 1024.0, 100.0)
-        assert cluster.total_capacity() == ResourceVector(12.0, 3 * 8192.0, 3000.0)
 
 
 class TestDriveLoop:

@@ -59,9 +59,6 @@ class TestRegistry:
         with pytest.raises(ClusterError):
             registry.service("ghost")
 
-    def test_services_listing(self, registry):
-        assert registry.services() == ["svc"]
-
 
 class TestRouting:
     def test_round_robin_cycles(self, cluster, registry, overheads):

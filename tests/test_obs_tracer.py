@@ -1,6 +1,6 @@
-"""Tracer contract tests: the NullTracer no-op, the DecisionTracer's
-strict span lifecycle, and the wiring that points policies at the run's
-tracer."""
+"""Tracer contract tests: the DecisionTracer's strict span lifecycle,
+untraced policies and ledgers holding no tracer, and the wiring that
+points policies at the run's tracer."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.core.policy import NodeLedger
 from repro.core.view import ClusterView, NodeView, ReplicaView, ServiceView
 from repro.errors import ObservabilityError
 from repro.instrument import Observe
-from repro.obs import NULL_TRACER, DecisionTracer, NullTracer, Tracer
+from repro.obs import DecisionTracer, Tracer
 
 
 def _view(now: float = 10.0) -> ClusterView:
@@ -44,21 +44,10 @@ def _view(now: float = 10.0) -> ClusterView:
     return ClusterView(now=now, services=(service,), nodes=(node,))
 
 
-class TestNullTracer:
-    def test_is_disabled_and_silent(self):
-        tracer = NullTracer()
-        assert tracer.enabled is False
-        # Every hook is callable in any order and returns None.
-        assert tracer.record_metric(service="a", metric="cpu", value=1.0, threshold=0.5, verdict="x") is None
-        assert tracer.end_tick(emitted=0, applied=0, failed=0) is None
-        assert tracer.begin_tick(now=0.0, policy="p", digest="d", services=1, nodes=1, replicas=1) is None
-
-    def test_shared_instance_satisfies_the_protocol(self):
-        assert isinstance(NULL_TRACER, Tracer)
+class TestDecisionTracerLifecycle:
+    def test_satisfies_the_protocol(self):
         assert isinstance(DecisionTracer(), Tracer)
 
-
-class TestDecisionTracerLifecycle:
     def test_records_one_span_per_bracket(self):
         tracer = DecisionTracer()
         tracer.begin_tick(now=5.0, policy="hybrid", digest="abc", services=2, nodes=3, replicas=4)
@@ -128,15 +117,20 @@ class TestLedgerTracing:
 
     def test_default_ledger_is_untraced(self):
         ledger = NodeLedger(_view())
+        assert ledger._tracer is None
         ledger.take("node-00", ResourceVector(cpu=1.0))  # must not raise
 
 
 class TestPolicyWiring:
-    def test_policies_default_to_the_shared_null_tracer(self):
+    def test_policies_default_to_no_tracer(self):
         from repro.core import HyScaleCpu, KubernetesHpa
+        from tests.test_determinism_end_to_end import _fresh_simulation
 
-        assert KubernetesHpa().tracer is NULL_TRACER
-        assert HyScaleCpu().tracer is NULL_TRACER
+        assert KubernetesHpa().tracer is None
+        assert HyScaleCpu().tracer is None
+        simulation = _fresh_simulation(seed=3)
+        assert simulation.monitor.tracer is None
+        assert simulation.policy.tracer is None
 
     def test_monitor_points_policy_at_the_run_tracer(self):
         from repro.core import KubernetesHpa

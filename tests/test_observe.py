@@ -123,7 +123,7 @@ class TestComposition:
         _fresh_simulation(seed=7, observe=Observe(tracer=tracer_alone)).run(90.0)
         registry_alone = MetricRegistry()
         _fresh_simulation(
-            seed=7, observe=Observe(telemetry=registry_alone, slo=_slo())
+            seed=7, observe=Observe(telemetry=registry_alone, slo=_slo(), sampling="adaptive")
         ).run(90.0)
 
         tracer = DecisionTracer()
@@ -131,7 +131,12 @@ class TestComposition:
         registry = MetricRegistry()
         sanitizer = SimSanitizer()
         observe = Observe(
-            tracer=tracer, profiler=profiler, telemetry=registry, slo=_slo(), sanitizer=sanitizer
+            tracer=tracer,
+            profiler=profiler,
+            telemetry=registry,
+            slo=_slo(),
+            sanitizer=sanitizer,
+            sampling="adaptive",
         )
         simulation = _fresh_simulation(seed=7, observe=observe)
         summary = simulation.run(90.0)

@@ -1,9 +1,9 @@
 """Tests for the parallel sweep executor, shard cache, and merged results.
 
 The headline contract is byte-identity: a sweep run with worker processes
-produces the same summaries, the same canonical JSON dump, and the same
-merged telemetry snapshot as the serial run.  The cache tests pin hit/miss
-accounting, resumability, and code-version invalidation; the failure tests
+produces the same summaries and the same canonical JSON dump as the serial
+run.  The cache tests pin hit/miss accounting, resumability, code-version
+invalidation and that older entries still load; the failure tests
 pin that a poisoned shard surfaces as a structured :class:`ShardError`
 instead of a hung pool.
 """
@@ -36,7 +36,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def serial_result(grid):
-    return grid.run(parallel=1, telemetry=True)
+    return grid.run(parallel=1)
 
 
 def poisoned_sweep(grid):
@@ -52,7 +52,7 @@ def poisoned_sweep(grid):
 class TestParallelIdentity:
     @pytest.fixture(scope="class")
     def parallel_result(self, grid):
-        return grid.run(parallel=4, telemetry=True)
+        return grid.run(parallel=4)
 
     def test_summaries_identical(self, serial_result, parallel_result):
         assert [s.to_dict() for s in parallel_result.summaries] == [
@@ -61,15 +61,6 @@ class TestParallelIdentity:
 
     def test_json_dump_identical(self, serial_result, parallel_result):
         assert parallel_result.to_json() == serial_result.to_json()
-
-    def test_telemetry_snapshot_identical(self, serial_result, parallel_result):
-        serial_lines = serial_result.telemetry_lines()
-        assert serial_lines  # telemetry was actually collected
-        assert parallel_result.telemetry_lines() == serial_lines
-
-    def test_telemetry_lines_are_shard_stamped(self, serial_result):
-        keys = {json.loads(line)["shard"] for line in serial_result.telemetry_lines()}
-        assert keys == set(serial_result.sweep.keys)
 
     def test_merge_order_is_spec_order(self, grid, serial_result):
         assert [spec.key for spec, _ in serial_result.shards()] == list(grid.keys)
@@ -93,17 +84,16 @@ def test_parallel_speedup_on_four_cpus():
 # ----------------------------------------------------------------------
 class TestShardCache:
     def test_cold_run_misses_then_warm_run_hits(self, grid, serial_result, tmp_path):
-        cold = grid.run(parallel=1, cache_dir=tmp_path, telemetry=True)
+        cold = grid.run(parallel=1, cache_dir=tmp_path)
         assert cold.cache_hits == 0
-        warm = grid.run(parallel=1, cache_dir=tmp_path, telemetry=True)
+        warm = grid.run(parallel=1, cache_dir=tmp_path)
         assert warm.cache_hits == len(grid)
         assert all(warm.cached)
-        # Only the cached-provenance flags differ: the summaries and the
-        # telemetry are those of an uncached run.
+        # Only the cached-provenance flags differ: the summaries are those
+        # of an uncached run.
         assert [s.to_dict() for s in warm.summaries] == [
             s.to_dict() for s in serial_result.summaries
         ]
-        assert warm.telemetry_lines() == cold.telemetry_lines() == serial_result.telemetry_lines()
 
     def test_partial_cache_resumes_only_missing_shards(self, grid, tmp_path):
         cache = ShardCache(tmp_path)
@@ -115,19 +105,24 @@ class TestShardCache:
 
     def test_code_version_invalidates(self, grid, tmp_path):
         grid.run(parallel=1, cache_dir=tmp_path)
-        other = grid.run(parallel=1, cache_dir=tmp_path, code_version="test/other-version")
+        other_cache = ShardCache(tmp_path, code_version="test/other-version")
+        other = SweepExecutor(cache=other_cache).run(grid)
         assert other.cache_hits == 0
 
-    def test_telemetry_free_entry_misses_when_telemetry_requested(self, grid, tmp_path):
+    def test_entry_with_a_telemetry_field_still_loads(self, grid, serial_result, tmp_path):
         shard = grid.shards[0]
         single = SweepSpec(shards=(shard,), seed_mode=grid.seed_mode)
-        single.run(parallel=1, cache_dir=tmp_path)  # stored without telemetry
+        single.run(parallel=1, cache_dir=tmp_path)
         cache = ShardCache(tmp_path)
-        assert cache.load(shard) is not None
-        assert cache.load(shard, need_telemetry=True) is None
-        with_telemetry = single.run(parallel=1, cache_dir=tmp_path, telemetry=True)
-        assert with_telemetry.cache_hits == 0
-        assert with_telemetry.telemetry_lines()
+        path = cache.path_for(shard)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert "telemetry" not in entry
+        # Older versions wrote the field: null, or snapshot lines.
+        for telemetry in (None, ['{"kind":"gauge"}']):
+            path.write_text(json.dumps({**entry, "telemetry": telemetry}), encoding="utf-8")
+            hit = single.run(parallel=1, cache_dir=tmp_path)
+            assert hit.cached == (True,)
+            assert hit.summaries[0].to_dict() == serial_result.summaries[0].to_dict()
 
     def test_key_is_content_addressed(self, grid):
         cache = ShardCache("unused", code_version=CODE_VERSION)
@@ -201,6 +196,9 @@ class TestSweepResult:
         decoded = SweepResult.from_json(serial_result.to_json())
         assert decoded.to_json() == serial_result.to_json()
         assert decoded.cache_hits == serial_result.cache_hits
+        # The telemetry field older versions wrote is ignored.
+        older = {**serial_result.to_dict(), "telemetry": [[] for _ in serial_result.summaries]}
+        assert SweepResult.from_dict(older).to_json() == serial_result.to_json()
 
     def test_progress_protocol(self, grid, tmp_path):
         events: list[tuple[str, str]] = []
@@ -228,8 +226,3 @@ class TestSweepResult:
             assert report.baseline == "kubernetes"
             assert set(report.speedups()) == {"kubernetes", "hybrid"}
 
-    def test_write_telemetry_jsonl(self, serial_result, tmp_path):
-        path = tmp_path / "sweep_telemetry.jsonl"
-        count = serial_result.write_telemetry_jsonl(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert count == len(lines) == len(serial_result.telemetry_lines())

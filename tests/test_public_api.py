@@ -82,7 +82,6 @@ def test_top_level_covers_the_decision_surface():
         "ScalingEventLog",
         "TimelinePoint",
         "Tracer",
-        "NullTracer",
         "DecisionTracer",
         "PhaseProfiler",
         "resolve_policy",

@@ -42,7 +42,7 @@ class TestArithmetic:
 
     @given(vectors)
     def test_sub_self_is_zero(self, v):
-        assert (v - v).is_zero(tolerance=1e-6)
+        assert all(abs(axis) <= 1e-6 for axis in v - v)
 
 
 class TestCombinators:
@@ -50,15 +50,10 @@ class TestCombinators:
         v = ResourceVector(-1.0, 5.0, -0.1)
         assert v.clamp_floor() == ResourceVector(0.0, 5.0, 0.0)
 
-    def test_elementwise_min_max(self):
+    def test_elementwise_min(self):
         a = ResourceVector(1, 5, 3)
         b = ResourceVector(2, 4, 3)
         assert a.elementwise_min(b) == ResourceVector(1, 4, 3)
-        assert a.elementwise_max(b) == ResourceVector(2, 5, 3)
-
-    def test_with_axis(self):
-        v = ResourceVector(1, 2, 3).with_axis("memory", 9)
-        assert v == ResourceVector(1, 9, 3)
 
     def test_axis_lookup(self):
         v = ResourceVector(1, 2, 3)
@@ -67,8 +62,6 @@ class TestCombinators:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             ResourceVector().axis("disk")
-        with pytest.raises(ValueError):
-            ResourceVector().with_axis("disk", 1.0)
 
     @given(vectors, vectors)
     def test_min_is_lower_bound(self, a, b):
@@ -84,16 +77,6 @@ class TestPredicates:
     def test_is_nonnegative(self):
         assert ResourceVector(0, 0, 0).is_nonnegative()
         assert not ResourceVector(-0.1, 0, 0).is_nonnegative()
-
-    def test_utilization_of(self):
-        usage = ResourceVector(2.0, 4096.0, 500.0)
-        cap = ResourceVector(4.0, 8192.0, 1000.0)
-        u = usage.utilization_of(cap)
-        assert u == ResourceVector(0.5, 0.5, 0.5)
-
-    def test_utilization_of_zero_capacity(self):
-        u = ResourceVector(1, 1, 1).utilization_of(ResourceVector.zero())
-        assert u == ResourceVector.zero()
 
     @given(nonneg_vectors, nonneg_vectors)
     def test_clamped_difference_fits_in_minuend(self, a, b):

@@ -46,10 +46,3 @@ class TestAdvance:
         for _ in range(10_000):
             clock.advance()
         assert clock.now == pytest.approx(1000.0, abs=1e-9)
-
-    def test_elapsed_since(self):
-        clock = SimClock(dt=1.0)
-        clock.advance()
-        clock.advance()
-        assert clock.elapsed_since(0.5) == pytest.approx(1.5)
-        assert clock.elapsed_since(5.0) == pytest.approx(-3.0)

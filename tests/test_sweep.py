@@ -6,6 +6,7 @@ and grid construction.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from repro.experiments.spec import (
     pattern_from_dict,
     pattern_to_dict,
 )
+from repro.parallel import SweepResult
 from repro.workloads.patterns import (
     CompositeLoad,
     ConstantLoad,
@@ -291,3 +293,57 @@ class TestSweepSpec:
 
     def test_seed_modes_constant(self):
         assert SEED_MODES == ("per_shard", "shared")
+
+
+# ----------------------------------------------------------------------
+# Decoder errors: malformed top levels raise ExperimentError naming the field
+# ----------------------------------------------------------------------
+def _without(document, key):
+    return {name: value for name, value in document.items() if name != key}
+
+
+#: (decoder, how the valid document is broken, the message naming the fault)
+MALFORMED = {
+    "run-spec-list": ("run_spec", lambda d: [d], "run_spec document must be a JSON object"),
+    "run-spec-no-label": ("run_spec", lambda d: _without(d, "label"), "field 'label'"),
+    "run-spec-no-loads": ("run_spec", lambda d: _without(d, "loads"), "field 'loads'"),
+    "sweep-spec-list": ("sweep_spec", lambda d: [], "sweep_spec document must be a JSON object"),
+    "sweep-spec-no-shards": ("sweep_spec", lambda d: _without(d, "shards"), "field 'shards'"),
+    "sweep-spec-null-shards": (
+        "sweep_spec", lambda d: {**d, "shards": None}, "field 'shards' must be a list"
+    ),
+    "result-list": ("sweep_result", lambda d: [d], "sweep_result document must be a JSON object"),
+    "result-no-sweep": ("sweep_result", lambda d: _without(d, "sweep"), "field 'sweep'"),
+    "result-list-sweep": (
+        "sweep_result", lambda d: {**d, "sweep": []}, "field 'sweep' must be an object"
+    ),
+    "result-no-summaries": ("sweep_result", lambda d: _without(d, "summaries"), "field 'summaries'"),
+    "result-null-summaries": (
+        "sweep_result", lambda d: {**d, "summaries": None}, "field 'summaries' must be a list"
+    ),
+    "result-null-cached": (
+        "sweep_result", lambda d: {**d, "cached": None}, "field 'cached' must be a list"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_raises_naming_the_field(case):
+    kind, corrupt, message = MALFORMED[case]
+    run = json.loads(small_experiment().to_run_spec("hybrid").canonical_json())
+    sweep = {"schema": SWEEP_SCHEMA, "kind": "sweep_spec", "seed_mode": "shared", "shards": [run]}
+    result = {
+        "schema": SWEEP_SCHEMA,
+        "kind": "sweep_result",
+        "sweep": sweep,
+        "summaries": [],
+        "cached": [],
+    }
+    valid = {"run_spec": run, "sweep_spec": sweep, "sweep_result": result}[kind]
+    decode = {
+        "run_spec": RunSpec.from_dict,
+        "sweep_spec": SweepSpec.from_dict,
+        "sweep_result": SweepResult.from_dict,
+    }[kind]
+    with pytest.raises(ExperimentError, match=re.escape(message)):
+        decode(corrupt(valid))

@@ -143,15 +143,12 @@ class TestRegistry:
         with pytest.raises(TelemetryError):
             registry.counter("hits", "Hits.", labels=("node",))  # different labels
 
-    def test_families_sorted_and_volatile_filtered(self):
+    def test_families_sorted(self):
         registry = MetricRegistry()
         registry.gauge("zeta", "Z.")
         registry.gauge("alpha", "A.")
-        registry.gauge("wall", "W.", volatile=True)
-        names = [f.name for f in registry.families()]
-        assert names == ["alpha", "wall", "zeta"]
-        persisted = [f.name for f in registry.families(include_volatile=False)]
-        assert persisted == ["alpha", "zeta"]
+        registry.counter("mid", "M.")
+        assert [f.name for f in registry.families()] == ["alpha", "mid", "zeta"]
 
     def test_capture_appends_and_trims_history(self):
         registry = MetricRegistry(retention=3)
@@ -180,7 +177,6 @@ def _populated_registry() -> MetricRegistry:
     hist.observe(0.2)
     hist.observe(0.7)
     hist.observe(9.0)
-    registry.gauge("wall_seconds", "Wall.", volatile=True).labels().set(1.23)
     registry.capture(60.0)
     return registry
 
@@ -213,12 +209,6 @@ class TestOpenMetrics:
         assert by_name["latency_seconds_bucket"] == [1.0, 2.0, 3.0]
         assert by_name["latency_seconds_count"] == [3.0]
         assert by_name["latency_seconds_sum"] == [pytest.approx(9.9)]
-
-    def test_volatile_families_excluded_by_default(self):
-        registry = _populated_registry()
-        assert "wall_seconds" not in parse_openmetrics(render_openmetrics(registry))
-        with_volatile = render_openmetrics(registry, include_volatile=True)
-        assert "wall_seconds" in parse_openmetrics(with_volatile)
 
     def test_parser_rejects_missing_eof(self):
         text = render_openmetrics(_populated_registry()).replace("# EOF\n", "")

@@ -1,7 +1,7 @@
 """Tests for the scalable-monitoring layer (``repro.telemetry.sampling``).
 
 Covers the observation-cost model and its budget ledger, the sampling
-policy registry, the decay/hotness/staleness semantics of the adaptive
+policy names, the decay/hotness/staleness semantics of the adaptive
 controllers, and the contract the defaults must keep: ``full`` sampling
 is byte-identical to a build that never heard of sampling, and sampling
 never perturbs the simulated run — up to 200 nodes, where ``adaptive``
@@ -23,94 +23,71 @@ from repro.errors import ExperimentError, TelemetryError
 from repro.experiments.runner import Simulation
 from repro.instrument import Observe
 from repro.telemetry import (
-    DEFAULT_COST_MODEL,
     AdaptiveSamplingController,
     MetricRegistry,
     MonitorBudget,
-    ObservationCostModel,
     SamplingController,
-    SamplingSpec,
     ThresholdAwareSamplingController,
-    make_sampling,
-    register_sampling_policy,
     registered_sampling_policies,
     render_openmetrics,
     resolve_sampling,
     snapshot_to_jsonl,
 )
+from repro.telemetry.cost import (
+    PER_CAPTURE_SECONDS,
+    PER_CONTAINER_SECONDS,
+    PER_NODE_SECONDS,
+    PER_SERIES_SECONDS,
+    PER_SKIP_SECONDS,
+)
+from repro.telemetry.sampling import HOT_HIGH, HOT_LOW, MAX_BACKOFF
 from repro.workloads import CPU_BOUND, HighBurstLoad, ServiceLoad
 
 
-class TestSamplingSpec:
-    def test_defaults_are_full_cadence(self):
-        spec = SamplingSpec()
-        assert spec.policy == "full"
-        assert spec.cost is DEFAULT_COST_MODEL
-
-    def test_guard_band_bounds(self):
-        with pytest.raises(TelemetryError):
-            SamplingSpec(guard_band=-0.1)
-        with pytest.raises(TelemetryError):
-            SamplingSpec(guard_band=1.5)
-
-    def test_edge_ordering(self):
-        with pytest.raises(TelemetryError):
-            SamplingSpec(hot_low=0.8, hot_high=0.2)
-        with pytest.raises(TelemetryError):
-            SamplingSpec(hot_high=1.5)
-
-    def test_max_backoff_floor(self):
-        with pytest.raises(TelemetryError):
-            SamplingSpec(max_backoff=0)
-
-    def test_hot_seconds_must_be_non_negative(self):
-        with pytest.raises(TelemetryError):
-            SamplingSpec(hot_seconds=-1.0)
-
-
 class TestObservationCostModel:
-    def test_rejects_negative_prices(self):
-        with pytest.raises(TelemetryError):
-            ObservationCostModel(per_node_seconds=-1e-6)
-        with pytest.raises(TelemetryError):
-            ObservationCostModel(per_skip_seconds=-1.0)
-
     def test_node_cost_is_linear_in_containers(self):
-        model = ObservationCostModel(per_node_seconds=1.0, per_container_seconds=0.5)
-        assert model.node_cost(0) == pytest.approx(1.0)
-        assert model.node_cost(4) == pytest.approx(3.0)
+        empty, busy = MonitorBudget(), MonitorBudget()
+        empty.charge_node(containers=0)
+        busy.charge_node(containers=4)
+        assert empty.collection_cost_seconds == pytest.approx(PER_NODE_SECONDS)
+        assert busy.collection_cost_seconds == pytest.approx(
+            PER_NODE_SECONDS + 4 * PER_CONTAINER_SECONDS
+        )
 
     def test_capture_cost_is_linear_in_series(self):
-        model = ObservationCostModel(per_capture_seconds=2.0, per_series_seconds=0.25)
-        assert model.capture_cost(0) == pytest.approx(2.0)
-        assert model.capture_cost(8) == pytest.approx(4.0)
+        empty, busy = MonitorBudget(), MonitorBudget()
+        empty.charge_capture(series=0)
+        busy.charge_capture(series=8)
+        assert empty.collection_cost_seconds == pytest.approx(PER_CAPTURE_SECONDS)
+        assert busy.collection_cost_seconds == pytest.approx(
+            PER_CAPTURE_SECONDS + 8 * PER_SERIES_SECONDS
+        )
 
 
 class TestMonitorBudget:
     def test_ledger_accumulates(self):
-        model = ObservationCostModel(
-            per_capture_seconds=1.0,
-            per_node_seconds=0.1,
-            per_container_seconds=0.01,
-            per_series_seconds=0.001,
-            per_skip_seconds=0.0001,
-        )
         budget = MonitorBudget()
-        budget.charge_node(model, containers=3)
-        budget.charge_node(model, containers=5)
-        budget.charge_skip(model)
-        budget.charge_capture(model, series=10)
+        budget.charge_node(containers=3)
+        budget.charge_node(containers=5)
+        budget.charge_skip()
+        budget.charge_capture(series=10)
         assert budget.nodes_observed == 2
         assert budget.containers_observed == 8
         assert budget.nodes_skipped == 1
         assert budget.captures == 1
         assert budget.series_captured == 10
-        expected = 0.1 + 0.03 + 0.1 + 0.05 + 0.0001 + 1.0 + 0.01
+        expected = (
+            2 * PER_NODE_SECONDS
+            + 8 * PER_CONTAINER_SECONDS
+            + PER_SKIP_SECONDS
+            + PER_CAPTURE_SECONDS
+            + 10 * PER_SERIES_SECONDS
+        )
         assert budget.collection_cost_seconds == pytest.approx(expected)
 
     def test_to_dict_is_plain_json(self):
         budget = MonitorBudget()
-        budget.charge_capture(DEFAULT_COST_MODEL, series=2)
+        budget.charge_capture(series=2)
         payload = budget.to_dict()
         assert set(payload) == {
             "collection_cost_seconds",
@@ -129,56 +106,26 @@ class TestPolicyRegistry:
         assert names == tuple(sorted(names))
         assert {"full", "adaptive", "threshold-aware"} <= set(names)
 
-    def test_make_sampling_unknown_name_raises(self):
+    def test_resolve_unknown_name_raises(self):
         with pytest.raises(TelemetryError, match="unknown sampling policy"):
-            make_sampling("psychic")
-
-    def test_make_sampling_realigns_spec_policy(self):
-        controller = make_sampling("adaptive", SamplingSpec(policy="full", guard_band=0.2))
-        assert isinstance(controller, AdaptiveSamplingController)
-        assert controller.spec.policy == "adaptive"
-        assert controller.spec.guard_band == 0.2
-
-    def test_register_rejects_duplicates_and_empty_names(self):
-        with pytest.raises(TelemetryError):
-            register_sampling_policy("full", SamplingController)
-        with pytest.raises(TelemetryError):
-            register_sampling_policy("", SamplingController)
-
-    def test_register_rejects_non_callable_factory(self):
-        with pytest.raises(TelemetryError, match="callable"):
-            register_sampling_policy("test-not-callable", "nope")  # type: ignore[arg-type]
-        assert "test-not-callable" not in registered_sampling_policies()
-
-    def test_register_replace_roundtrip(self):
-        register_sampling_policy("test-probe", SamplingController)
-        try:
-            assert "test-probe" in registered_sampling_policies()
-            register_sampling_policy("test-probe", AdaptiveSamplingController, replace=True)
-            assert isinstance(make_sampling("test-probe"), AdaptiveSamplingController)
-        finally:
-            from repro.telemetry.sampling import _SAMPLINGS
-
-            _SAMPLINGS._entries.pop("test-probe", None)
+            resolve_sampling("psychic")
 
     def test_resolve_none_is_full(self):
         controller = resolve_sampling(None)
         assert type(controller) is SamplingController
         assert controller.exports_metrics is False
 
-    def test_resolve_passes_controllers_through(self):
-        controller = AdaptiveSamplingController()
-        assert resolve_sampling(controller) is controller
-
-    def test_resolve_coerces_spec_and_name(self):
-        by_spec = resolve_sampling(SamplingSpec(policy="threshold-aware"))
-        assert isinstance(by_spec, ThresholdAwareSamplingController)
-        by_name = resolve_sampling("adaptive")
-        assert isinstance(by_name, AdaptiveSamplingController)
+    def test_resolve_builds_a_fresh_controller_per_name(self):
+        assert type(resolve_sampling("adaptive")) is AdaptiveSamplingController
+        aware = resolve_sampling("threshold-aware")
+        assert isinstance(aware, ThresholdAwareSamplingController)
+        assert resolve_sampling("threshold-aware") is not aware
 
     def test_resolve_rejects_other_types(self):
         with pytest.raises(TelemetryError):
-            resolve_sampling(42)
+            resolve_sampling(42)  # type: ignore[arg-type]
+        with pytest.raises(TelemetryError):
+            resolve_sampling(AdaptiveSamplingController())  # type: ignore[arg-type]
 
 
 #: Utilization far from the default (0.2, 0.8) edges and their guard band.
@@ -194,7 +141,7 @@ def _observe(controller, node, now, *, churn=0, containers=1, **values):
 
 class TestAdaptiveController:
     def test_quiet_node_cadence_decays_exponentially(self):
-        controller = AdaptiveSamplingController(SamplingSpec(policy="adaptive", max_backoff=8))
+        controller = AdaptiveSamplingController()
         now = 0.0
         intervals = []
         for _ in range(6):
@@ -203,7 +150,8 @@ class TestAdaptiveController:
             interval = controller._interval["n0"]
             intervals.append(interval)
             now = controller._due["n0"]
-        # x2 per quiet observation, capped at max_backoff.
+        # x2 per quiet observation, capped at MAX_BACKOFF.
+        assert MAX_BACKOFF == 8
         assert intervals == [2, 4, 8, 8, 8, 8]
 
     def test_not_due_between_collections(self):
@@ -225,8 +173,7 @@ class TestAdaptiveController:
         assert controller._interval["n0"] == 1
 
     def test_churn_opens_a_per_node_hot_window(self):
-        spec = SamplingSpec(policy="adaptive", hot_seconds=10.0)
-        controller = AdaptiveSamplingController(spec)
+        controller = AdaptiveSamplingController()  # HOT_SECONDS = 10
         _observe(controller, "n0", 0.0, churn=2)
         assert controller._interval["n0"] == 1
         # Still inside the window: cold values, yet full cadence holds.
@@ -258,9 +205,8 @@ class TestAdaptiveController:
         assert not controller.node_due("n0", 5.0)
 
     def test_skipped_nodes_report_bounded_staleness(self):
-        spec = SamplingSpec(policy="adaptive", max_backoff=4)
-        controller = AdaptiveSamplingController(spec)
-        assert controller.max_staleness() == pytest.approx(4 * 5.0)
+        controller = AdaptiveSamplingController()
+        assert controller.max_staleness() == pytest.approx(MAX_BACKOFF * 5.0)
         _observe(controller, "n0", 0.0)
         controller.begin_sample(8.0, oom_kills=0.0, actions_applied=0.0)
         controller.skip_node("n0", 8.0)
@@ -270,9 +216,7 @@ class TestAdaptiveController:
         controller = AdaptiveSamplingController()
         controller.skip_node("n0", 5.0)
         assert controller.budget.nodes_skipped == 1
-        assert controller.budget.collection_cost_seconds == pytest.approx(
-            controller.spec.cost.per_skip_seconds
-        )
+        assert controller.budget.collection_cost_seconds == pytest.approx(PER_SKIP_SECONDS)
 
 
 def _fake_cluster(*targets: float) -> SimpleNamespace:
@@ -296,7 +240,7 @@ class TestThresholdAwareController:
     def test_empty_fleet_keeps_the_spec_edges(self):
         controller = ThresholdAwareSamplingController()
         controller.bind(cluster=_fake_cluster(), registry=MetricRegistry(), sample_every=5.0)
-        assert controller._edges == (controller.spec.hot_low, controller.spec.hot_high)
+        assert controller._edges == (HOT_LOW, HOT_HIGH)
 
 
 class TestInstrumentExports:
