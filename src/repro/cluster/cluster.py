@@ -25,6 +25,9 @@ class Cluster:
     def __init__(self, overheads: OverheadModel | None = None):
         self.overheads = overheads or OverheadModel()
         self.nodes: dict[str, Node] = {}
+        #: The nodes in name order, rebuilt on the first read after
+        #: :meth:`add_node` or :meth:`remove_node` (``None`` until then).
+        self._by_name: list[Node] | None = None
         self.services: dict[str, Microservice] = {}
         self._finished: list[Request] = []
         # Per-cluster (i.e. per-run) container-id sequence.  A process-global
@@ -58,6 +61,7 @@ class Cluster:
         if node.name in self.nodes:
             raise ClusterError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
+        self._by_name = None
 
     def remove_node(self, name: str, now: float) -> list[Request]:
         """Decommission a machine, failing everything running on it."""
@@ -71,6 +75,7 @@ class Cluster:
                 service.forget(container_id)
         casualties.extend(node.drain_finished())
         del self.nodes[name]
+        self._by_name = None
         self._finished.extend(casualties)
         return casualties
 
@@ -106,9 +111,17 @@ class Cluster:
                 return node
         raise ClusterError(f"container {container_id} not hosted anywhere")
 
+    def _name_ordered(self) -> list[Node]:
+        """The nodes in name order (sorted once per fleet change)."""
+        ordered = self._by_name
+        if ordered is None:
+            nodes = self.nodes
+            ordered = self._by_name = [nodes[name] for name in sorted(nodes)]
+        return ordered
+
     def sorted_nodes(self) -> list[Node]:
-        """Nodes in name order (deterministic iteration)."""
-        return [self.nodes[name] for name in sorted(self.nodes)]
+        """Nodes in name order (deterministic iteration); a fresh list."""
+        return list(self._name_ordered())
 
     def sorted_services(self) -> list[Microservice]:
         """Services in name order (deterministic iteration)."""
@@ -119,9 +132,12 @@ class Cluster:
     # ------------------------------------------------------------------
     def on_step(self, clock: SimClock) -> None:
         """Drive every node one step and collect finished requests."""
-        for node in self.sorted_nodes():
-            node.step(clock.now, clock.dt)
-            self._finished.extend(node.drain_finished())
+        now, dt = clock.now, clock.dt
+        finished = self._finished
+        for node in self._name_ordered():
+            node.step(now, dt)
+            if node.finished:
+                finished.extend(node.drain_finished())
 
     def drain_finished(self) -> list[Request]:
         """Hand over and clear all requests that finished this step.
@@ -131,8 +147,9 @@ class Cluster:
         otherwise sit in node buffers until the next step — and be lost
         entirely on the final step of a run.
         """
-        for node in self.sorted_nodes():
-            self._finished.extend(node.drain_finished())
+        for node in self._name_ordered():
+            if node.finished:
+                self._finished.extend(node.drain_finished())
         finished, self._finished = self._finished, []
         return finished
 

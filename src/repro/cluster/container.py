@@ -7,7 +7,14 @@ replica, as in Section V-A of the paper).  It carries:
   shares), a hard memory limit, and an HTB network rate;
 * **runtime state** — the lifecycle state machine and in-flight requests;
 * **measured usage** — what ``docker stats`` would report: CPU cores used
-  last step, resident memory, and egress throughput.
+  last step, resident memory, egress and disk throughput.
+
+A hosted container holds a reference to its node.  Every change a node's
+quiet step or its manager's ``docker stats`` frame could see bumps that
+node's change generation: :meth:`accept`, :meth:`freeze`,
+:meth:`terminate` and any write through the four usage readings do it
+here (DESIGN.md, "The idle-container write").  The node's own passes
+write the readings' backing fields directly.
 
 The *node* owns scheduling (fair-share CPU, disk, NIC transmission); the
 container owns distributing whatever it was granted across its in-flight
@@ -19,12 +26,16 @@ from __future__ import annotations
 
 import enum
 import itertools
+from typing import TYPE_CHECKING
 
 from repro.cluster.grants import ResourceGrants
 from repro.config import OverheadModel
 from repro.errors import ContainerStateError
 from repro.units import cores_to_shares
 from repro.workloads.requests import PHASE_INDEX, FailureReason, Phase, Request
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.cluster.node import Node
 
 _container_seq = itertools.count(1)
 
@@ -100,11 +111,14 @@ class Container:
         self.inflight: list[Request] = []
         self.finished: list[Request] = []  # drained by the node each step
 
-        # Measured usage (what `docker stats` reports).
-        self.cpu_usage = 0.0  # cores consumed last step
-        self.mem_usage = self.overheads.container_base_memory
-        self.net_usage = 0.0  # Mbit/s egress last step
-        self.disk_usage = 0.0  # MB/s of disk I/O last step
+        #: The node hosting this container, set and cleared by the node.
+        self._host: Node | None = None
+
+        # Measured usage (what `docker stats` reports); see the properties.
+        self._cpu_usage = 0.0
+        self._mem_usage = self.overheads.container_base_memory
+        self._net_usage = 0.0
+        self._disk_usage = 0.0
 
         # Lifetime counters.
         self.total_completed = 0
@@ -113,6 +127,60 @@ class Container:
         # CPU left over after compute this step; caps network syscall
         # throughput (see OverheadModel.net_cpu_per_mbit).
         self._net_cpu_headroom = 0.0
+
+    # ------------------------------------------------------------------
+    # Usage readings: a write through one bumps the host's generation
+    # ------------------------------------------------------------------
+    def _changed(self) -> None:
+        """Bump the host node's change generation (no-op when unhosted)."""
+        host = self._host
+        if host is not None:
+            host.generation += 1
+
+    def readings(self) -> tuple[float, float, float, float]:
+        """The four usage readings in ``docker stats`` frame order: CPU,
+        memory, network, disk (one call instead of four property reads)."""
+        return (self._cpu_usage, self._mem_usage, self._net_usage, self._disk_usage)
+
+    @property
+    def cpu_usage(self) -> float:
+        """Cores consumed last step."""
+        return self._cpu_usage
+
+    @cpu_usage.setter
+    def cpu_usage(self, value: float) -> None:
+        self._cpu_usage = value
+        self._changed()
+
+    @property
+    def mem_usage(self) -> float:
+        """Resident memory (MiB) after last step's settlement."""
+        return self._mem_usage
+
+    @mem_usage.setter
+    def mem_usage(self, value: float) -> None:
+        self._mem_usage = value
+        self._changed()
+
+    @property
+    def net_usage(self) -> float:
+        """Mbit/s of egress last step."""
+        return self._net_usage
+
+    @net_usage.setter
+    def net_usage(self, value: float) -> None:
+        self._net_usage = value
+        self._changed()
+
+    @property
+    def disk_usage(self) -> float:
+        """MB/s of disk I/O last step."""
+        return self._disk_usage
+
+    @disk_usage.setter
+    def disk_usage(self, value: float) -> None:
+        self._disk_usage = value
+        self._changed()
 
     # ------------------------------------------------------------------
     # Derived views
@@ -231,7 +299,7 @@ class Container:
         useful = max(0.0, granted_cores - background)
         requests = self.phase_requests(Phase.CPU)
         if not requests:
-            self.cpu_usage = background if self.is_serving else 0.0
+            self._cpu_usage = background if self.is_serving else 0.0
             self._net_cpu_headroom = useful
             return
 
@@ -244,7 +312,7 @@ class Container:
         # Measured usage is what was actually burned (back out efficiency so
         # swap stalls still *look* busy to the monitor, as iowait does).
         compute_cores = consumed / (dt * efficiency) if efficiency > 0 else 0.0
-        self.cpu_usage = background + compute_cores
+        self._cpu_usage = background + compute_cores
         self._net_cpu_headroom = max(0.0, useful - compute_cores)
 
     def disk_demand(self, dt: float) -> float:
@@ -259,10 +327,10 @@ class Container:
             raise ContainerStateError("invalid disk grant")
         requests = self.phase_requests(Phase.DISK)
         if not requests:
-            self.disk_usage = 0.0
+            self._disk_usage = 0.0
             return
         served = self._share_epochs(requests, granted_mb_per_s * dt, Phase.DISK)
-        self.disk_usage = served / dt
+        self._disk_usage = served / dt
 
     def net_demand(self, dt: float) -> float:
         """Egress demand in Mbit/s this step.
@@ -285,13 +353,13 @@ class Container:
             raise ContainerStateError("invalid network grant")
         requests = self.phase_requests(Phase.NET)
         if not requests:
-            self.net_usage = 0.0
+            self._net_usage = 0.0
             return
         transmitted = self._share_epochs(requests, granted_mbps * dt, Phase.NET)
-        self.net_usage = transmitted / dt
+        self._net_usage = net_usage = transmitted / dt
         # Networking syscalls burn CPU proportional to bytes pushed; the
         # monitor sees it as CPU usage (it is, to `docker stats`).
-        self.cpu_usage += self.net_usage * self.overheads.net_cpu_per_mbit
+        self._cpu_usage += net_usage * self.overheads.net_cpu_per_mbit
 
     def _share_epochs(self, queue: list[Request], budget: float, phase: Phase) -> float:
         """Processor-share ``budget`` over ``queue``'s ``phase`` work; return what was spent.
@@ -359,6 +427,7 @@ class Container:
             raise ContainerStateError("freeze duration must be non-negative")
         self.state = ContainerState.PENDING
         self.boot_remaining = max(self.boot_remaining, float(duration))
+        self._changed()
 
     def accept(self, request: Request, now: float, overhead_factor: float = 1.0) -> None:
         """Take ownership of a routed request."""
@@ -368,6 +437,7 @@ class Container:
             )
         request.assign(self.container_id, now, overhead_factor=overhead_factor)
         self.inflight.append(request)
+        self._changed()
 
     def settle_requests(self, now: float) -> None:
         """Complete finished requests and fail timed-out ones.
@@ -398,7 +468,7 @@ class Container:
             else:
                 still_inflight.append(request)
         self.inflight = still_inflight
-        self.mem_usage = self.memory_working_set()
+        self._mem_usage = self.memory_working_set()
 
     def terminate(self, now: float, *, oom: bool = False) -> list[Request]:
         """Stop the container, failing all in-flight requests as removals.
@@ -416,10 +486,11 @@ class Container:
             casualties.append(request)
             self.finished.append(request)
         self.inflight = []
-        self.cpu_usage = 0.0
-        self.net_usage = 0.0
-        self.disk_usage = 0.0
-        self.mem_usage = 0.0
+        self._cpu_usage = 0.0
+        self._net_usage = 0.0
+        self._disk_usage = 0.0
+        self._mem_usage = 0.0
+        self._changed()
         return casualties
 
     def drain_finished(self) -> list[Request]:

@@ -12,6 +12,13 @@ Per simulation step a node:
 
 The node is deliberately policy-free: it executes allocations, it never
 decides them (that is the MONITOR's job, Section V-B/C).
+
+Every node carries a change generation, bumped by everything that can
+change what its next quiet step or its manager's next ``docker stats``
+frame would see.  A node that took a quiet step vouches for its
+containers until the generation moves, so its later steps, its manager's
+frames and the MONITOR's view of it cost O(1) (DESIGN.md, "The
+idle-container write").
 """
 
 from __future__ import annotations
@@ -42,11 +49,11 @@ def _write_idle(containers: Iterable[Container], granted_cores: float, overheads
     headroom = max(0.0, granted_cores - cpu_usage)
     base_memory = overheads.container_base_memory
     for container in containers:
-        container.cpu_usage = cpu_usage
+        container._cpu_usage = cpu_usage
         container._net_cpu_headroom = headroom
-        container.disk_usage = 0.0
-        container.net_usage = 0.0
-        container.mem_usage = base_memory
+        container._disk_usage = 0.0
+        container._net_usage = 0.0
+        container._mem_usage = base_memory
 
 
 class Node:
@@ -73,15 +80,35 @@ class Node:
         #: :meth:`add_container`, :meth:`remove_container` or
         #: :meth:`detach_container` (``None`` until then).
         self._by_id: list[Container] | None = None
-        self._finished: list[Request] = []
+        #: Requests that finished on this node since the last drain.
+        self.finished: list[Request] = []
         #: Containers the node's steps OOM-killed since the daemon last
         #: reaped it, in kill (id) order.  The MONITOR reaps every step, so
         #: in a run this holds the last step's kills.
         self.last_oom_kills: list[Container] = []
+        #: The change generation: bumped by hosting changes,
+        #: :meth:`reshape_network`, ``DockerDaemon.update`` and, through
+        #: their host reference, the hosted containers' ``accept``,
+        #: ``freeze``, ``terminate`` and usage-reading writes.
+        self.generation = 0
+        #: The generation of the node's last step if that step was quiet,
+        #: else -1 (see :attr:`vouched`).
+        self._vouched_at = -1
 
     # ------------------------------------------------------------------
     # Hosting
     # ------------------------------------------------------------------
+    @property
+    def vouched(self) -> bool:
+        """True while the node's last step was quiet and nothing that step
+        or its manager's frame reads has changed since.
+
+        Every serving container then holds exactly the idle readings,
+        nothing is in flight or booting, and the next quiet step would
+        write the same values.
+        """
+        return self._vouched_at == self.generation
+
     def _id_ordered(self) -> list[Container]:
         """Hosted containers in id order (sorted once per membership change)."""
         ordered = self._by_id
@@ -127,6 +154,8 @@ class Node:
             )
         self.containers[container.container_id] = container
         self._by_id = None
+        container._host = self
+        self.generation += 1
         # HTB guarantee at the container's allocated rate with borrowing up
         # to link capacity: Docker cannot hard-cap network without tc, and
         # the paper's platform leaves container NICs work-conserving (only
@@ -141,11 +170,13 @@ class Node:
             raise ClusterError(f"container {container_id} not on node {self.name}")
         if container.is_active:
             container.terminate(now, oom=oom)
-        self._finished.extend(container.drain_finished())
+        self.finished.extend(container.drain_finished())
         if self.nic.is_attached(container_id):
             self.nic.detach(container_id)
         del self.containers[container_id]
         self._by_id = None
+        container._host = None
+        self.generation += 1
         return container
 
     def detach_container(self, container_id: str) -> Container:
@@ -161,6 +192,8 @@ class Node:
             self.nic.detach(container_id)
         del self.containers[container_id]
         self._by_id = None
+        container._host = None
+        self.generation += 1
         return container
 
     def reshape_network(self, container_id: str, rate: float) -> None:
@@ -170,18 +203,25 @@ class Node:
             raise ClusterError(f"container {container_id} not on node {self.name}")
         container.net_rate = float(rate)
         self.nic.reshape(container_id, rate=rate)
+        self.generation += 1
 
     # ------------------------------------------------------------------
     # Per-step machinery
     # ------------------------------------------------------------------
     def step(self, now: float, dt: float) -> None:
         """Advance every hosted container by one step ending at ``now``."""
+        if self._vouched_at == self.generation:
+            # Quiet and unchanged since the last quiet step: the idle write
+            # would store the values already there.
+            return
         quiet = self._quiet_serving()
         if quiet is not None:
             # Every serving container is idle and fair share grants each its
             # background CPU (see DESIGN.md, "The idle-container write").
             _write_idle(quiet, self.overheads.container_background_cpu, self.overheads)
+            self._vouched_at = self.generation
             return
+        self._vouched_at = -1
 
         # Only boots change who is serving, so one id-ordered list serves
         # the three schedulers and settlement.  A plain container with
@@ -210,13 +250,13 @@ class Node:
                 _write_idle((container,), granted, container.overheads)
             else:
                 container.settle_requests(now)
-            if container.mem_usage > container.overheads.oom_factor * container.mem_limit:
+            if container._mem_usage > container.overheads.oom_factor * container.mem_limit:
                 # The kernel kills the worst offender; requests die as
                 # removal failures.  The daemon reaps the carcass.
                 container.terminate(now, oom=True)
                 self.last_oom_kills.append(container)
             if container.finished:
-                self._finished.extend(container.drain_finished())
+                self.finished.extend(container.drain_finished())
 
     def _quiet_serving(self) -> list[Container] | None:
         """The serving containers if this node is quiet, else ``None``.
@@ -294,7 +334,7 @@ class Node:
         offered = {c.container_id: c.disk_demand(dt) for c in containers}
         if not any(load > 0 for load in offered.values()):
             for c in containers:
-                c.disk_usage = 0.0
+                c._disk_usage = 0.0
             return
         grants = self.disk.transfer(offered)
         for container in containers:
@@ -309,19 +349,19 @@ class Node:
         offered = {c.container_id: c.net_demand(dt) for c in containers}
         if not any(load > 0 for load in offered.values()):
             for c in containers:
-                c.net_usage = 0.0
+                c._net_usage = 0.0
             return
         throughput = self.nic.transmit(offered)
         for container in containers:
             granted = throughput.get(container.container_id, 0.0)
             if granted == 0.0:
-                container.net_usage = 0.0  # what spending a zero grant writes
+                container._net_usage = 0.0  # what spending a zero grant writes
             else:
                 container.advance(ResourceGrants(net=granted), dt)
 
     def drain_finished(self) -> list[Request]:
         """Hand over and clear requests that finished on this node."""
-        finished, self._finished = self._finished, []
+        finished, self.finished = self.finished, []
         return finished
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

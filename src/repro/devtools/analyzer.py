@@ -59,8 +59,9 @@ from repro.devtools.source import (
 #: incompatible rule sets.  "8": one catalogue for both rule kinds;
 #: PAR003 folded into DET003, DET102 into DET002, the two UNIT002s into
 #: one; the registration call-site rule removed (``NameRegistry.register``
-#: checks every registration when its module loads).
-CATALOGUE_VERSION = "8"
+#: checks every registration when its module loads).  "9": SAN004 pins
+#: the writers of a container's allocations, state and in-flight list.
+CATALOGUE_VERSION = "9"
 
 #: Schema tag of the report ("/3": one report for every rule, with the
 #: suppressed findings and their reasons).

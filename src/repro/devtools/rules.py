@@ -523,6 +523,98 @@ def _san003_check(f: SourceFile, _: Program) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
+# SAN004 — the writers of a container's allocations, state and queue
+# ----------------------------------------------------------------------
+#: Container attributes a node's change generation depends on and that do
+#: not bump it themselves (the usage readings do): DESIGN.md, "The
+#: idle-container write".
+_GENERATION_FIELDS = frozenset({"cpu_request", "mem_limit", "net_rate", "disk_quota", "state", "inflight"})
+
+#: List methods that change ``inflight`` in place.
+_LIST_MUTATORS = frozenset({"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"})
+
+#: The methods besides ``Container``'s own that may write those fields;
+#: each bumps the node's change generation.
+_GENERATION_WRITERS = frozenset({("DockerDaemon", "update"), ("Node", "reshape_network")})
+
+
+def _generation_writes(node: ast.AST) -> Iterator[ast.Attribute]:
+    """The ``x.<field>`` attributes one statement or call writes or mutates."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _LIST_MUTATORS
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "inflight"
+        ):
+            yield func.value
+        return
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = list(node.targets)
+    elif isinstance(node, ast.AugAssign) or (isinstance(node, ast.AnnAssign) and node.value is not None):
+        targets = [node.target]
+    else:
+        return
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        elif isinstance(target, ast.Subscript):
+            if isinstance(target.value, ast.Attribute) and target.value.attr == "inflight":
+                yield target.value
+        elif isinstance(target, ast.Attribute) and target.attr in _GENERATION_FIELDS:
+            yield target
+
+
+def _may_write_container(written: ast.Attribute, owner: ast.ClassDef | None, method: str | None) -> bool:
+    """Whether code in ``owner.method`` may write ``written``.
+
+    ``Container`` and the listed writers may; ``self.<field>`` in a class
+    that does not derive from ``Container`` is not a container's field.
+    """
+    name = owner.name if owner is not None else None
+    if name == "Container" or (name, method) in _GENERATION_WRITERS:
+        return True
+    receiver = written.value
+    if isinstance(receiver, ast.Name) and receiver.id == "self":
+        return owner is None or not any(terminal_name(base) == "Container" for base in owner.bases)
+    return False
+
+
+def _san004_check(f: SourceFile, _: Program) -> Iterator[Violation]:
+    """SAN004: a node skips its step, and its manager reuses its quiet
+    frame, while its change generation is unchanged.  Writes to a
+    container's allocations, lifecycle state or in-flight list do not bump
+    it themselves, so only ``Container`` and the two methods that bump it
+    (``DockerDaemon.update``, ``Node.reshape_network``) may make them."""
+
+    def visit(node: ast.AST, owner: ast.ClassDef | None, method: str | None) -> Iterator[Violation]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child, None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, owner, child.name if method is None else method)
+                continue
+            for written in _generation_writes(child):
+                if not _may_write_container(written, owner, method):
+                    yield violation(
+                        f.path,
+                        written,
+                        "SAN004",
+                        f"write to a container's `{written.attr}` outside Container, "
+                        "DockerDaemon.update and Node.reshape_network: the node's change "
+                        "generation misses it, so a quiet node's step and stats frame go stale",
+                    )
+            yield from visit(child, owner, method)
+
+    yield from visit(f.tree, None, None)
+
+
+# ----------------------------------------------------------------------
 # UNIT002 — unit-suffix dataflow, within a statement and across calls
 # ----------------------------------------------------------------------
 _Def = ast.FunctionDef | ast.AsyncFunctionDef
@@ -645,5 +737,12 @@ FILE_RULES: tuple[Rule, ...] = (
     Rule("SAN001", "no mutable class-level/default-arg containers in cluster/platform/sim", _san001_applies, _san001_check),
     Rule("SAN002", "no float ==/!= on resource quantities outside units.py", _outside_units, _san002_check),
     Rule("SAN003", "object.__setattr__ only on self (frozen-dataclass discipline)", _in_src, _san003_check),
+    Rule(
+        "SAN004",
+        "container allocations, state and inflight written only by Container, "
+        "DockerDaemon.update and Node.reshape_network",
+        _in_src,
+        _san004_check,
+    ),
     Rule("UNIT002", "no mixed unit-suffix dataflow, within a statement or across calls", _outside_units, _unit002_check),
 )

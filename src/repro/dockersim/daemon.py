@@ -86,7 +86,7 @@ class DockerDaemon:
 
         CPU maps to ``docker update --cpu-shares``, memory to ``--memory``;
         network has no Docker verb (Section III-C), so it goes through the
-        NIC's tc classes instead.
+        NIC's tc classes instead.  Bumps the node's change generation.
         """
         container = self._get(container_id)
         if not container.is_active:
@@ -111,6 +111,7 @@ class DockerDaemon:
 
         container.cpu_request = new_cpu
         container.mem_limit = new_mem
+        self.node.generation += 1
         if net_rate is not None:
             self.node.reshape_network(container_id, new_net)
         return container

@@ -221,8 +221,6 @@ class Simulation:
 
         rng = RngStreams(config.seed)
         cluster = Cluster.from_config(config.cluster, config.overheads)
-        if observe.sanitizer is not None:
-            observe.sanitizer.bind(cluster=cluster)
         client = DockerClient(cluster)
         collector = MetricsCollector()
         hub: RunTelemetry | None = None
@@ -277,6 +275,8 @@ class Simulation:
             generator = ClientLoadGenerator(loads, rng, sink=lb.submit)
 
         fleet = NodeManagerFleet(client, horizon=config.monitor_period)
+        if observe.sanitizer is not None:
+            observe.sanitizer.bind(cluster=cluster, node_managers=fleet.managers)
         monitor = Monitor(
             cluster,
             client,

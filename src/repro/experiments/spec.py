@@ -43,9 +43,10 @@ policy inside a sweep.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.cluster.microservice import MicroserviceSpec
 from repro.config import ClusterConfig, OverheadModel, SimulationConfig
@@ -200,6 +201,29 @@ def list_field(data: Mapping[str, Any], key: str, kind: str) -> Any:
     return value
 
 
+def _typed_field(data: Mapping[str, Any], key: str, kind: str, types: tuple[type, ...], default: Any = None) -> Any:
+    """``data[key]`` (``default`` when absent), which must be an instance of
+    one of ``types`` and not a bool; raises :class:`ExperimentError` naming
+    ``key``."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, types):
+        wanted = " or ".join(t.__name__ for t in types)
+        raise ExperimentError(f"{kind} field {key!r} must be {wanted}, got {type(value).__name__}")
+    return value
+
+
+@contextmanager
+def _malformed(kind: str, key: str) -> Iterator[None]:
+    """Raise a malformed value's ``TypeError``, ``ValueError``, ``KeyError``
+    or ``AttributeError`` (wrong type, missing or unknown key) as
+    :class:`ExperimentError` naming ``key``.  The errors the decoded
+    constructors raise for bad values keep their own types."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise ExperimentError(f"{kind} field {key!r} is malformed: {type(exc).__name__}: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
 # RunSpec
 # ----------------------------------------------------------------------
@@ -333,22 +357,37 @@ class RunSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
         """Decode a ``repro.sweep/1`` run document."""
+        kind = "run_spec"
         data = decode_document(
-            data, "run_spec", ("label", "policy", "seed", "duration", "config", "fleet", "loads")
+            data, kind, ("label", "policy", "seed", "duration", "config", "fleet", "loads")
         )
+        with _malformed(kind, "config"):
+            config = _config_from_dict(data["config"])
+        fleet = []
+        for i, spec in enumerate(list_field(data, "fleet", kind)):
+            with _malformed(kind, f"fleet[{i}]"):
+                fleet.append(MicroserviceSpec(**spec))
+        loads = []
+        for i, load in enumerate(list_field(data, "loads", kind)):
+            with _malformed(kind, f"loads[{i}]"):
+                loads.append(_load_from_dict(load))
+        with _malformed(kind, "routing"):
+            routing = RoutingPolicy(data.get("routing", RoutingPolicy.WEIGHTED_CPU.value))
+        app = data.get("app")
+        if app is not None:
+            with _malformed(kind, "app"):
+                app = ApplicationSpec.from_dict(app)
         return cls(
-            label=data["label"],
-            policy=data["policy"],
-            seed=data["seed"],
-            duration=data["duration"],
-            config=_config_from_dict(data["config"]),
-            fleet=tuple(MicroserviceSpec(**spec) for spec in data["fleet"]),
-            loads=tuple(_load_from_dict(load) for load in data["loads"]),
-            routing=RoutingPolicy(data.get("routing", RoutingPolicy.WEIGHTED_CPU.value)),
-            timeline_every=data.get("timeline_every", 5.0),
-            app=(
-                ApplicationSpec.from_dict(data["app"]) if data.get("app") is not None else None
-            ),
+            label=_typed_field(data, "label", kind, (str,)),
+            policy=_typed_field(data, "policy", kind, (str,)),
+            seed=_typed_field(data, "seed", kind, (int,)),
+            duration=_typed_field(data, "duration", kind, (int, float)),
+            config=config,
+            fleet=tuple(fleet),
+            loads=tuple(loads),
+            routing=routing,
+            timeline_every=_typed_field(data, "timeline_every", kind, (int, float), 5.0),
+            app=app,
         )
 
     def canonical_json(self) -> str:

@@ -182,7 +182,10 @@ class HtbQdisc:
                 headroom = max(0.0, min(offered[cid], cls.ceil) - grants[cid])
                 demands.append(headroom)
                 weights.append(max(cls.rate, 1e-6))
-            borrowed = weighted_fair_share(leftover, demands, weights)
+            # With no headroom anywhere the fair share lends 0.0 to every
+            # class; adding that still turns a -0.0 grant (a class whose rate
+            # is -0.0) into 0.0, so only the share itself is skipped.
+            borrowed = weighted_fair_share(leftover, demands, weights) if any(demands) else [0.0] * len(ids)
             for cid, extra in zip(ids, borrowed):
                 grants[cid] += extra
 

@@ -40,7 +40,10 @@ class NodeManagerFleet:
 
     def __init__(self, client: DockerClient, horizon: float):
         self.horizon = horizon
+        #: Managers by node name; changed only through :meth:`manage` and
+        #: :meth:`retire`, which keep the name order below current.
         self.managers: dict[str, NodeManager] = {}
+        self._by_name: list[NodeManager] | None = None
         for daemon in client.daemons.values():
             self.manage(daemon)
 
@@ -48,11 +51,21 @@ class NodeManagerFleet:
         """Start a manager for the daemon's node (every manager starts here)."""
         manager = NodeManager(daemon, window_horizon=self.horizon)
         self.managers[daemon.node.name] = manager
+        self._by_name = None
         return manager
 
+    def retire(self, name: str) -> None:
+        """Stop managing the named node (its machine is gone)."""
+        self.managers.pop(name, None)
+        self._by_name = None
+
     def on_step(self, clock: SimClock) -> None:
-        for name in sorted(self.managers):
-            self.managers[name].on_step(clock)
+        ordered = self._by_name
+        if ordered is None:
+            managers = self.managers
+            ordered = self._by_name = [managers[name] for name in sorted(managers)]
+        for manager in ordered:
+            manager.on_step(clock)
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,7 @@ class FaultInjector:
             raise ClusterError(f"cannot crash unknown node {name!r}")
         casualties = self.cluster.remove_node(name, now)
         self.client.untrack_node(name)
-        self.fleet.managers.pop(name, None)
+        self.fleet.retire(name)
         self.log.crashes.append((now, name))
         self.log.lost_requests += len(casualties)
 

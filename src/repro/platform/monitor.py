@@ -109,6 +109,8 @@ class Monitor:
         self._next_tick = config.monitor_period
         #: Each serving replica's last view and the row it was built from.
         self._replica_views: dict[str, tuple[Row, ReplicaView]] = {}
+        #: Each node's last view, with the node and its generation then.
+        self._node_views: dict[str, tuple[Node, int, NodeView]] = {}
 
     # ------------------------------------------------------------------
     # Engine integration
@@ -188,7 +190,8 @@ class Monitor:
         """Snapshot every service and node from the NMs' per-node rows.
 
         Views are immutable, so a replica given the very row object it was
-        given last time, on the same node, keeps its last view.
+        given last time, on the same node, keeps its last view, and a node
+        whose change generation has not moved keeps its last view.
         """
         window = self.config.monitor_period
         node_rows = {name: manager.window_rows(window) for name, manager in self.node_managers.items()}
@@ -245,7 +248,15 @@ class Monitor:
                 )
             )
         self._replica_views = current
-        nodes = tuple(_node_view(node) for node in self.cluster.sorted_nodes())
+        kept_nodes = self._node_views
+        node_views: dict[str, tuple[Node, int, NodeView]] = {}
+        for node in self.cluster.sorted_nodes():
+            kept_node = kept_nodes.get(node.name)
+            if kept_node is None or kept_node[0] is not node or kept_node[1] != node.generation:
+                kept_node = (node, node.generation, _node_view(node))
+            node_views[node.name] = kept_node
+        self._node_views = node_views
+        nodes = tuple(view for _, _, view in node_views.values())
         return ClusterView(now=now, services=tuple(services), nodes=nodes)
 
     # ------------------------------------------------------------------

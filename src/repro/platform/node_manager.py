@@ -6,7 +6,9 @@ microservice resource usage of all microservices stationed on that node"
 
 * samples ``docker stats`` for every hosted container each step, keeping
   one frame per step (every active container's usage readings) over the
-  MONITOR's query window, and the allocations of the latest frame,
+  MONITOR's query window, and the allocations of the latest frame; a node
+  that vouches for its containers gets the shared quiet frame without a
+  read,
 * answers the MONITOR's query for the whole node in one pass: each
   container's mean usage over the last query period and its allocations,
 * executes vertical scaling commands by invoking ``docker update``.
@@ -72,6 +74,9 @@ class NodeManager:
         #: The allocations of every active container in the latest frame,
         #: four per container in :data:`Row` order.
         self._allocations: list[float] = []
+        #: The node's generation at the last read by value if that read gave
+        #: the quiet frame, else -1.
+        self._quiet_generation = -1
 
     # ------------------------------------------------------------------
     # Sampling
@@ -81,37 +86,63 @@ class NodeManager:
 
         A container absent from a frame loses its history, so one that
         leaves and later returns starts afresh, as a new container would.
+
+        While the node vouches for its containers (``Node.vouched``) at the
+        generation whose read by value gave the quiet frame, nothing that
+        read sees has changed, so the quiet frame is recorded again with the
+        same ids and allocations (DESIGN.md, "The idle-container write").
         """
         now = clock.now
-        active: list[Container] = []
-        usages: list[float] = []
-        allocations: list[float] = []
-        for c in self.node.containers.values():
-            if c.state in ACTIVE_STATES:
-                active.append(c)
-                usages += (c.cpu_usage, c.mem_usage, c.net_usage, c.disk_usage)
-                allocations += (c.cpu_request, c.mem_limit, c.net_rate, c.disk_quota)
+        node = self.node
         frames = self._frames
-        if frames and now < frames[-1][0]:
-            # Only a container with history needs its samples in order;
-            # with none continuing, every history starts afresh.
-            if not self._first_seen.keys().isdisjoint(c.container_id for c in active):
-                raise DockerSimError("samples must be recorded in time order")
-            frames.clear()
-        if active != self._active:
-            self._active = active
-            ids = tuple(c.container_id for c in active)
-            if ids != self._ids:
-                first_seen, recorded = self._first_seen, self._recorded
-                self._first_seen = {cid: first_seen.get(cid, recorded) for cid in ids}
-                self._ids, self._quiet_frame = ids, self._quiet * len(ids)
-        readings = tuple(usages)
-        frames.append((now, self._ids, None if readings == self._quiet_frame else readings))
-        self._allocations = allocations
+        generation = node.generation
+        if generation == self._quiet_generation and node.vouched:
+            if frames and now < frames[-1][0]:
+                # The time-order rule below, for the same containers.
+                if self._ids:
+                    raise DockerSimError("samples must be recorded in time order")
+                frames.clear()
+            frames.append((now, self._ids, None))
+        else:
+            active: list[Container] = []
+            usages: list[float] = []
+            allocations: list[float] = []
+            for c in node.containers.values():
+                if c.state in ACTIVE_STATES:
+                    active.append(c)
+                    usages += c.readings()
+                    allocations += (c.cpu_request, c.mem_limit, c.net_rate, c.disk_quota)
+            if frames and now < frames[-1][0]:
+                # Only a container with history needs its samples in order;
+                # with none continuing, every history starts afresh.
+                if not self._first_seen.keys().isdisjoint(c.container_id for c in active):
+                    raise DockerSimError("samples must be recorded in time order")
+                frames.clear()
+            if active != self._active:
+                self._active = active
+                ids = tuple(c.container_id for c in active)
+                if ids != self._ids:
+                    first_seen, recorded = self._first_seen, self._recorded
+                    self._first_seen = {cid: first_seen.get(cid, recorded) for cid in ids}
+                    self._ids, self._quiet_frame = ids, self._quiet * len(ids)
+            readings = tuple(usages)
+            quiet = readings == self._quiet_frame
+            frames.append((now, self._ids, None if quiet else readings))
+            self._allocations = allocations
+            self._quiet_generation = generation if quiet else -1
         self._recorded += 1
         cutoff = now - self.horizon
         while frames[0][0] < cutoff:
             frames.popleft()
+
+    def latest(self) -> tuple[tuple[str, ...], tuple[float, ...], list[float]] | None:
+        """The latest frame: the active container ids in hosting order, their
+        usages (the quiet row written out) and their allocations, four per
+        container in :data:`Row` order; ``None`` before the first frame."""
+        if not self._frames:
+            return None
+        _, ids, usages = self._frames[-1]
+        return ids, self._quiet * len(ids) if usages is None else usages, self._allocations
 
     # ------------------------------------------------------------------
     # Queries (what the MONITOR pulls each period)

@@ -22,6 +22,7 @@ CHECKS = (
     "time",  # simulated time failed to advance monotonically
     "events",  # event-queue ordering (a due event survived fire_due)
     "phase",  # an in-flight request's stored phase vs its remaining work
+    "quiet",  # a vouched node's containers and manager frame vs a read by value
 )
 
 

@@ -34,6 +34,15 @@ trusts each request's stored ``phase``; after every step it must equal
 the phase :meth:`~repro.workloads.requests.Request.derive_phase` computes
 from the request's remaining work, for every in-flight request.
 
+**Vouched nodes** (``check="quiet"``) — a node that vouches for its
+containers (:attr:`~repro.cluster.node.Node.vouched`) skips its step, and
+its manager records the shared quiet frame without reading it.  After
+every step each vouched node is read by value: every serving container
+must hold exactly the idle readings, nothing may be in flight or
+booting, and its node manager's latest frame must equal a read of its
+usages and allocations.  A write that goes around the generation bumps
+shows here instead of as a stale frame.
+
 Violations are recorded as frozen :class:`~repro.sanitizer.SanViolation`
 records (never raised mid-run — the sanitizer observes, it does not
 perturb), exported via :mod:`repro.sanitizer.export`.
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro.cluster.container import ContainerState
 from repro.errors import SanitizerError
 from repro.sanitizer.records import SanViolation
 
@@ -50,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
     from repro.core.view import ClusterView
+    from repro.platform.node_manager import NodeManager
 
 #: Which engine phases may legitimately write each state domain.  The
 #: ``"events"`` pseudo-phase covers callbacks fired from the event queue at
@@ -104,6 +115,7 @@ class SimSanitizer:
             for domain, writers in DOMAIN_WRITERS.items()
         }
         self._cluster: Cluster | None = None
+        self._node_managers: Mapping[str, NodeManager] = {}
         self._violations: list[SanViolation] = []
         self._dropped = 0
         self._open = False
@@ -116,14 +128,16 @@ class SimSanitizer:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def bind(self, *, cluster: "Cluster") -> None:
-        """Attach the cluster whose invariants this sanitizer audits."""
+    def bind(self, *, cluster: "Cluster", node_managers: "Mapping[str, NodeManager]") -> None:
+        """Attach the cluster whose invariants this sanitizer audits, and the
+        node managers (by node name) whose frames the ``quiet`` check reads."""
         if self._cluster is not None and self._cluster is not cluster:
             raise SanitizerError(
                 "sanitizer is already bound to a different cluster; "
                 "build one SimSanitizer per simulation"
             )
         self._cluster = cluster
+        self._node_managers = node_managers
 
     def _require_cluster(self, hook: str) -> "Cluster":
         if self._cluster is None:
@@ -160,7 +174,8 @@ class SimSanitizer:
         self._diff_domains(cluster, phase=name, now=now)
 
     def end_step(self, *, now: float, next_due: float | None, fired: int) -> None:
-        """Close the bracket: event-phase diff, queue order, conservation, phases."""
+        """Close the bracket: event-phase diff, queue order, conservation,
+        phases, vouched nodes."""
         cluster = self._require_cluster("end_step")
         self._require_open("end_step")
         self._diff_domains(cluster, phase="events", now=now)
@@ -174,6 +189,7 @@ class SimSanitizer:
             )
         self.check_conservation(now=now)
         self.check_phases(now=now)
+        self.check_quiet(now=now)
         self._open = False
         self.steps_checked += 1
 
@@ -309,6 +325,63 @@ class SimSanitizer:
                             message="stored request phase disagrees with its remaining work",
                             detail=f"stored {request.phase} != derived {derived}",
                         )
+
+    # ------------------------------------------------------------------
+    # Vouched nodes
+    # ------------------------------------------------------------------
+    def check_quiet(self, *, now: float) -> None:
+        """Read every vouched node by value: idle readings, nothing in flight
+        or booting, and a manager frame equal to the read."""
+        cluster = self._require_cluster("check_quiet")
+        for name, node in sorted(cluster.nodes.items()):
+            if not node.vouched:
+                continue
+            overheads = node.overheads
+            # The four usages and the network headroom the idle write leaves.
+            idle = (overheads.container_background_cpu, overheads.container_base_memory, 0.0, 0.0, 0.0)
+            for cid, container in sorted(node.containers.items()):
+                if container.inflight or container.state is ContainerState.PENDING:
+                    self._record(
+                        now=now,
+                        check="quiet",
+                        subject=f"{name}/{cid}",
+                        message="a vouched node hosts a container with work in flight or booting",
+                        detail=f"state {container.state.value}, {len(container.inflight)} in flight",
+                    )
+                elif container.is_serving:
+                    readings = (
+                        container.cpu_usage,
+                        container.mem_usage,
+                        container.net_usage,
+                        container.disk_usage,
+                        container._net_cpu_headroom,
+                    )
+                    if readings != idle:
+                        self._record(
+                            now=now,
+                            check="quiet",
+                            subject=f"{name}/{cid}",
+                            message="a serving container of a vouched node holds other than the idle readings",
+                            detail=f"readings {readings!r} != idle {idle!r}",
+                        )
+            manager = self._node_managers.get(name)
+            latest = None if manager is None else manager.latest()
+            if latest is None:
+                continue
+            active = [c for c in node.containers.values() if c.is_active]
+            read = (
+                tuple(c.container_id for c in active),
+                tuple(v for c in active for v in (c.cpu_usage, c.mem_usage, c.net_usage, c.disk_usage)),
+                [v for c in active for v in (c.cpu_request, c.mem_limit, c.net_rate, c.disk_quota)],
+            )
+            if latest != read:
+                self._record(
+                    now=now,
+                    check="quiet",
+                    subject=name,
+                    message="the node manager's latest frame of a vouched node disagrees with a read by value",
+                    detail=f"frame {latest!r} != read {read!r}",
+                )
 
     # ------------------------------------------------------------------
     # Monitor hook: view/ledger consistency

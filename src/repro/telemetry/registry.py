@@ -116,6 +116,10 @@ class MetricRegistry:
     def __len__(self) -> int:
         return len(self._families)
 
+    def series_count(self) -> int:
+        """Series across every family (no sort: the count has no order)."""
+        return sum(len(family) for family in self._families.values())
+
     # ------------------------------------------------------------------
     # Retention
     # ------------------------------------------------------------------

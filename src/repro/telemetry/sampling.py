@@ -198,7 +198,7 @@ class SamplingController:
         registry = self._registry
         series = 0
         if registry is not None:
-            series = sum(len(family) for family in registry.families())
+            series = registry.series_count()
         budget = self.budget
         budget.charge_capture(series)
         published = self._published

@@ -54,6 +54,14 @@ class TestRegistry:
     def test_sorted_iteration(self, cluster):
         assert [n.name for n in cluster.sorted_nodes()] == ["n0", "n1", "n2"]
 
+    def test_sorted_nodes_follow_fleet_changes_and_are_a_copy(self, cluster, overheads):
+        listed = cluster.sorted_nodes()
+        listed.clear()
+        cluster.add_node(Node("m0", ResourceVector(4.0, 8192.0, 1000.0), overheads))
+        assert [n.name for n in cluster.sorted_nodes()] == ["m0", "n0", "n1", "n2"]
+        cluster.remove_node("n1", now=0.0)
+        assert [n.name for n in cluster.sorted_nodes()] == ["m0", "n0", "n2"]
+
 
 class TestDriveLoop:
     def test_on_step_advances_all_nodes(self, cluster, overheads):
@@ -65,6 +73,21 @@ class TestDriveLoop:
         clock.advance()
         cluster.on_step(clock)
         assert cluster.drain_finished() == [request]
+
+    def test_only_nodes_with_finished_requests_are_drained(self, cluster, overheads, monkeypatch):
+        container = make_container(overheads=overheads)
+        cluster.node("n2").add_container(container)
+        request = Request(service="svc", arrival_time=0.0, cpu_work=0.1)
+        container.accept(request, 0.0)
+        drained = []
+        drain = Node.drain_finished
+        monkeypatch.setattr(Node, "drain_finished", lambda node: drained.append(node.name) or drain(node))
+        clock = SimClock(dt=1.0)
+        clock.advance()
+        cluster.on_step(clock)
+        assert drained == ["n2"]
+        assert cluster.drain_finished() == [request]
+        assert drained == ["n2"]
 
     def test_remove_node_fails_running_requests(self, cluster, overheads):
         service = cluster.register_service(MicroserviceSpec(name="svc"))

@@ -386,6 +386,8 @@ FILE_RULE_SOURCES = [
         "        return cpu_request == other\n\n"
         "    def poke(self, view: object) -> None:\n"
         "        object.__setattr__(view, 'label', 'x')\n\n"
+        "    def shrink(self, container: object) -> None:\n"
+        "        container.mem_limit = 64.0\n\n"
         "    def on_step(self, clock):\n"
         "        total = self.node.rate + self.node.rate + self.node.rate + self.node.rate\n"
         "        del total\n",

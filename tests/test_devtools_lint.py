@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.devtools import DEFAULT_PATHS, main
 from repro.devtools.analyzer import (
     ALL_RULES,
@@ -467,6 +469,72 @@ class TestSan003:
 
 
 # ----------------------------------------------------------------------
+# SAN004 — writers of a container's allocations, state and queue
+# ----------------------------------------------------------------------
+PLATFORM_PATH = "src/repro/platform/fixture.py"
+
+
+class TestSan004:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "container.mem_limit = 64.0",
+            "container.cpu_request += 0.5",
+            "container.net_rate, other = 1.0, 2.0",
+            "container.disk_quota: float = 5.0",
+            "container.state = None",
+            "container.inflight = []",
+            "container.inflight.append(request)",
+            "container.inflight[0] = request",
+            "del container.inflight[0]",
+        ],
+    )
+    def test_flags_writes_outside_the_writer_set(self, statement):
+        src = f"def resize(container: object, request: object, other: object) -> None:\n    {statement}\n"
+        assert rules_of(lint_source(src, PLATFORM_PATH)) == ["SAN004"]
+
+    def test_flags_a_container_subclass_writing_its_own_state(self):
+        src = (
+            "class Container:\n    pass\n\n\n"
+            "class Hog(Container):\n"
+            "    def stall(self) -> None:\n"
+            "        self.state = None\n"
+        )
+        assert "SAN004" in rules_of(lint_source(src, CLUSTER_PATH))
+
+    def test_writer_set_is_clean(self):
+        src = (
+            "class Container:\n"
+            "    def accept(self, request: object, other: object) -> None:\n"
+            "        self.inflight.append(request)\n"
+            "        other.state = None\n\n\n"
+            "class DockerDaemon:\n"
+            "    def update(self, container: object) -> None:\n"
+            "        container.cpu_request = 1.0\n"
+            "        container.mem_limit = 512.0\n\n\n"
+            "class Node:\n"
+            "    def reshape_network(self, container: object) -> None:\n"
+            "        container.net_rate = 5.0\n"
+        )
+        assert "SAN004" not in rules_of(lint_source(src, CLUSTER_PATH))
+
+    def test_other_classes_own_fields_and_reads_are_clean(self):
+        src = (
+            "class Request:\n"
+            "    def fail(self) -> None:\n"
+            "        self.state = None\n\n\n"
+            "def depth(container: object) -> int:\n"
+            "    usage = container.cpu_request\n"
+            "    return len(container.inflight) + int(usage)\n"
+        )
+        assert "SAN004" not in rules_of(lint_source(src, PLATFORM_PATH))
+
+    def test_tests_area_is_exempt(self):
+        src = "def resize(container: object) -> None:\n    container.mem_limit = 64.0\n"
+        assert "SAN004" not in rules_of(lint_source(src, TESTS_PATH))
+
+
+# ----------------------------------------------------------------------
 # UNIT002 — unit-suffix dataflow
 # ----------------------------------------------------------------------
 class TestUnit002:
@@ -640,6 +708,7 @@ class TestEngine:
             "SAN001",
             "SAN002",
             "SAN003",
+            "SAN004",
             "HOT001",
             "HOT002",
             "HOT003",
@@ -654,7 +723,7 @@ class TestEngine:
             "CON003",
         }
         assert all(summary for summary in catalog.values())
-        assert len(ALL_RULES) == len(catalog) == 23
+        assert len(ALL_RULES) == len(catalog) == 24
 
     def test_no_file_rule_looks_at_tests_or_benchmarks(self):
         for rule in ALL_RULES:

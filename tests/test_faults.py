@@ -104,6 +104,22 @@ class TestAddition:
         sim.engine.run_for(60.0)
         assert "fresh-node" in sim.monitor.node_managers
 
+    def test_managers_step_in_name_order_across_fleet_changes(self):
+        sim = build_sim(worker_nodes=3)
+        sim.faults.schedule_crash(2.0, "node-01")
+        sim.faults.schedule_add(2.0, "node-00b")
+        sim.engine.run_for(3.0)
+        fleet = sim.faults.fleet
+        stepped = []
+        for manager in fleet.managers.values():
+            manager.on_step = lambda clock, name=manager.node.name: stepped.append(name)
+        fleet.on_step(sim.engine.clock)
+        assert stepped == ["node-00", "node-00b", "node-02"]
+        fleet.retire("node-02")
+        stepped.clear()
+        fleet.on_step(sim.engine.clock)
+        assert stepped == ["node-00", "node-00b"]
+
     def test_crash_then_replace(self):
         sim = build_sim(rate=8.0)
         sim.faults.schedule_crash(20.0, "node-01")

@@ -55,7 +55,7 @@ def build_sim(*, sanitizer=None, policy="hybrid", seed=0, rate=6.0, worker_nodes
 def bound_sanitizer(worker_nodes=1, **kwargs) -> tuple[SimSanitizer, Cluster]:
     cluster = Cluster.from_config(ClusterConfig(worker_nodes=worker_nodes))
     sanitizer = SimSanitizer(**kwargs)
-    sanitizer.bind(cluster=cluster)
+    sanitizer.bind(cluster=cluster, node_managers={})
     return sanitizer, cluster
 
 
@@ -176,9 +176,11 @@ class TestBracketDiscipline:
 
     def test_rebind_to_other_cluster_raises(self):
         sanitizer, cluster = bound_sanitizer()
-        sanitizer.bind(cluster=cluster)  # same cluster: idempotent
+        sanitizer.bind(cluster=cluster, node_managers={})  # same cluster: idempotent
         with pytest.raises(SanitizerError):
-            sanitizer.bind(cluster=Cluster.from_config(ClusterConfig(worker_nodes=1)))
+            sanitizer.bind(
+                cluster=Cluster.from_config(ClusterConfig(worker_nodes=1)), node_managers={}
+            )
 
     def test_double_begin_raises(self):
         sanitizer, _ = bound_sanitizer()

@@ -327,6 +327,35 @@ MALFORMED = {
 }
 
 
+#: A nested or typed field of a run document replaced, and the message
+#: naming it.
+MALFORMED_FIELDS = {
+    "seed-string": ("seed", "x", "field 'seed' must be int"),
+    "seed-bool": ("seed", True, "field 'seed' must be int"),
+    "duration-string": ("duration", "10", "field 'duration' must be int or float"),
+    "label-number": ("label", 7, "field 'label' must be str"),
+    "timeline-string": ("timeline_every", "5", "field 'timeline_every' must be int or float"),
+    "fleet-null": ("fleet", None, "field 'fleet' must be a list"),
+    "fleet-entry-list": ("fleet", [[]], "field 'fleet[0]' is malformed"),
+    "fleet-entry-unknown-key": ("fleet", [{"name": "a", "colour": 1}], "field 'fleet[0]' is malformed"),
+    "loads-object": ("loads", {"a": 1}, "field 'loads' must be a list"),
+    "loads-entry-no-profile": ("loads", [{"service": "a"}], "field 'loads[0]' is malformed"),
+    "config-list": ("config", [], "field 'config' is malformed"),
+    "config-no-overheads": ("config", {"cluster": {}}, "field 'config' is malformed"),
+    "routing-unknown": ("routing", "sideways", "field 'routing' is malformed"),
+    "app-list": ("app", [], "field 'app' is malformed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_malformed_field_raises_naming_the_field(case):
+    key, value, message = MALFORMED_FIELDS[case]
+    document = json.loads(cpu_bound("low").to_run_spec("hybrid").canonical_json())
+    document[key] = value
+    with pytest.raises(ExperimentError, match=re.escape(message)):
+        RunSpec.from_dict(document)
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_document_raises_naming_the_field(case):
     kind, corrupt, message = MALFORMED[case]

@@ -157,3 +157,66 @@ class TestAllocationProperties:
         grants = qdisc.allocate(loads)
         expected = min(capacity, sum(loads.values()))
         assert sum(grants.values()) == pytest.approx(expected, rel=1e-6, abs=1e-4)
+
+
+def _allocate_with_borrowing_pass(qdisc: HtbQdisc, offered: dict[str, float]) -> dict[str, float]:
+    """The allocation before the borrowing pass was skipped when nothing
+    can borrow: the reference the skip must match byte for byte."""
+    from repro.cluster.fairshare import weighted_fair_share
+
+    classes = {cid: qdisc.get_class(cid) for cid in offered}
+    grants: dict[str, float] = {}
+    ids = [cid for cid in sorted(classes) if offered.get(cid, 0.0) > 0]
+    if not ids:
+        return {cid: 0.0 for cid in offered}
+    wanted = {cid: min(offered[cid], classes[cid].rate) for cid in ids}
+    total_wanted = sum(wanted.values())
+    scale = min(1.0, qdisc.capacity / total_wanted) if total_wanted > 0 else 1.0
+    for cid in ids:
+        grants[cid] = wanted[cid] * scale
+    leftover = qdisc.capacity - sum(grants.values())
+    if leftover > 1e-12:
+        demands = []
+        weights = []
+        for cid in ids:
+            cls = classes[cid]
+            demands.append(max(0.0, min(offered[cid], cls.ceil) - grants[cid]))
+            weights.append(max(cls.rate, 1e-6))
+        borrowed = weighted_fair_share(leftover, demands, weights)
+        for cid, extra in zip(ids, borrowed):
+            grants[cid] += extra
+    for cid in offered:
+        grants.setdefault(cid, 0.0)
+    return grants
+
+
+#: (rate, ceil above rate, offered) per class; -0.0 rates and zero ceilings
+#: make grants of -0.0 with nothing left to borrow.
+_HTB_CLASS = st.tuples(
+    st.sampled_from([-0.0, 0.0, 1.0, 10.0, 30.0, 250.0]),
+    st.sampled_from([0.0, 0.0, 5.0, 100.0, 1000.0]),
+    st.sampled_from([0.0, 0.5, 1.0, 10.0, 40.0, 600.0]),
+)
+
+
+class TestBorrowingSkip:
+    @given(
+        classes=st.lists(_HTB_CLASS, min_size=1, max_size=6),
+        capacity=st.sampled_from([1.0, 50.0, 1000.0]),
+    )
+    def test_skip_keeps_the_grants_of_the_full_pass(self, classes, capacity):
+        qdisc = HtbQdisc(capacity)
+        offered = {}
+        for i, (rate, extra, load) in enumerate(classes):
+            cid = f"c{i}"
+            qdisc.add_class(cid, rate=rate, ceil=rate + extra)
+            offered[cid] = load
+        got = qdisc.allocate(offered)
+        want = _allocate_with_borrowing_pass(qdisc, offered)
+        assert list(got) == list(want)
+        assert {cid: repr(g) for cid, g in got.items()} == {cid: repr(g) for cid, g in want.items()}
+
+    def test_negative_zero_rate_grant_reads_positive_zero(self):
+        qdisc = HtbQdisc(100.0)
+        qdisc.add_class("a", rate=-0.0, ceil=0.0)
+        assert repr(qdisc.allocate({"a": 5.0})["a"]) == "0.0"

@@ -150,6 +150,14 @@ class TestRegistry:
         registry.counter("mid", "M.")
         assert [f.name for f in registry.families()] == ["alpha", "mid", "zeta"]
 
+    def test_series_count_sums_every_family(self):
+        registry = MetricRegistry()
+        registry.gauge("zeta", "Z.", labels=("node",))
+        registry.counter("alpha", "A.").labels().inc()
+        for node in ("n0", "n1", "n2"):
+            registry.get("zeta").labels(node=node).set(1.0)
+        assert registry.series_count() == sum(len(f) for f in registry.families()) == 4
+
     def test_capture_appends_and_trims_history(self):
         registry = MetricRegistry(retention=3)
         child = registry.counter("hits", "Hits.").labels()
