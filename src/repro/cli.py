@@ -332,34 +332,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.timeline import allocation_efficiency, render_timeline
-    from repro.metrics.summary import RunSummary
+    from repro.codec import parse_json, untag
+    from repro.metrics.summary import decode_summary
 
     try:
-        with open(args.path) as handle:
-            payload = json.load(handle)
+        with open(args.path, encoding="utf-8") as handle:
+            runs = untag(parse_json(handle.read(), ExperimentError, "runs"), ExperimentError, "runs")
+        summaries = {
+            name: decode_summary(data, ExperimentError, f"runs[{name!r}]")
+            for name, data in runs.items()
+        }
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {args.path} is not a JSON dump: {exc}", file=sys.stderr)
+    except (ValueError, ExperimentError) as exc:  # ValueError: not UTF-8
+        print(f"error: {args.path} is not a `run --json` dump: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(payload, dict):
-        print(
-            f"error: {args.path} is not a `run --json` dump: expected an object mapping run "
-            f"names to summaries, got {type(payload).__name__}",
-            file=sys.stderr,
-        )
-        return 2
-    summaries = {}
-    for name, data in payload.items():
-        try:
-            summaries[name] = RunSummary.from_dict(data)
-        except ExperimentError as exc:
-            print(f"error: {args.path} is not a `run --json` dump: run {name!r}: {exc}", file=sys.stderr)
-            return 2
     workload = next(iter(summaries.values())).workload if summaries else "?"
     baseline = "kubernetes" if "kubernetes" in summaries else next(iter(sorted(summaries)), None)
     if baseline is None:

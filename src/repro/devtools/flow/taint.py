@@ -94,6 +94,8 @@ _FS_ENUM_METHODS = frozenset({"iterdir", "rglob", "scandir"})
 #: The canonical sinks: every function whose output must be byte-stable.
 #: qualname -> the artifact family it renders or keys.
 SINKS: dict[str, str] = {
+    # the one canonical encoder every artefact codec below goes through
+    "repro.codec.canonical_json": "canonical-json",
     # repro.obs/1 decision-trace codec
     "repro.obs.export.span_to_json_line": "repro.obs/1",
     "repro.obs.export.spans_to_jsonl": "repro.obs/1",

@@ -42,13 +42,12 @@ policy inside a sweep.
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.cluster.microservice import MicroserviceSpec
+from repro.codec import canonical_json, decode_record, list_of, record_of, untag
 from repro.config import ClusterConfig, OverheadModel, SimulationConfig
 from repro.errors import ExperimentError
 from repro.instrument import Observe
@@ -57,7 +56,7 @@ from repro.platform.load_balancer import RoutingPolicy
 from repro.platform.routing import resolve_routing
 from repro.sim.rng import RngStreams
 from repro.workloads.generator import ServiceLoad
-from repro.workloads.graph import ApplicationSpec
+from repro.workloads.graph import ApplicationSpec, decode_app
 from repro.workloads.patterns import (
     CompositeLoad,
     ConstantLoad,
@@ -95,7 +94,11 @@ _PATTERN_FIELDS: dict[type, tuple[str, tuple[str, ...]]] = {  # lint: disable=PA
     TraceLoad: ("trace", ("times", "rates", "loop")),
 }
 
-_PATTERN_TAGS: dict[str, type] = {tag: cls for cls, (tag, _) in _PATTERN_FIELDS.items()}  # lint: disable=PAR001(derived from _PATTERN_FIELDS at import time and never written afterwards; identical in every worker process)
+_PATTERN_CLASSES: dict[str, type] = {
+    "constant": ConstantLoad,
+    "composite": CompositeLoad,
+    **{tag: cls for cls, (tag, _) in _PATTERN_FIELDS.items()},
+}
 
 
 def pattern_to_dict(pattern: LoadPattern) -> dict:
@@ -115,17 +118,19 @@ def pattern_to_dict(pattern: LoadPattern) -> dict:
 
 
 def pattern_from_dict(data: Mapping[str, Any]) -> LoadPattern:
-    """Decode a type-tagged pattern dict back into a :class:`LoadPattern`."""
-    tag = data.get("type")
-    if tag == "constant":
-        return ConstantLoad(rate=data["rate"])
-    if tag == "composite":
-        return CompositeLoad([pattern_from_dict(part) for part in data["parts"]])
-    cls = _PATTERN_TAGS.get(str(tag))
+    """Decode a type-tagged pattern dict back into a :class:`LoadPattern`;
+    raises :class:`ExperimentError` naming the bad field."""
+    return _decode_pattern(data, ExperimentError, "pattern")
+
+
+def _decode_pattern(data: Any, error: type[Exception], path: str) -> LoadPattern:
+    fields = untag(data, error, path)
+    tag = fields.pop("type", None)
+    cls = _PATTERN_CLASSES.get(tag) if isinstance(tag, str) else None
     if cls is None:
-        raise ExperimentError(f"unknown pattern type tag {tag!r} in spec document")
-    kwargs = {key: value for key, value in data.items() if key != "type"}
-    return cls(**kwargs)
+        raise error(f"{path} has unknown pattern type {tag!r}")
+    nested = {"parts": list_of(_decode_pattern)} if cls is CompositeLoad else None
+    return decode_record(cls, fields, error, path, nested)
 
 
 # ----------------------------------------------------------------------
@@ -139,23 +144,19 @@ def _load_to_dict(load: ServiceLoad) -> dict:
     }
 
 
-def _load_from_dict(data: Mapping[str, Any]) -> ServiceLoad:
-    return ServiceLoad(
-        service=data["service"],
-        profile=MicroserviceProfile(**data["profile"]),
-        pattern=pattern_from_dict(data["pattern"]),
-    )
+_LOAD = record_of(ServiceLoad, {"profile": record_of(MicroserviceProfile), "pattern": _decode_pattern})
+_CONFIG = record_of(
+    SimulationConfig,
+    {"cluster": record_of(ClusterConfig), "overheads": record_of(OverheadModel)},
+    required=("cluster", "overheads"),
+)
 
 
-def _config_to_dict(config: SimulationConfig) -> dict:
-    return asdict(config)
-
-
-def _config_from_dict(data: Mapping[str, Any]) -> SimulationConfig:
-    payload = dict(data)
-    cluster = ClusterConfig(**payload.pop("cluster"))
-    overheads = OverheadModel(**payload.pop("overheads"))
-    return SimulationConfig(cluster=cluster, overheads=overheads, **payload)
+def _decode_routing(value: Any, error: type[Exception], path: str) -> RoutingPolicy:
+    names = [policy.value for policy in RoutingPolicy]
+    if value not in names:
+        raise error(f"{path} must be one of {names}, got {value!r}")
+    return RoutingPolicy(value)
 
 
 def derive_shard_seed(base_seed: int, shard_name: str) -> int:
@@ -169,59 +170,23 @@ def derive_shard_seed(base_seed: int, shard_name: str) -> int:
     return int(RngStreams(base_seed).stream(f"sweep/{shard_name}").integers(0, 2**63 - 1))
 
 
-def _canonical(payload: Mapping[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def decode_run_spec(data: Any, error: type[Exception], path: str) -> "RunSpec":
+    """The nested decoder behind :meth:`RunSpec.from_dict`."""
+    fields = untag(data, error, path, schema=SWEEP_SCHEMA, kind="run_spec")
+    nested = {
+        "config": _CONFIG,
+        "fleet": list_of(record_of(MicroserviceSpec)),
+        "loads": list_of(_LOAD),
+        "routing": _decode_routing,
+        "app": decode_app,
+    }
+    return decode_record(RunSpec, fields, error, path, nested, required=("config", "fleet", "loads"))
 
 
-def decode_document(data: Any, kind: str, required: tuple[str, ...]) -> Mapping[str, Any]:
-    """Check a ``repro.sweep/1`` document's top level before decoding it.
-
-    Raises :class:`ExperimentError` when ``data`` is not an object, has
-    another schema or kind, or lacks one of the ``required`` fields.
-    """
-    if not isinstance(data, Mapping):
-        raise ExperimentError(f"{kind} document must be a JSON object, got {type(data).__name__}")
-    schema = data.get("schema")
-    if schema != SWEEP_SCHEMA:
-        raise ExperimentError(f"unsupported spec schema {schema!r} (want {SWEEP_SCHEMA!r})")
-    if data.get("kind") != kind:
-        raise ExperimentError(f"expected a {kind} document, got {data.get('kind')!r}")
-    for key in required:
-        if key not in data:
-            raise ExperimentError(f"{kind} document is missing required field {key!r}")
-    return data
-
-
-def list_field(data: Mapping[str, Any], key: str, kind: str) -> Any:
-    """``data[key]``, which must be a list (an absent optional key reads as
-    empty); raises :class:`ExperimentError` naming ``key``."""
-    value = data.get(key, ())
-    if not isinstance(value, (list, tuple)):
-        raise ExperimentError(f"{kind} field {key!r} must be a list, got {type(value).__name__}")
-    return value
-
-
-def _typed_field(data: Mapping[str, Any], key: str, kind: str, types: tuple[type, ...], default: Any = None) -> Any:
-    """``data[key]`` (``default`` when absent), which must be an instance of
-    one of ``types`` and not a bool; raises :class:`ExperimentError` naming
-    ``key``."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, types):
-        wanted = " or ".join(t.__name__ for t in types)
-        raise ExperimentError(f"{kind} field {key!r} must be {wanted}, got {type(value).__name__}")
-    return value
-
-
-@contextmanager
-def _malformed(kind: str, key: str) -> Iterator[None]:
-    """Raise a malformed value's ``TypeError``, ``ValueError``, ``KeyError``
-    or ``AttributeError`` (wrong type, missing or unknown key) as
-    :class:`ExperimentError` naming ``key``.  The errors the decoded
-    constructors raise for bad values keep their own types."""
-    try:
-        yield
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
-        raise ExperimentError(f"{kind} field {key!r} is malformed: {type(exc).__name__}: {exc}") from exc
+def decode_sweep_spec(data: Any, error: type[Exception], path: str) -> "SweepSpec":
+    """The nested decoder behind :meth:`SweepSpec.from_dict`."""
+    fields = untag(data, error, path, schema=SWEEP_SCHEMA, kind="sweep_spec")
+    return decode_record(SweepSpec, fields, error, path, {"shards": list_of(decode_run_spec)})
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +309,7 @@ class RunSpec:
             "duration": self.duration,
             "routing": self.routing.value,
             "timeline_every": self.timeline_every,
-            "config": _config_to_dict(self.config),
+            "config": asdict(self.config),
             "fleet": [asdict(spec) for spec in self.fleet],
             "loads": [_load_to_dict(load) for load in self.loads],
         }
@@ -356,44 +321,15 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Decode a ``repro.sweep/1`` run document."""
-        kind = "run_spec"
-        data = decode_document(
-            data, kind, ("label", "policy", "seed", "duration", "config", "fleet", "loads")
-        )
-        with _malformed(kind, "config"):
-            config = _config_from_dict(data["config"])
-        fleet = []
-        for i, spec in enumerate(list_field(data, "fleet", kind)):
-            with _malformed(kind, f"fleet[{i}]"):
-                fleet.append(MicroserviceSpec(**spec))
-        loads = []
-        for i, load in enumerate(list_field(data, "loads", kind)):
-            with _malformed(kind, f"loads[{i}]"):
-                loads.append(_load_from_dict(load))
-        with _malformed(kind, "routing"):
-            routing = RoutingPolicy(data.get("routing", RoutingPolicy.WEIGHTED_CPU.value))
-        app = data.get("app")
-        if app is not None:
-            with _malformed(kind, "app"):
-                app = ApplicationSpec.from_dict(app)
-        return cls(
-            label=_typed_field(data, "label", kind, (str,)),
-            policy=_typed_field(data, "policy", kind, (str,)),
-            seed=_typed_field(data, "seed", kind, (int,)),
-            duration=_typed_field(data, "duration", kind, (int, float)),
-            config=config,
-            fleet=tuple(fleet),
-            loads=tuple(loads),
-            routing=routing,
-            timeline_every=_typed_field(data, "timeline_every", kind, (int, float), 5.0),
-            app=app,
-        )
+        """Decode a ``repro.sweep/1`` run document; raises
+        :class:`ExperimentError` naming the bad field (the constructors' own
+        ``ClusterError``/``WorkloadError`` for bad values pass through)."""
+        return decode_run_spec(data, ExperimentError, "run_spec")
 
     def canonical_json(self) -> str:
         """Byte-stable encoding (sorted keys, no whitespace): the cache key
         input and the equality witness used by tests."""
-        return _canonical(self.to_dict())
+        return canonical_json(self.to_dict())
 
 
 # ----------------------------------------------------------------------
@@ -519,18 +455,13 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        """Decode a ``repro.sweep/1`` sweep document."""
-        data = decode_document(data, "sweep_spec", ("shards",))
-        return cls(
-            shards=tuple(
-                RunSpec.from_dict(shard) for shard in list_field(data, "shards", "sweep_spec")
-            ),
-            seed_mode=data.get("seed_mode", "per_shard"),
-        )
+        """Decode a ``repro.sweep/1`` sweep document; raises
+        :class:`ExperimentError` naming the bad field."""
+        return decode_sweep_spec(data, ExperimentError, "sweep_spec")
 
     def canonical_json(self) -> str:
         """Byte-stable encoding of the whole sweep document."""
-        return _canonical(self.to_dict())
+        return canonical_json(self.to_dict())
 
 
 def _shard_seed(base_seed: int, shard_name: str, seed_mode: str) -> int:

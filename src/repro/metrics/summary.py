@@ -8,11 +8,12 @@ failed, and the removal/connection breakdown — plus distributional extras
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
+from repro.codec import decode_record, list_of, parse_json, record_of
 from repro.errors import ExperimentError
 from repro.metrics.collector import MetricsCollector, TimelinePoint
 
@@ -322,26 +323,17 @@ class RunSummary:
         """Rebuild a summary saved with :meth:`to_dict`.
 
         Anything else raises :class:`~repro.errors.ExperimentError` naming
-        the offending field: a payload that is not an object, a missing or
-        unknown field, or a malformed ``services``/``timeline``/``app``
-        entry.  Fields added with defaults (the percentile and cost fields)
-        may be absent, so older dumps still load.
+        the offending field: a payload that is not an object, a missing,
+        unknown or mistyped field, or a malformed ``services``/``timeline``/
+        ``app`` entry.  Fields added with defaults (the percentile and cost
+        fields) may be absent, so older dumps still load.
         """
-        data = _fields_of(cls, payload, "run summary")
-        data["services"] = _records(ServiceSummary, data.get("services", ()), "services")
-        data["timeline"] = _records(TimelinePoint, data.get("timeline", ()), "timeline")
-        if data.get("app") is not None:
-            app = _fields_of(AppSummary, data["app"], "app")
-            app["services"] = _records(ServiceSummary, app.get("services", ()), "app.services")
-            data["app"] = AppSummary(**app)
-        return cls(**data)
+        return decode_summary(payload, ExperimentError, "summary")
 
     @classmethod
     def from_json(cls, text: str) -> "RunSummary":
         """Rebuild a summary saved with :meth:`to_json`."""
-        import json
-
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(parse_json(text, ExperimentError, "summary"))
 
     def as_row(self) -> dict[str, float | int | str]:
         """One table row, in the shape the benchmark harness prints."""
@@ -361,24 +353,9 @@ class RunSummary:
         }
 
 
-def _fields_of(cls: type[Any], payload: Any, where: str) -> dict[str, Any]:
-    """``payload`` as keyword arguments of dataclass ``cls``, or an error
-    naming the first missing or unknown field."""
-    if not isinstance(payload, dict):
-        raise ExperimentError(f"{where} must be a JSON object, got {type(payload).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ExperimentError(f"{where} has unknown field {unknown[0]!r}")
-    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
-    missing = [name for name in required if name not in payload]
-    if missing:
-        raise ExperimentError(f"{where} is missing field {missing[0]!r}")
-    return dict(payload)
-
-
-def _records(cls: type[Any], payload: Any, where: str) -> tuple[Any, ...]:
-    """A JSON list of ``cls`` records, each checked by :func:`_fields_of`."""
-    if not isinstance(payload, (list, tuple)):
-        raise ExperimentError(f"{where} must be a JSON list, got {type(payload).__name__}")
-    return tuple(cls(**_fields_of(cls, item, f"{where}[{i}]")) for i, item in enumerate(payload))
+def decode_summary(payload: Any, error: type[Exception], path: str) -> RunSummary:
+    """The nested decoder behind :meth:`RunSummary.from_dict`."""
+    services = list_of(record_of(ServiceSummary))
+    app = record_of(AppSummary, {"services": services})
+    nested = {"services": services, "timeline": list_of(record_of(TimelinePoint)), "app": app}
+    return decode_record(RunSummary, payload, error, path, nested)

@@ -9,10 +9,10 @@ enforces).  Lines are self-contained JSON objects, so traces stream through
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.codec import canonical_json, jsonl_text, parse_jsonl_line, read_jsonl, write_jsonl
 from repro.errors import ObservabilityError
 from repro.obs.spans import DecisionSpan, span_from_dict, span_to_dict
 
@@ -24,44 +24,25 @@ def span_to_json_line(span: DecisionSpan) -> str:
     """One span as its canonical single-line JSON encoding (no newline)."""
     payload = span_to_dict(span)
     payload["schema"] = TRACE_SCHEMA
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def spans_to_jsonl(spans: Iterable[DecisionSpan]) -> str:
     """A whole trace as JSONL text (trailing newline included when non-empty)."""
-    lines = [span_to_json_line(span) for span in spans]
-    return "\n".join(lines) + "\n" if lines else ""
+    return jsonl_text([span_to_json_line(span) for span in spans])
 
 
 def write_trace_jsonl(spans: Sequence[DecisionSpan], path: str | Path) -> int:
     """Write a trace file; returns the number of spans written."""
-    text = spans_to_jsonl(spans)
-    Path(path).write_text(text, encoding="utf-8")
-    return len(spans)
+    return write_jsonl([span_to_json_line(span) for span in spans], path)
 
 
 def parse_trace_line(line: str) -> DecisionSpan:
-    """Parse one JSONL line back into a span."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"trace line is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ObservabilityError("trace line must be a JSON object")
-    schema = payload.pop("schema", TRACE_SCHEMA)
-    if schema != TRACE_SCHEMA:
-        raise ObservabilityError(f"unsupported trace schema {schema!r} (want {TRACE_SCHEMA!r})")
-    return span_from_dict(payload)
+    """Parse one JSONL line back into a span; raises
+    :class:`~repro.errors.ObservabilityError` naming the bad field."""
+    return span_from_dict(parse_jsonl_line(line, TRACE_SCHEMA, ObservabilityError))
 
 
 def read_trace_jsonl(path: str | Path) -> tuple[DecisionSpan, ...]:
     """Read a JSONL trace file back into spans."""
-    spans: list[DecisionSpan] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            spans.append(parse_trace_line(line))
-        except ObservabilityError as exc:
-            raise ObservabilityError(f"{path}:{lineno}: {exc}") from None
-    return tuple(spans)
+    return tuple(read_jsonl(path, parse_trace_line, ObservabilityError))

@@ -16,9 +16,10 @@ layer can depend on without cycles.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
+from repro.codec import decode_record, list_of, record_of
 from repro.errors import ObservabilityError
 
 
@@ -103,28 +104,12 @@ def span_to_dict(span: DecisionSpan) -> dict[str, Any]:
     return asdict(span)
 
 
-def _build(cls: type, payload: Mapping[str, Any], context: str) -> Any:
-    names = {f.name for f in fields(cls)}
-    unknown = set(payload) - names
-    if unknown:
-        raise ObservabilityError(f"{context} has unknown fields: {sorted(unknown)}")
-    try:
-        return cls(**payload)
-    except TypeError as exc:
-        raise ObservabilityError(f"malformed {context}: {exc}") from None
-
-
 def span_from_dict(payload: Mapping[str, Any]) -> DecisionSpan:
-    """Rebuild a :class:`DecisionSpan` from :func:`span_to_dict` output."""
-    data = dict(payload)
-    try:
-        metrics = tuple(_build(MetricSample, m, "metric sample") for m in data.pop("metrics", ()))
-        ledger = tuple(_build(LedgerStep, s, "ledger step") for s in data.pop("ledger", ()))
-        actions = tuple(_build(ActionRecord, a, "action record") for a in data.pop("actions", ()))
-    except AttributeError:
-        raise ObservabilityError("span payload entries must be mappings") from None
-    data["metrics"] = metrics
-    data["ledger"] = ledger
-    data["actions"] = actions
-    result: DecisionSpan = _build(DecisionSpan, data, "decision span")
-    return result
+    """Rebuild a :class:`DecisionSpan` from :func:`span_to_dict` output;
+    raises :class:`~repro.errors.ObservabilityError` naming the bad field."""
+    nested = {
+        "metrics": list_of(record_of(MetricSample)),
+        "ledger": list_of(record_of(LedgerStep)),
+        "actions": list_of(record_of(ActionRecord)),
+    }
+    return decode_record(DecisionSpan, payload, ObservabilityError, "span", nested)

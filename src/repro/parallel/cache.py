@@ -16,10 +16,13 @@ skips every completed shard and executes only the missing ones.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from repro.codec import canonical_json, parse_json, untag
+from repro.errors import ExperimentError
+from repro.metrics.summary import decode_summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import RunSpec
@@ -58,16 +61,25 @@ class ShardCache:
     def load(self, spec: "RunSpec") -> dict | None:
         """Return the cached worker envelope for ``spec``, or ``None``.
 
-        Fields other than the summary are ignored, so entries that carry
-        the ``telemetry`` field older versions wrote still load.
+        An entry that is not valid JSON, has another schema or code
+        version, was stored for another spec, or whose summary does not
+        decode is a miss.  Fields other than the summary are ignored, so
+        entries that carry the ``telemetry`` field older versions wrote
+        still load.
         """
-        path = self.path_for(spec)
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not self._entry_valid(entry, spec):
+            text = self.path_for(spec).read_text(encoding="utf-8")
+            entry = parse_json(text, ExperimentError, "entry")
+            entry = untag(entry, ExperimentError, "entry", schema=CACHE_SCHEMA)
+            decode_summary(entry.get("summary"), ExperimentError, "entry.summary")
+            # Paranoia against sha collisions and hand-edited files: the
+            # stored spec must match the requested one byte-for-byte.
+            valid = entry.get("code_version") == self.code_version and (
+                canonical_json(entry.get("spec")) == spec.canonical_json()
+            )
+        except (OSError, ValueError, ExperimentError):  # ValueError: not UTF-8
+            valid = False
+        if not valid:
             self.misses += 1
             return None
         self.hits += 1
@@ -85,23 +97,6 @@ class ShardCache:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(spec)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-        )
+        tmp.write_text(canonical_json(entry) + "\n", encoding="utf-8")
         os.replace(tmp, path)
         return path
-
-    def _entry_valid(self, entry: Any, spec: "RunSpec") -> bool:
-        if not isinstance(entry, dict):
-            return False
-        if entry.get("schema") != CACHE_SCHEMA:
-            return False
-        if entry.get("code_version") != self.code_version:
-            return False
-        # Paranoia against sha collisions and hand-edited files: the stored
-        # spec must match the requested one byte-for-byte.
-        stored = entry.get("spec")
-        if stored is None:
-            return False
-        canonical = json.dumps(stored, sort_keys=True, separators=(",", ":"))
-        return canonical == spec.canonical_json() and "summary" in entry

@@ -9,13 +9,13 @@ order regardless of completion order, everything here (including
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.codec import canonical_json, decode_record, list_of, parse_json, untag
 from repro.errors import ExperimentError
-from repro.experiments.spec import SWEEP_SCHEMA, RunSpec, SweepSpec, decode_document, list_field
-from repro.metrics.summary import RunSummary
+from repro.experiments.spec import SWEEP_SCHEMA, RunSpec, SweepSpec, decode_sweep_spec
+from repro.metrics.summary import RunSummary, decode_summary
 
 
 @dataclass(frozen=True)
@@ -93,31 +93,23 @@ class SweepResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepResult":
-        """Decode a ``repro.sweep/1`` result document.
+        """Decode a ``repro.sweep/1`` result document; raises
+        :class:`ExperimentError` naming the bad field.
 
         The ``telemetry`` field older versions wrote is ignored.
         """
-        data = decode_document(data, "sweep_result", ("sweep", "summaries"))
-        sweep = data["sweep"]
-        if not isinstance(sweep, Mapping):
-            raise ExperimentError(
-                f"sweep_result field 'sweep' must be an object, got {type(sweep).__name__}"
-            )
-        return cls(
-            sweep=SweepSpec.from_dict(sweep),
-            summaries=tuple(
-                RunSummary.from_dict(s) for s in list_field(data, "summaries", "sweep_result")
-            ),
-            cached=tuple(bool(flag) for flag in list_field(data, "cached", "sweep_result")),
-        )
+        fields = untag(data, ExperimentError, "sweep_result", schema=SWEEP_SCHEMA, kind="sweep_result")
+        fields.pop("telemetry", None)
+        nested = {"sweep": decode_sweep_spec, "summaries": list_of(decode_summary)}
+        return decode_record(cls, fields, ExperimentError, "sweep_result", nested)
 
     def to_json(self) -> str:
         """Canonical (sorted, compact) encoding — byte-identical across
         serial and parallel executions of the same sweep."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "SweepResult":
         """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(parse_json(text, ExperimentError, "sweep_result"))
 

@@ -9,10 +9,10 @@ files — and a clean run exports the empty string.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.codec import canonical_json, jsonl_text, parse_jsonl_line, read_jsonl, write_jsonl
 from repro.errors import SanitizerError
 from repro.sanitizer.records import SanViolation, violation_from_dict, violation_to_dict
 
@@ -24,46 +24,28 @@ def violation_to_json_line(violation: SanViolation) -> str:
     """One violation as its canonical single-line JSON encoding (no newline)."""
     payload = violation_to_dict(violation)
     payload["schema"] = SAN_SCHEMA
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def violations_to_jsonl(violations: Iterable[SanViolation]) -> str:
     """A whole report as JSONL text (trailing newline when non-empty)."""
-    lines = [violation_to_json_line(v) for v in violations]
-    return "\n".join(lines) + "\n" if lines else ""
+    return jsonl_text([violation_to_json_line(v) for v in violations])
 
 
 def write_san_jsonl(violations: Sequence[SanViolation], path: str | Path) -> int:
     """Write a violation file; returns the number of records written."""
-    Path(path).write_text(violations_to_jsonl(violations), encoding="utf-8")
-    return len(violations)
+    return write_jsonl([violation_to_json_line(v) for v in violations], path)
 
 
 def parse_san_line(line: str) -> SanViolation:
-    """Parse one JSONL line back into a violation record."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SanitizerError(f"violation line is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise SanitizerError("violation line must be a JSON object")
-    schema = payload.pop("schema", SAN_SCHEMA)
-    if schema != SAN_SCHEMA:
-        raise SanitizerError(f"unsupported sanitizer schema {schema!r} (want {SAN_SCHEMA!r})")
-    return violation_from_dict(payload)
+    """Parse one JSONL line back into a violation record; raises
+    :class:`~repro.errors.SanitizerError` naming the bad field."""
+    return violation_from_dict(parse_jsonl_line(line, SAN_SCHEMA, SanitizerError))
 
 
 def read_san_jsonl(path: str | Path) -> tuple[SanViolation, ...]:
     """Read a JSONL violation file back into records."""
-    out: list[SanViolation] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(parse_san_line(line))
-        except SanitizerError as exc:
-            raise SanitizerError(f"{path}:{lineno}: {exc}") from None
-    return tuple(out)
+    return tuple(read_jsonl(path, parse_san_line, SanitizerError))
 
 
 def render_san_report(violations: Sequence[SanViolation]) -> str:

@@ -10,8 +10,9 @@ of the run (the same byte-determinism contract as ``repro.obs`` spans).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
+from repro.codec import decode_record
 from repro.errors import SanitizerError
 
 #: Check identifiers a violation may carry (the sanitizer's rule catalogue).
@@ -54,12 +55,6 @@ def violation_to_dict(violation: SanViolation) -> dict:
 
 
 def violation_from_dict(payload: dict) -> SanViolation:
-    """Rebuild a violation from its dict form, rejecting unknown keys."""
-    known = {f.name for f in fields(SanViolation)}
-    unknown = set(payload) - known
-    if unknown:
-        raise SanitizerError(f"unknown violation fields: {sorted(unknown)}")
-    try:
-        return SanViolation(**payload)
-    except TypeError as exc:
-        raise SanitizerError(f"malformed violation record: {exc}") from None
+    """Rebuild a violation from its dict form; raises
+    :class:`~repro.errors.SanitizerError` naming the bad field."""
+    return decode_record(SanViolation, payload, SanitizerError, "violation")

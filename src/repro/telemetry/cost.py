@@ -76,14 +76,3 @@ class MonitorBudget:
         self.captures += 1
         self.series_captured += series
         self.collection_cost_seconds += PER_CAPTURE_SECONDS + series * PER_SERIES_SECONDS
-
-    def to_dict(self) -> dict:
-        """The ledger as plain JSON types."""
-        return {
-            "collection_cost_seconds": round(self.collection_cost_seconds, 9),
-            "captures": self.captures,
-            "nodes_observed": self.nodes_observed,
-            "nodes_skipped": self.nodes_skipped,
-            "containers_observed": self.containers_observed,
-            "series_captured": self.series_captured,
-        }

@@ -18,10 +18,10 @@ Line kinds:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from repro.codec import canonical_json, jsonl_text, parse_jsonl_line, read_jsonl, write_jsonl
 from repro.errors import TelemetryError
 from repro.telemetry.instruments import Histogram
 from repro.telemetry.registry import MetricRegistry
@@ -31,10 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Schema tag embedded in every line; bump when the line shape changes.
 TELEMETRY_SCHEMA = "repro.telemetry/1"
-
-
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def snapshot_lines(
@@ -68,9 +64,9 @@ def snapshot_lines(
                 payload["sum"] = child.sum
             else:
                 payload["value"] = child.value
-            lines.append(_dump(payload))
+            lines.append(canonical_json(payload))
     for alert in alerts:
-        lines.append(_dump({"schema": TELEMETRY_SCHEMA, "kind": "slo_alert", **alert.to_dict()}))
+        lines.append(canonical_json({"schema": TELEMETRY_SCHEMA, "kind": "slo_alert", **alert.to_dict()}))
     return lines
 
 
@@ -81,8 +77,7 @@ def snapshot_to_jsonl(
     alerts: Iterable["SloAlert"] = (),
 ) -> str:
     """The whole snapshot as JSONL text (trailing newline when non-empty)."""
-    lines = snapshot_lines(registry, now=now, alerts=alerts)
-    return "\n".join(lines) + "\n" if lines else ""
+    return jsonl_text(snapshot_lines(registry, now=now, alerts=alerts))
 
 
 def write_snapshot_jsonl(
@@ -93,40 +88,19 @@ def write_snapshot_jsonl(
     alerts: Iterable["SloAlert"] = (),
 ) -> int:
     """Write a snapshot file; returns the number of lines written."""
-    text = snapshot_to_jsonl(registry, now=now, alerts=alerts)
-    Path(path).write_text(text, encoding="utf-8")
-    return len(text.splitlines())
+    return write_jsonl(snapshot_lines(registry, now=now, alerts=alerts), path)
 
 
 def parse_snapshot_line(line: str) -> dict:
-    """Parse and schema-check one snapshot line."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TelemetryError(f"snapshot line is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise TelemetryError("snapshot line must be a JSON object")
-    schema = payload.get("schema")
-    if schema != TELEMETRY_SCHEMA:
-        raise TelemetryError(
-            f"unsupported snapshot schema {schema!r} (want {TELEMETRY_SCHEMA!r})"
-        )
+    """Parse and schema-check one snapshot line (the payload keeps its tag);
+    raises :class:`~repro.errors.TelemetryError`."""
+    payload = parse_jsonl_line(line, TELEMETRY_SCHEMA, TelemetryError)
     kind = payload.get("kind")
     if kind not in ("counter", "gauge", "histogram", "slo_alert"):
-        raise TelemetryError(f"unknown snapshot line kind {kind!r}")
-    return payload
+        raise TelemetryError(f"line has unknown snapshot kind {kind!r}")
+    return {"schema": TELEMETRY_SCHEMA, **payload}
 
 
 def read_snapshot_jsonl(path: str | Path) -> list[dict]:
     """Read a snapshot file back into parsed line payloads."""
-    out: list[dict] = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            out.append(parse_snapshot_line(line))
-        except TelemetryError as exc:
-            raise TelemetryError(f"{path}:{lineno}: {exc}") from None
-    return out
+    return read_jsonl(path, parse_snapshot_line, TelemetryError)

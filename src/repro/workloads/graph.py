@@ -32,12 +32,12 @@ order and omit-when-default rules here are load-bearing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.cluster.microservice import MicroserviceSpec
+from repro.codec import canonical_json, decode_record, list_of, record_of, untag
 from repro.errors import WorkloadError
 from repro.workloads.requests import Request, RequestState
 
@@ -76,23 +76,13 @@ class CallEdge:
             raise WorkloadError(f"edge {self.caller!r} may not call itself")
 
     def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "caller": self.caller,
-            "callee": self.callee,
-            "calls": self.calls,
-        }
-        if self.routing is not None:
-            payload["routing"] = self.routing
-        return payload
+        """Plain JSON types; ``routing`` is omitted when unset."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CallEdge":
-        return cls(
-            caller=data["caller"],
-            callee=data["callee"],
-            calls=data["calls"],
-            routing=data.get("routing"),
-        )
+        """Decode :meth:`to_dict` output; raises :class:`WorkloadError`."""
+        return decode_record(cls, data, WorkloadError, "edge")
 
 
 @dataclass(frozen=True)
@@ -202,15 +192,8 @@ class ServiceGraph:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServiceGraph":
-        # Imported here, not at module top: cluster.microservice's package
-        # imports repro.workloads (for Request), so a top-level import
-        # would cycle during package init.
-        from repro.cluster.microservice import MicroserviceSpec
-
-        return cls(
-            services=tuple(MicroserviceSpec(**s) for s in data["services"]),
-            edges=tuple(CallEdge.from_dict(e) for e in data.get("edges", ())),
-        )
+        """Decode :meth:`to_dict` output; raises :class:`WorkloadError`."""
+        return _decode_graph(data, WorkloadError, "graph")
 
 
 @dataclass(frozen=True)
@@ -279,18 +262,30 @@ class ApplicationSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ApplicationSpec":
-        schema = data.get("schema", GRAPH_SCHEMA)
-        if schema != GRAPH_SCHEMA:
-            raise WorkloadError(f"unsupported application schema {schema!r}")
-        return cls(
-            name=data["name"],
-            graph=ServiceGraph.from_dict(data["graph"]),
-            ingress=tuple(data.get("ingress", ())),
-        )
+        """Decode a ``repro.app/1`` document; raises :class:`WorkloadError`
+        naming the bad field (the tier and edge constructors' own errors for
+        bad values pass through)."""
+        return decode_app(data, WorkloadError, "app")
 
     def canonical_json(self) -> str:
         """Byte-stable canonical encoding (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
+
+
+def _decode_graph(data: Any, error: type[Exception], path: str) -> ServiceGraph:
+    # Imported here, not at module top: cluster.microservice's package
+    # imports repro.workloads (for Request), so a top-level import would
+    # cycle during package init.
+    from repro.cluster.microservice import MicroserviceSpec
+
+    nested = {"services": list_of(record_of(MicroserviceSpec)), "edges": list_of(record_of(CallEdge))}
+    return decode_record(ServiceGraph, data, error, path, nested)
+
+
+def decode_app(data: Any, error: type[Exception], path: str) -> ApplicationSpec:
+    """The nested decoder behind :meth:`ApplicationSpec.from_dict`."""
+    fields = untag(data, error, path, schema=GRAPH_SCHEMA)
+    return decode_record(ApplicationSpec, fields, error, path, {"graph": _decode_graph})
 
 
 @dataclass
@@ -352,7 +347,7 @@ def three_tier_graph(
     the db saturates, api requests block on their reads, frontend blocks
     on api, and ingress p99 climbs.
     """
-    from repro.cluster.microservice import MicroserviceSpec  # lazy: see ServiceGraph.from_dict
+    from repro.cluster.microservice import MicroserviceSpec  # lazy: see _decode_graph
 
     return ServiceGraph(
         services=(

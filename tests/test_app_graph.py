@@ -163,7 +163,7 @@ class TestGraphValidation:
         assert decoded == app
         assert decoded.canonical_json() == app.canonical_json()
         assert GRAPH_SCHEMA in app.canonical_json()
-        with pytest.raises(WorkloadError, match="unsupported application schema"):
+        with pytest.raises(WorkloadError, match="app has unsupported schema"):
             ApplicationSpec.from_dict({**app.to_dict(), "schema": "repro.app/99"})
 
     def test_codec_bytes_are_pinned(self):

@@ -7,6 +7,21 @@ import pytest
 from repro.cli import WORKLOADS, build_parser, main
 
 
+def _summary_document() -> dict:
+    """A ``run --json`` summary entry as ``RunSummary.to_dict`` writes it."""
+    from repro.metrics.summary import RunSummary
+
+    counts = dict.fromkeys(
+        ("total_requests", "completed", "removal_failures", "connection_failures",
+         "vertical_scale_ops", "horizontal_scale_ups", "horizontal_scale_downs", "oom_kills"),
+        0,
+    )
+    times = dict.fromkeys(
+        ("avg_response_time", "p50_response_time", "p95_response_time", "p99_response_time"), 0.0
+    )
+    return RunSummary(algorithm="hybrid", workload="w", duration=10.0, **counts, **times).to_dict()
+
+
 class TestParser:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
@@ -79,6 +94,20 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "'hybrid'" in captured.err and "missing field 'workload'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("total_requests", "x"), ("avg_response_time", "slow")],
+        ids=["requests-string", "response-time-string"],
+    )
+    def test_inspect_rejects_a_mistyped_summary_field(self, capsys, tmp_path, field, value):
+        dump = tmp_path / "typed.json"
+        dump.write_text(json.dumps({"hybrid": {**_summary_document(), field: value}}))
+        assert main(["inspect", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert f"runs['hybrid'].{field} must be" in captured.err
         assert captured.out == ""
 
     def test_run_rejects_unknown_workload(self):
@@ -348,6 +377,19 @@ class TestObservabilityCommands:
     def test_explain_missing_file_fails_cleanly(self, capsys, tmp_path):
         assert main(["explain", str(tmp_path / "missing.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_explain_rejects_a_mistyped_span_field(self, capsys, tmp_path):
+        from repro.obs import DecisionSpan, span_to_json_line
+
+        span = DecisionSpan(now=5.0, policy="hybrid", digest="d", services=1, nodes=1, replicas=1)
+        line = {**json.loads(span_to_json_line(span)), "metrics": 5}
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps(line) + "\n")
+        assert main(["explain", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "t.jsonl:1: span.metrics must be a JSON list" in captured.err
+        assert captured.out == ""
 
     def test_profile_renders_phase_table(self, capsys):
         assert main(

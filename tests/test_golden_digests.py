@@ -30,8 +30,11 @@ from repro.core.registry import registered_policies
 from repro.experiments.runner import Simulation
 from repro.instrument import Observe
 from repro.metrics.sla import Sla
-from repro.obs import DecisionTracer, spans_to_jsonl
+from repro.codec import canonical_json
+from repro.metrics.summary import RunSummary
+from repro.obs import DecisionTracer, parse_trace_line, spans_to_jsonl
 from repro.telemetry import MetricRegistry, SloTracker, render_openmetrics, snapshot_to_jsonl
+from repro.telemetry.snapshot import parse_snapshot_line
 from repro.workloads import (
     CPU_BOUND,
     DISK_BOUND,
@@ -162,6 +165,13 @@ def _observed_run(duration: float, **build: object) -> dict[str, str]:
         "snapshot": snapshot_to_jsonl(registry, now=now, alerts=slo.alerts()),
     }
     assert summary.total_requests > 100, "the pinned run must exercise the engine"
+    # Each written document decodes back to an equal object.
+    decoded = RunSummary.from_dict(json.loads(texts["summary"]))
+    assert json.dumps(decoded.to_dict(), sort_keys=True) == texts["summary"]
+    trace = texts["trace"].splitlines()
+    assert spans_to_jsonl([parse_trace_line(line) for line in trace]) == texts["trace"]
+    snapshot = texts["snapshot"].splitlines()
+    assert [canonical_json(parse_snapshot_line(line)) for line in snapshot] == snapshot
     return {name: _sha(texts[name]) for name in ARTEFACTS}
 
 

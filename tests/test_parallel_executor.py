@@ -124,6 +124,17 @@ class TestShardCache:
             assert hit.cached == (True,)
             assert hit.summaries[0].to_dict() == serial_result.summaries[0].to_dict()
 
+    def test_entry_with_a_mistyped_summary_is_a_miss(self, grid, tmp_path):
+        shard = grid.shards[0]
+        SweepSpec(shards=(shard,), seed_mode=grid.seed_mode).run(parallel=1, cache_dir=tmp_path)
+        cache = ShardCache(tmp_path)
+        path = cache.path_for(shard)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["summary"]["total_requests"] = "x"
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert cache.load(shard) is None
+        assert cache.misses == 1
+
     def test_key_is_content_addressed(self, grid):
         cache = ShardCache("unused", code_version=CODE_VERSION)
         a, b = grid.shards[0], grid.shards[1]

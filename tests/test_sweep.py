@@ -304,25 +304,28 @@ def _without(document, key):
 
 #: (decoder, how the valid document is broken, the message naming the fault)
 MALFORMED = {
-    "run-spec-list": ("run_spec", lambda d: [d], "run_spec document must be a JSON object"),
+    "run-spec-list": ("run_spec", lambda d: [d], "run_spec must be a JSON object"),
     "run-spec-no-label": ("run_spec", lambda d: _without(d, "label"), "field 'label'"),
     "run-spec-no-loads": ("run_spec", lambda d: _without(d, "loads"), "field 'loads'"),
-    "sweep-spec-list": ("sweep_spec", lambda d: [], "sweep_spec document must be a JSON object"),
+    "sweep-spec-list": ("sweep_spec", lambda d: [], "sweep_spec must be a JSON object"),
     "sweep-spec-no-shards": ("sweep_spec", lambda d: _without(d, "shards"), "field 'shards'"),
     "sweep-spec-null-shards": (
-        "sweep_spec", lambda d: {**d, "shards": None}, "field 'shards' must be a list"
+        "sweep_spec", lambda d: {**d, "shards": None}, "sweep_spec.shards must be a JSON list"
     ),
-    "result-list": ("sweep_result", lambda d: [d], "sweep_result document must be a JSON object"),
+    "result-list": ("sweep_result", lambda d: [d], "sweep_result must be a JSON object"),
     "result-no-sweep": ("sweep_result", lambda d: _without(d, "sweep"), "field 'sweep'"),
     "result-list-sweep": (
-        "sweep_result", lambda d: {**d, "sweep": []}, "field 'sweep' must be an object"
+        "sweep_result", lambda d: {**d, "sweep": []}, "sweep_result.sweep must be a JSON object"
     ),
     "result-no-summaries": ("sweep_result", lambda d: _without(d, "summaries"), "field 'summaries'"),
     "result-null-summaries": (
-        "sweep_result", lambda d: {**d, "summaries": None}, "field 'summaries' must be a list"
+        "sweep_result", lambda d: {**d, "summaries": None}, "sweep_result.summaries must be a JSON list"
     ),
     "result-null-cached": (
-        "sweep_result", lambda d: {**d, "cached": None}, "field 'cached' must be a list"
+        "sweep_result", lambda d: {**d, "cached": None}, "sweep_result.cached must be a JSON list"
+    ),
+    "result-string-cached": (
+        "sweep_result", lambda d: {**d, "cached": ["false"]}, "sweep_result.cached[0] must be a boolean"
     ),
 }
 
@@ -330,20 +333,24 @@ MALFORMED = {
 #: A nested or typed field of a run document replaced, and the message
 #: naming it.
 MALFORMED_FIELDS = {
-    "seed-string": ("seed", "x", "field 'seed' must be int"),
-    "seed-bool": ("seed", True, "field 'seed' must be int"),
-    "duration-string": ("duration", "10", "field 'duration' must be int or float"),
-    "label-number": ("label", 7, "field 'label' must be str"),
-    "timeline-string": ("timeline_every", "5", "field 'timeline_every' must be int or float"),
-    "fleet-null": ("fleet", None, "field 'fleet' must be a list"),
-    "fleet-entry-list": ("fleet", [[]], "field 'fleet[0]' is malformed"),
-    "fleet-entry-unknown-key": ("fleet", [{"name": "a", "colour": 1}], "field 'fleet[0]' is malformed"),
-    "loads-object": ("loads", {"a": 1}, "field 'loads' must be a list"),
-    "loads-entry-no-profile": ("loads", [{"service": "a"}], "field 'loads[0]' is malformed"),
-    "config-list": ("config", [], "field 'config' is malformed"),
-    "config-no-overheads": ("config", {"cluster": {}}, "field 'config' is malformed"),
-    "routing-unknown": ("routing", "sideways", "field 'routing' is malformed"),
-    "app-list": ("app", [], "field 'app' is malformed"),
+    "seed-string": ("seed", "x", "run_spec.seed must be an integer"),
+    "seed-bool": ("seed", True, "run_spec.seed must be an integer"),
+    "duration-string": ("duration", "10", "run_spec.duration must be a number"),
+    "label-number": ("label", 7, "run_spec.label must be a string"),
+    "timeline-string": ("timeline_every", "5", "run_spec.timeline_every must be a number"),
+    "fleet-null": ("fleet", None, "run_spec.fleet must be a JSON list"),
+    "fleet-entry-list": ("fleet", [[]], "run_spec.fleet[0] must be a JSON object"),
+    "fleet-entry-unknown-key": (
+        "fleet", [{"name": "a", "colour": 1}], "run_spec.fleet[0] has unknown field 'colour'"
+    ),
+    "loads-object": ("loads", {"a": 1}, "run_spec.loads must be a JSON list"),
+    "loads-entry-no-profile": (
+        "loads", [{"service": "a"}], "run_spec.loads[0] is missing field 'profile'"
+    ),
+    "config-list": ("config", [], "run_spec.config must be a JSON object"),
+    "config-no-overheads": ("config", {"cluster": {}}, "run_spec.config is missing field 'overheads'"),
+    "routing-unknown": ("routing", "sideways", "run_spec.routing must be one of"),
+    "app-list": ("app", [], "run_spec.app must be a JSON object"),
 }
 
 

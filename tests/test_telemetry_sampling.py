@@ -85,20 +85,6 @@ class TestMonitorBudget:
         )
         assert budget.collection_cost_seconds == pytest.approx(expected)
 
-    def test_to_dict_is_plain_json(self):
-        budget = MonitorBudget()
-        budget.charge_capture(series=2)
-        payload = budget.to_dict()
-        assert set(payload) == {
-            "collection_cost_seconds",
-            "captures",
-            "nodes_observed",
-            "nodes_skipped",
-            "containers_observed",
-            "series_captured",
-        }
-        assert payload["captures"] == 1
-
 
 class TestPolicyRegistry:
     def test_builtin_policies_registered_sorted(self):
